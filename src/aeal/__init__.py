@@ -14,8 +14,8 @@ from .data import (AgentView, AlignedDataset, Column, Owner, from_arrays,
 from .losses import LossFamily, parse_family
 from .messages import PROTOCOL_VERSION, decode, encode
 from .protocol import (Prediction, StopCriterion, TrainSession, joint_loss,
-                       predict, replay, train, transcript)
-from .screening import ScreenReport, lrt_screen, screen_on_subset, wald_screen
+                       predict, replay, train)
+from .screening import ScreenReport, lrt_screen, wald_screen
 from .simulate import (SETTINGS, Ownership, SimDesign, eta_bound, gen_covariates,
                        gen_response, map_T, oracle_fit, simulate)
 from .sketch import (MaskedResponse, SketchPackage, clip_rows, laplace_noise,

@@ -7,7 +7,7 @@ with the per-row loss gradient at the combined predictor; both then apply
 step schedule "sqrt" uses step0 / sqrt(1 + k) as the decay strategy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,9 +156,7 @@ def tune_step(view_a, y, view_b, fam, cfg, grid, budget_rounds, batch_seed=0,
     sessions = []
     total_sends = 0
     for step0 in grid:
-        run_cfg = BaselineConfig(algorithm=cfg.algorithm, step0=float(step0),
-                                 decay=cfg.decay, batch=cfg.batch, q_local=cfg.q_local,
-                                 mu=cfg.mu, max_rounds=budget_rounds)
+        run_cfg = replace(cfg, step0=float(step0), max_rounds=budget_rounds)
         sess = train_baseline(view_a, y, view_b, fam, run_cfg, batch_seed=batch_seed,
                               record_history=record_history)
         total_sends += sess.rounds_transmitted

@@ -22,7 +22,7 @@ from .errors import (AealError, DomainError, OneClassOnly, ProtocolError,
 from .losses import parse_family
 from .messages import (PredictContribution, ScreenResult, SketchOffer,
                        format_float)
-from .protocol import StopCriterion, run_alice, run_bob
+from .protocol import StopCriterion, joint_interval, run_alice, run_bob
 from .screening import lrt_screen, wald_screen
 from .simulate import SimDesign, map_T, oracle_fit, simulate, spawn_rngs
 from .sketch import SketchPackage, make_sketch
@@ -228,10 +228,6 @@ def _print_json(obj):
     sys.stdout.flush()
 
 
-def _fmt_vec(vec):
-    return [format_float(v) for v in vec]
-
-
 def cmd_agent(args):
     if bool(args.listen) == bool(args.connect):
         raise ProtocolError("pass exactly one of --listen or --connect")
@@ -239,13 +235,13 @@ def cmd_agent(args):
     recorder = Recorder()
     role_owner = Owner.A if args.role == "alice" else Owner.B
     response = args.response_column if args.role == "alice" else None
-    ids, view, y = load_agent_csv(args.data, args.id_column, role_owner,
-                                  response_column=response)
+    _, view, y = load_agent_csv(args.data, args.id_column, role_owner,
+                                response_column=response)
     chan = _agent_channel(args, recorder)
     try:
         if args.mode == "screen":
             return _agent_screen(args, fam, view, y, chan)
-        return _agent_train(args, fam, view, y, chan, recorder, ids)
+        return _agent_train(args, fam, view, y, chan, recorder)
     finally:
         chan.close()
 
@@ -274,14 +270,13 @@ def _agent_screen(args, fam, view, y, chan):
     sketch = SketchPackage(projected=np.asarray(offer.projected), t=offer.t,
                            noised=offer.noised, epsilon=offer.epsilon, c2=offer.c2,
                            rows_excluded=offer.rows_excluded)
-    # reconstruct B's row selection: leading rows, minus clipped ones
-    n_before_clip = sketch.n + len(offer.rows_excluded)
-    rows = [i for i in range(n_before_clip) if i not in set(offer.rows_excluded)]
-    if n_before_clip > view.n:
+    # B sketched its leading rows; the screening functions drop the clipped ones
+    n_rows = sketch.n + len(sketch.rows_excluded)
+    if n_rows > view.n:
         raise ProtocolError("sketch carries more rows than this agent holds")
-    X_a = view.design[rows]
-    y_rows = np.asarray(y, dtype=float)[rows]
-    view_rows = AgentView(design=X_a, column_names=view.column_names, owner=view.owner)
+    view_rows = AgentView(design=view.design[:n_rows], column_names=view.column_names,
+                          owner=view.owner)
+    y_rows = np.asarray(y, dtype=float)[:n_rows]
     if args.test == "lrt":
         report = lrt_screen(view_rows, y_rows, sketch, fam, alpha=args.alpha)
     else:
@@ -303,39 +298,33 @@ def _resolve_tol(value, auto):
     return value if value > 0 else None
 
 
-def _agent_train(args, fam, view, y, chan, recorder, ids):
-    rng = np.random.default_rng(args.seed)
+def _agent_train(args, fam, view, y, chan, recorder):
     if args.role == "alice":
+        default = StopCriterion.default(view.n)
         stop = StopCriterion(
-            offset_tol=_resolve_tol(args.offset_tol, 1e-8 * np.sqrt(view.n)),
-            coef_tol=_resolve_tol(args.coef_tol, 1e-8),
+            offset_tol=_resolve_tol(args.offset_tol, default.offset_tol),
+            coef_tol=_resolve_tol(args.coef_tol, default.coef_tol),
             max_rounds=args.max_rounds)
+        rng = np.random.default_rng(args.seed)
         res = run_alice(view, y, fam, chan, stop=stop, ridge=args.ridge,
                         mask_flip_prob=args.mask_flip, rng=rng)
-        summary = {"role": "alice", "mode": args.mode, "beta": _fmt_vec(res["beta_a"]),
-                   "rounds": res["rounds"], "stop_reason": res["stop_reason"],
-                   "rounds_transmitted": recorder.offset_count(),
-                   "bytes_transmitted": recorder.bytes_transmitted}
-        _print_json(summary)
-        if args.mode == "predict":
-            _predict_alice(args, fam, res, chan)
+        beta, predict_side = res["beta_a"], _predict_alice
     else:
         res = run_bob(view, fam, chan)
-        _print_json({"role": "bob", "mode": args.mode, "beta": _fmt_vec(res["beta_b"]),
-                     "rounds": res["rounds"], "stop_reason": res["stop_reason"],
-                     "rounds_transmitted": recorder.offset_count(),
-                     "bytes_transmitted": recorder.bytes_transmitted})
-        if args.mode == "predict":
-            _predict_bob(args, fam, res, chan)
+        beta, predict_side = res["beta_b"], _predict_bob
+    _print_json({"role": args.role, "mode": args.mode,
+                 "beta": [format_float(v) for v in beta],
+                 "rounds": res["rounds"], "stop_reason": res["stop_reason"],
+                 "rounds_transmitted": recorder.offset_count(),
+                 "bytes_transmitted": recorder.bytes_transmitted})
+    if args.mode == "predict":
+        predict_side(args, fam, res, chan)
     return 0
 
 
 def _predict_alice(args, fam, res, chan):
-    from .stats import normal_quantile
-
     _, view_new, _ = load_agent_csv(args.predict_data, args.id_column, Owner.A)
     cov = res["cov_a"]
-    z = normal_quantile(1.0 - args.alpha / 4.0)
     for i in range(view_new.n):
         x_a = view_new.design[i]
         contrib = chan.recv()
@@ -343,15 +332,9 @@ def _predict_alice(args, fam, res, chan):
             raise ProtocolError("expected a prediction contribution")
         nu = float(x_a @ res["beta_a"]) + contrib.nu
         sigma_a = float(np.sqrt(max(0.0, x_a @ cov @ x_a)))
-        half = z * (sigma_a + contrib.sigma)
-        lo, hi = nu - half, nu + half
-        if fam.is_glm:
-            point = float(fam.inverse_link(nu))
-            lo, hi = float(fam.inverse_link(lo)), float(fam.inverse_link(hi))
-        else:
-            point = nu
-        _print_json({"row": i, "nu": format_float(nu), "point": format_float(point),
-                     "lo": format_float(lo), "hi": format_float(hi)})
+        pred = joint_interval(nu, sigma_a, contrib.sigma, fam, args.alpha)
+        _print_json({"row": i, "nu": format_float(nu), "point": format_float(pred.point),
+                     "lo": format_float(pred.lo), "hi": format_float(pred.hi)})
 
 
 def _predict_bob(args, fam, res, chan):

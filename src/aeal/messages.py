@@ -54,11 +54,6 @@ class Offset:
 
 
 @dataclass(frozen=True)
-class VarianceShare:
-    sigma_sq: float
-
-
-@dataclass(frozen=True)
 class PredictContribution:
     nu: float
     sigma: float
@@ -84,25 +79,18 @@ _SCHEMAS = {
                      "reject": "bool", "alpha": "float"},
     "ResponseShare": {"y": "vector", "masked": "bool", "flip_prob": "float?"},
     "Offset": {"round": "int", "vector": "vector"},
-    "VarianceShare": {"sigma_sq": "float"},
     "PredictContribution": {"nu": "float", "sigma": "float"},
     "Stop": {"reason": "str"},
     "GradShare": {"round": "int", "vector": "vector"},
 }
 
-_CLASSES = {
-    "Handshake": Handshake, "SketchOffer": SketchOffer, "ScreenResult": ScreenResult,
-    "ResponseShare": ResponseShare, "Offset": Offset, "VarianceShare": VarianceShare,
-    "PredictContribution": PredictContribution, "Stop": Stop, "GradShare": GradShare,
-}
+_CLASSES = {cls.__name__: cls for cls in (
+    Handshake, SketchOffer, ScreenResult, ResponseShare, Offset, PredictContribution,
+    Stop, GradShare)}
 
-
-def format_float(v):
-    """Decimal form with 17 significant digits; float() recovers the exact bits."""
-    return format(float(v), ".17g")
-
-
-_FMT = "{:.17g}".format
+# Decimal form with 17 significant digits; float() recovers the exact bits.
+# A bound method, not a def: vectors are mapped through it element by element.
+format_float = "{:.17g}".format
 
 
 def _emit(tag, value):
@@ -117,9 +105,9 @@ def _emit(tag, value):
     if tag == "float?":
         return "null" if value is None else format_float(value)
     if tag == "vector":
-        return "[" + ",".join(map(_FMT, value)) + "]"
+        return "[" + ",".join(map(format_float, value)) + "]"
     if tag == "matrix":
-        return "[" + ",".join("[" + ",".join(map(_FMT, row)) + "]"
+        return "[" + ",".join("[" + ",".join(map(format_float, row)) + "]"
                               for row in value) + "]"
     if tag == "ints":
         return "[" + ",".join(map(str, map(int, value))) + "]"

@@ -15,7 +15,7 @@ sends, including A's initial one.
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +24,7 @@ from .errors import (DimensionMismatch, ProtocolError, SingularVariance,
                      SolverFailure)
 from .losses import parse_family
 from .messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare,
-                       Stop)
+                       Stop, decode)
 from .sketch import mask_response, unmask_probability
 from .solver import SolverConfig, fit_offset, sandwich_pieces
 from .stats import normal_quantile
@@ -105,6 +105,17 @@ def _predictor_covariance(X, y, offset, fam, beta):
     return V1_inv @ V2 @ V1_inv / X.shape[0]
 
 
+def _check_handshake(msg, n):
+    """Validate the peer's handshake against this side's version and row count."""
+    if not isinstance(msg, Handshake):
+        raise ProtocolError("expected handshake")
+    if msg.version != PROTOCOL_VERSION:
+        raise ProtocolError(f"protocol version mismatch: {msg.version!r}")
+    if msg.n != n:
+        raise ProtocolError("peer row count differs")
+    return msg
+
+
 class _PeerTracker:
     """Enforces strictly increasing offset round numbers per sender."""
 
@@ -133,28 +144,18 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
     """
     X_a = view_a.design
     n = X_a.shape[0]
-    cfg = cfg or SolverConfig()
-    if cfg.ridge != ridge:
-        cfg = SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter, armijo=cfg.armijo,
-                           shrink=cfg.shrink, ridge=ridge)
+    cfg = replace(cfg or SolverConfig(), ridge=ridge)
     stop = stop or StopCriterion.default(n)
 
     chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=ridge))
-    hs = chan.recv()
-    if not isinstance(hs, Handshake):
-        raise ProtocolError("expected handshake")
-    if hs.version != PROTOCOL_VERSION:
-        raise ProtocolError(f"protocol version mismatch: {hs.version!r}")
-    if hs.n != n:
-        raise ProtocolError("peer row count differs")
+    _check_handshake(chan.recv(), n)
 
-    if mask_flip_prob is not None:
-        masked = mask_response(y, mask_flip_prob, rng)
-        y_train = masked.y_prime
-        chan.send(ResponseShare(y=tuple(y_train), masked=True, flip_prob=masked.flip_prob))
+    masked = mask_flip_prob is not None
+    if masked:
+        y_train = mask_response(y, mask_flip_prob, rng).y_prime
     else:
         y_train = np.asarray(y, dtype=float)
-        chan.send(ResponseShare(y=tuple(y_train), masked=False, flip_prob=None))
+    chan.send(ResponseShare(y=tuple(y_train), masked=masked, flip_prob=mask_flip_prob))
 
     def data_loss(nu):
         return float(np.mean(fam.value(y_train, nu)))
@@ -222,21 +223,12 @@ def run_bob(view_b, fam, chan, cfg=None, ridge=0.0, record_history=False):
     X_b = view_b.design
     n = X_b.shape[0]
 
-    hs = chan.recv()
-    if not isinstance(hs, Handshake):
-        raise ProtocolError("expected handshake")
-    if hs.version != PROTOCOL_VERSION:
-        raise ProtocolError(f"protocol version mismatch: {hs.version!r}")
-    if hs.n != n:
-        raise ProtocolError("peer row count differs")
+    hs = _check_handshake(chan.recv(), n)
     fam = parse_family(hs.family) if fam is None else fam
     if fam.name != hs.family:
         raise ProtocolError("family mismatch between handshake and local config")
     ridge = hs.lam
-    cfg = cfg or SolverConfig()
-    if cfg.ridge != ridge:
-        cfg = SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter, armijo=cfg.armijo,
-                           shrink=cfg.shrink, ridge=ridge)
+    cfg = replace(cfg or SolverConfig(), ridge=ridge)
     chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=ridge))
 
     share = chan.recv()
@@ -337,10 +329,8 @@ def joint_loss(session, view_a, view_b, y, fam):
 def predict(x_a, x_b, session, fam, alpha=0.05, unmask=False):
     """Joint point prediction with a conservative two-sided interval.
 
-    The interval on the linear predictor is nu_hat +/- z_{1-alpha/4}
-    (sigma_A + sigma_B) (Bonferroni split across the two agents); GLM
-    predictions and interval endpoints are mapped through the monotone
-    inverse link. For masked logistic sessions, unmask=True inverts the
+    The interval is joint_interval's Bonferroni split across the two
+    agents. For masked logistic sessions, unmask=True inverts the
     label-flip bias on the probability scale.
     """
     x_a = np.asarray(x_a, dtype=float)
@@ -350,30 +340,29 @@ def predict(x_a, x_b, session, fam, alpha=0.05, unmask=False):
     var_b = float(x_b @ session.cov_b @ x_b) if session.cov_b is not None else 0.0
     if var_a < 0 or var_b < 0:
         raise SingularVariance("negative variance estimate")
-    z = normal_quantile(1.0 - alpha / 4.0)
-    half = z * (math.sqrt(var_a) + math.sqrt(var_b))
-    nu_lo, nu_hi = nu - half, nu + half
-
-    if fam.is_glm:
-        point = float(fam.inverse_link(nu))
-        lo = float(fam.inverse_link(nu_lo))
-        hi = float(fam.inverse_link(nu_hi))
-    else:
-        point, lo, hi = nu, nu_lo, nu_hi
+    pred = joint_interval(nu, math.sqrt(var_a), math.sqrt(var_b), fam, alpha)
     if unmask:
         if session.mask_flip_prob is None:
             raise ValueError("session was not trained on a masked response")
         p = session.mask_flip_prob
-        point = unmask_probability(point, p)
-        lo = unmask_probability(lo, p)
-        hi = unmask_probability(hi, p)
+        pred = replace(pred, point=unmask_probability(pred.point, p),
+                       lo=unmask_probability(pred.lo, p),
+                       hi=unmask_probability(pred.hi, p))
+    return pred
+
+
+def joint_interval(nu, sigma_a, sigma_b, fam, alpha):
+    """Bonferroni interval nu +/- z_{1-alpha/4} (sigma_A + sigma_B) on the
+    linear predictor; for GLM families the point and both endpoints are
+    mapped through the monotone inverse link."""
+    half = normal_quantile(1.0 - alpha / 4.0) * (sigma_a + sigma_b)
+    nu_lo, nu_hi = nu - half, nu + half
+    if fam.is_glm:
+        point, lo, hi = (float(fam.inverse_link(v)) for v in (nu, nu_lo, nu_hi))
+    else:
+        point, lo, hi = nu, nu_lo, nu_hi
     return Prediction(nu=nu, nu_lo=nu_lo, nu_hi=nu_hi, point=point, lo=lo, hi=hi,
                       alpha=alpha)
-
-
-def transcript(session):
-    """The ordered, serialized message log of a session."""
-    return list(session.transcript)
 
 
 def replay(session, view_a, view_b, fam):
@@ -383,8 +372,6 @@ def replay(session, view_a, view_b, fam):
     deterministic implementation reproduces the session's final coefficients
     exactly.
     """
-    from .messages import decode
-
     offsets_a, offsets_b = [], []
     for sender, line in session.transcript:
         msg = decode(line)

@@ -5,6 +5,8 @@ V = V1^{-1} V2 V1^{-1} from the unpenalized pieces, extracts the lower-right
 t x t block for the sketch coefficients, and compares
 n * beta_t' V_t^{-1} beta_t against the chi-squared(t) upper tail. The
 likelihood-ratio variant compares the A-only and augmented fits directly.
+Both pair A's rows with the sketch's after dropping the rows B clipped out
+of the sketch (rows_excluded).
 
 Shared covariates make the noise-free augmented design structurally rank
 deficient once t exceeds the number of columns B holds exclusively (every
@@ -51,18 +53,6 @@ class ScreenReport:
                 and self.identified_rank < len(self.fit.beta))
 
 
-def _augmented_design(view_a, sketch, row_indices):
-    X_a = view_a.design
-    S = sketch.projected
-    if row_indices is not None:
-        idx = np.asarray(row_indices, dtype=int)
-        X_a = X_a[idx]
-        S = S[idx]
-    if X_a.shape[0] != S.shape[0]:
-        raise ValueError("sketch rows do not match the view rows")
-    return np.hstack([X_a, S]), X_a, S
-
-
 def _numerical_rank(M):
     if min(M.shape) == 0:
         return 0
@@ -90,6 +80,13 @@ def _classify_rank(X_aug, X_a, S, t):
     if _numerical_rank(X_a) < X_a.shape[1]:
         raise RankDeficientAugmented("A's view is rank deficient on these rows")
     return rank  # sketch overlaps span(X_A): identified-subspace fallback
+
+
+def _robust_covariance(X, y, fam, beta, what):
+    """V1^{-1} V2 V1^{-1} from the unpenalized sandwich pieces at beta."""
+    V1, V2 = sandwich_pieces(X, y, None, fam, beta)
+    V1_inv = _spd_inverse(V1, what)
+    return V1_inv @ V2 @ V1_inv
 
 
 def _spd_inverse(M, what):
@@ -120,7 +117,6 @@ class _IdentifiedModel:
         self.Z = vt[keep].T                 # p x r identified basis
         self.N = vt[~keep].T                # p x m null-space basis
         self.X_red = X_aug @ self.Z
-        self.rank = int(keep.sum())
 
     def fit(self, y, fam, cfg):
         fit_red = fit_offset(self.X_red, y, None, fam, cfg)
@@ -133,33 +129,59 @@ class _IdentifiedModel:
                          converged=True, final_loss=fit_red.final_loss)
 
     def block_covariance(self, y, fam, t):
-        V1r, V2r = sandwich_pieces(self.X_red, y, None, fam, self._fit_red.beta)
-        V1r_inv = _spd_inverse(V1r, "identified Hessian piece")
-        Vr = V1r_inv @ V2r @ V1r_inv
+        Vr = _robust_covariance(self.X_red, y, fam, self._fit_red.beta,
+                                "identified Hessian piece")
         Z_t = self.Z[-t:, :]
         return Z_t @ Vr @ Z_t.T
 
-    def testable_dim(self, t):
-        """Number of sketch-block directions outside the null space's shadow."""
+    def testable_directions(self, t):
+        """Orthonormal sketch-block directions outside the null space's shadow."""
         N_t = self.N[-t:, :]
         u, s, _ = scipy.linalg.svd(N_t, full_matrices=True)
         m_eff = int(np.sum(s >= _RANK_TOL * max(float(s[0]), 1.0))) if s.size else 0
-        self._K = u[:, m_eff:]              # testable directions, t x (t - m_eff)
-        return self._K.shape[1]
-
-    def wald_statistic(self, beta_t, lam, t, n):
-        if self.testable_dim(t) == 0:
-            return 0.0
-        K = self._K
-        lam_k = K.T @ lam @ K
-        b_k = K.T @ beta_t
-        return float(n * b_k @ _spd_inverse(lam_k, "tested covariance block") @ b_k)
+        return u[:, m_eff:]                 # t x (t - m_eff)
 
 
-def _covariance_block(X_aug, y, fam, beta, t):
-    V1, V2 = sandwich_pieces(X_aug, y, None, fam, beta)
-    V1_inv = _spd_inverse(V1, "Hessian piece V1")
-    return (V1_inv @ V2 @ V1_inv)[-t:, -t:]
+def _screen_fit(view_a, y, sketch, fam, cfg, row_indices):
+    """The preamble both tests share.
+
+    Aligns A's rows with the sketch's: rows B clipped out of the sketch
+    (rows_excluded) are dropped first, then row_indices select among the
+    remaining rows. Builds the augmented design, classifies its rank and fits
+    it, on the identified submodel when it is rank deficient. Returns
+    (X_aug, y, rank, K, fit, lam, df): K holds the testable directions of the
+    sketch block (None at full rank: all of them), lam is the tested
+    covariance block and df the number of restrictions tested.
+    """
+    X_a = view_a.design
+    y = np.asarray(y, dtype=float)
+    if sketch.rows_excluded:
+        excluded = np.asarray(sketch.rows_excluded, dtype=int)
+        if excluded.min() < 0 or excluded.max() >= X_a.shape[0]:
+            raise ValueError("excluded sketch rows lie outside the view")
+        keep = np.ones(X_a.shape[0], dtype=bool)
+        keep[excluded] = False
+        X_a, y = X_a[keep], y[keep]
+    S = sketch.projected
+    if row_indices is not None:
+        idx = np.asarray(row_indices, dtype=int)
+        X_a, y, S = X_a[idx], y[idx], S[idx]
+    if X_a.shape[0] != S.shape[0]:
+        raise ValueError("sketch rows do not match the view rows")
+    X_aug = np.hstack([X_a, S])
+    t = sketch.t
+    rank = _classify_rank(X_aug, X_a, S, t)
+    if rank == X_aug.shape[1]:
+        fit = fit_offset(X_aug, y, None, fam, cfg)
+        if not fit.converged:
+            raise SolverFailure("augmented fit did not converge")
+        lam = _robust_covariance(X_aug, y, fam, fit.beta, "Hessian piece V1")[-t:, -t:]
+        return X_aug, y, rank, None, fit, lam, t
+    ident = _IdentifiedModel(X_aug)
+    fit = ident.fit(y, fam, cfg)
+    K = ident.testable_directions(t)
+    # the surviving quadratic form tests exactly t - m' restrictions
+    return X_aug, y, rank, K, fit, ident.block_covariance(y, fam, t), max(1, K.shape[1])
 
 
 def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None):
@@ -168,33 +190,16 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None)
     With ridge > 0 the augmented fit is penalized but the covariance pieces
     stay unpenalized. Noised sketches are treated identically to clean ones.
     """
-    X_aug, X_a, S = _augmented_design(view_a, sketch, row_indices)
-    y = np.asarray(y, dtype=float)
-    if row_indices is not None:
-        y = y[np.asarray(row_indices, dtype=int)]
-    n = X_aug.shape[0]
-    t = sketch.t
-    rank = _classify_rank(X_aug, X_a, S, t)
-
-    if rank < X_aug.shape[1]:
-        ident = _IdentifiedModel(X_aug)
-        fit = ident.fit(y, fam, SolverConfig(ridge=ridge, **_SCREEN_CFG_ARGS))
-        beta_t = fit.beta[-t:]
-        lam = ident.block_covariance(y, fam, t)
-        stat = ident.wald_statistic(beta_t, lam, t, n)
-        # the surviving quadratic form tests exactly t - m' restrictions
-        df = max(1, ident.testable_dim(t))
-        return ScreenReport(decision=make_decision(stat, df, alpha), beta_u_t=beta_t,
-                            v_hat_t=lam, fit=fit, n_used=n, identified_rank=rank)
-
-    fit = fit_offset(X_aug, y, None, fam, SolverConfig(ridge=ridge, **_SCREEN_CFG_ARGS))
-    if not fit.converged:
-        raise SolverFailure("augmented fit did not converge")
-    V_t = _covariance_block(X_aug, y, fam, fit.beta, t)
-    beta_t = fit.beta[-t:]
-    stat = float(n * beta_t @ _spd_inverse(V_t, "tested covariance block") @ beta_t)
-    return ScreenReport(decision=make_decision(stat, t, alpha), beta_u_t=beta_t,
-                        v_hat_t=V_t, fit=fit, n_used=n, identified_rank=rank)
+    cfg = SolverConfig(ridge=ridge, **_SCREEN_CFG_ARGS)
+    _, y, rank, K, fit, lam, df = _screen_fit(view_a, y, sketch, fam, cfg, row_indices)
+    n = len(y)
+    beta_t = fit.beta[-sketch.t:]
+    # on the identified submodel only the testable directions enter the form
+    b, lam_b = (beta_t, lam) if K is None else (K.T @ beta_t, K.T @ lam @ K)
+    stat = 0.0 if b.size == 0 else float(
+        n * b @ _spd_inverse(lam_b, "tested covariance block") @ b)
+    return ScreenReport(decision=make_decision(stat, df, alpha), beta_u_t=beta_t,
+                        v_hat_t=lam, fit=fit, n_used=n, identified_rank=rank)
 
 
 def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None):
@@ -209,37 +214,14 @@ def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None):
     if sketch.p_b is not None and sketch.t >= sketch.p_b:
         warnings.warn("likelihood-ratio screening is designed for t < p_B",
                       stacklevel=2)
-    X_aug, X_a, S = _augmented_design(view_a, sketch, row_indices)
-    y = np.asarray(y, dtype=float)
-    if row_indices is not None:
-        y = y[np.asarray(row_indices, dtype=int)]
-    n = X_aug.shape[0]
-    t = sketch.t
-    rank = _classify_rank(X_aug, X_a, S, t)
-
     cfg = SolverConfig(**_SCREEN_CFG_ARGS)
+    X_aug, y, rank, _, fit_u, lam, df = _screen_fit(view_a, y, sketch, fam, cfg,
+                                                    row_indices)
     fit_a = fit_offset(X_aug[:, :view_a.p], y, None, fam, cfg)
-    df = t
-    if rank < X_aug.shape[1]:
-        ident = _IdentifiedModel(X_aug)
-        fit_u = ident.fit(y, fam, cfg)
-        lam = ident.block_covariance(y, fam, t)
-        df = max(1, ident.testable_dim(t))  # identified parameters actually added
-    else:
-        fit_u = fit_offset(X_aug, y, None, fam, cfg)
-        lam = _covariance_block(X_aug, y, fam, fit_u.beta, t)
-    if not (fit_a.converged and fit_u.converged):
-        raise SolverFailure("screening fit did not converge")
+    if not fit_a.converged:
+        raise SolverFailure("A-only screening fit did not converge")
+    n = len(y)
     stat = max(0.0, 2.0 * n * (fit_a.final_loss - fit_u.final_loss))
-    return ScreenReport(decision=make_decision(stat, df, alpha), beta_u_t=fit_u.beta[-t:],
-                        v_hat_t=lam, fit=fit_u, n_used=n, identified_rank=rank)
-
-
-def screen_on_subset(view_a, y, sketch, fam, alpha, row_indices, ridge=0.0, test="wald"):
-    """Run the chosen screening test on the given row subset."""
-    if test == "wald":
-        return wald_screen(view_a, y, sketch, fam, alpha=alpha, ridge=ridge,
-                           row_indices=row_indices)
-    if test == "lrt":
-        return lrt_screen(view_a, y, sketch, fam, alpha=alpha, row_indices=row_indices)
-    raise ValueError(f"unknown test {test!r}")
+    return ScreenReport(decision=make_decision(stat, df, alpha),
+                        beta_u_t=fit_u.beta[-sketch.t:], v_hat_t=lam, fit=fit_u,
+                        n_used=n, identified_rank=rank)

@@ -3,7 +3,7 @@ pooled-data oracles used as test references (pooled fits, coefficient-space
 mapping, and the geometric contraction bound).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,10 +136,9 @@ def simulate(design, rng, hypothesis="h1"):
 
 def oracle_fit(X_pooled, y, fam, ridge=0.0, cfg=None):
     """M-estimator on the (infeasible) pooled deduplicated design."""
-    cfg = cfg or SolverConfig(ridge=ridge)
-    if cfg.ridge != ridge and ridge != 0.0:
-        cfg = SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter, armijo=cfg.armijo,
-                           shrink=cfg.shrink, ridge=ridge)
+    cfg = cfg or SolverConfig()
+    if ridge != 0.0:  # ridge=0.0 keeps the given config's own penalty
+        cfg = replace(cfg, ridge=ridge)
     return fit_offset(X_pooled, y, None, fam, cfg)
 
 

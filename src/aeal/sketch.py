@@ -44,13 +44,6 @@ class SketchPackage:
     def n(self):
         return self.projected.shape[0]
 
-    def restrict(self, row_indices):
-        idx = np.asarray(row_indices, dtype=int)
-        return SketchPackage(projected=self.projected[idx], t=self.t,
-                             noised=self.noised, epsilon=self.epsilon, c2=self.c2,
-                             rows_excluded=self.rows_excluded,
-                             u_seed=self.u_seed, p_b=self.p_b)
-
 
 @dataclass(frozen=True)
 class MaskedResponse:
@@ -114,9 +107,7 @@ def laplace_noise(M, epsilon, c2, rng):
     if c2 is None or c2 <= 0:
         raise BadEpsilon("clip bound must be positive")
     M = np.asarray(M, dtype=float)
-    t = M.shape[1]
-    b = 2.0 * t * c2 / epsilon
-    return M + laplace_matrix(M.shape, b, rng)
+    return M + laplace_matrix(M.shape, laplace_scale(epsilon, c2, M.shape[1]), rng)
 
 
 def laplace_scale(epsilon, c2, t):

@@ -15,6 +15,8 @@ import scipy.linalg
 
 from .errors import SingularHessian
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -102,12 +104,16 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
             raise
         step = scipy.linalg.cho_solve(chol, g)
         slope = float(g @ step)  # descent amount predicted by the model
+        # near the minimum the predicted decrease falls below the rounding of
+        # the objective itself; a step is accepted within that rounding, so a
+        # warm start just above tol still takes its Newton step
+        slack = 4.0 * _EPS * abs(obj)
         t = 1.0
         accepted = False
         for _ in range(60):
             cand = beta - t * step
             cand_obj = _objective(X, y, offset, fam, lam, cand)
-            if cand_obj <= obj - cfg.armijo * t * slope:
+            if cand_obj <= obj - cfg.armijo * t * slope + slack:
                 beta, obj = cand, cand_obj
                 accepted = True
                 break

@@ -1,19 +1,19 @@
 """Statistical special functions and evaluation metrics.
 
-Keeps the screening path self-contained: chi-squared upper tails via the
-regularized incomplete gamma function (series / continued-fraction split),
-normal quantiles via a rational approximation polished by one Newton step.
+Keeps the screening path free of scipy.special: chi-squared upper tails in
+closed form for integer degrees of freedom, normal quantiles from the
+standard library.
 """
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DomainError, OneClassOnly
 
-_EPS = 1e-15
-_MAX_ITER = 500
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -27,102 +27,35 @@ class TestDecision:
     alpha: float
 
 
-def _lower_gamma_series(a, x):
-    """Regularized lower incomplete gamma P(a, x) by power series; x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_gamma_cf(a, x):
-    """Regularized upper incomplete gamma Q(a, x) by Lentz continued fraction; x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi2_sf(x, df):
-    """Upper-tail probability P(chi2_df > x).
+    """Upper-tail probability P(chi2_df > x) for an integer df.
 
-    Split at x < df + 1 between the series for the lower tail and the
-    continued fraction for the upper tail, as usual for gammainc.
+    With h = x/2, Q(df/2, h) is a finite sum of exp(j log h - h - lgamma(j+1))
+    over j = 0, 1, ..., df/2 - 1 for even df; for odd df the sum runs over
+    j = 1/2, 3/2, ..., df/2 - 1 and adds erfc(sqrt(h)). Every term is
+    positive, so nothing cancels.
     """
     if x < 0:
         raise DomainError("chi-squared statistic must be nonnegative")
-    if df < 1:
+    if df < 1 or df != int(df):
         raise DomainError("degrees of freedom must be a positive integer")
     if x == 0.0:
         return 1.0
-    a = 0.5 * df
-    xh = 0.5 * x
-    if xh < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, xh)))
-    return min(1.0, max(0.0, _upper_gamma_cf(a, xh)))
-
-
-def _normal_cdf(z):
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def _normal_pdf(z):
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's rational approximation coefficients for the inverse normal CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
+    df = int(df)
+    h = 0.5 * x
+    log_h = math.log(h)
+    total = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    for k in range(df // 2):
+        j = k + 0.5 * (df % 2)
+        total += math.exp(j * log_h - h - math.lgamma(j + 1.0))
+    return min(1.0, total)
 
 
 def normal_quantile(p):
-    """Inverse standard normal CDF, polished with one Newton step on erf."""
+    """Inverse standard normal CDF."""
     if not 0.0 < p < 1.0:
         raise DomainError("normal quantile defined on (0, 1)")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        z = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    # one Newton step: |error| drops from ~1e-9 to machine level
-    z -= (_normal_cdf(z) - p) / _normal_pdf(z)
-    return z
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def auc(scores, labels):
@@ -150,16 +83,22 @@ def auc(scores, labels):
 
 
 def _kolmogorov_sf(lam):
-    """Asymptotic Kolmogorov survival function Q(lam) = 2 sum (-1)^(j-1) exp(-2 j^2 lam^2)."""
+    """Asymptotic Kolmogorov survival function Q(lam) = 2 sum (-1)^(j-1) exp(-2 j^2 lam^2).
+
+    The alternating series converges slowly for small lam, so below lam = 1
+    the dual (theta-function) form of the CDF, 1 - Q = sqrt(2 pi)/lam
+    sum exp(-(2j-1)^2 pi^2 / (8 lam^2)), is used. Either way four terms
+    leave a tail below 1e-20.
+    """
     if lam <= 0:
         return 1.0
-    total = 0.0
-    for j in range(1, 101):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-16:
-            break
-    return min(1.0, max(0.0, total))
+    if lam < 1.0:
+        q = 1.0 - math.sqrt(2.0 * math.pi) / lam * sum(
+            math.exp(-((2 * j - 1) * math.pi / lam) ** 2 / 8.0) for j in range(1, 5))
+    else:
+        q = 2.0 * sum((-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
+                      for j in range(1, 5))
+    return min(1.0, max(0.0, q))
 
 
 def ks_uniform(p_values):

@@ -10,6 +10,7 @@ so scheduling cannot affect results.
 import queue
 import socket
 import threading
+from collections import Counter
 
 from .errors import TransportFailure
 from .messages import decode, encode
@@ -18,23 +19,26 @@ RECV_TIMEOUT = 120.0
 
 
 class Recorder:
-    """Ordered transcript of wire lines with byte and offset-send counters."""
+    """Ordered transcript of wire lines with byte and per-type message counters."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.lines = []              # (sender, line) in send order
         self.bytes_transmitted = 0
-        self.vector_sends = 0
+        self.counts = Counter()      # message type name -> lines recorded
 
-    def record(self, sender, line):
+    def record(self, sender, msg, line):
         with self._lock:
             self.lines.append((sender, line))
             self.bytes_transmitted += len(line.encode("utf-8")) + 1  # newline included
-            if '"type":"Offset"' in line or '"type":"GradShare"' in line:
-                self.vector_sends += 1
+            self.counts[type(msg).__name__] += 1
+
+    @property
+    def vector_sends(self):
+        return self.counts["Offset"] + self.counts["GradShare"]
 
     def offset_count(self):
-        return sum(1 for _, line in self.lines if '"type":"Offset"' in line)
+        return self.counts["Offset"]
 
 
 class LocalChannel:
@@ -55,7 +59,7 @@ class LocalChannel:
 
     def send(self, msg):
         if self._recorder is not None:
-            self._recorder.record(self.name, encode(msg))
+            self._recorder.record(self.name, msg, encode(msg))
         self._outbox.put(msg)
 
     def recv(self):
@@ -93,7 +97,7 @@ class SocketChannel:
     def send(self, msg):
         line = encode(msg)
         if self._recorder is not None:
-            self._recorder.record(self.name, line)
+            self._recorder.record(self.name, msg, line)
         try:
             self._file.write(line.encode("utf-8") + b"\n")
             self._file.flush()
@@ -108,9 +112,10 @@ class SocketChannel:
         if not raw:
             raise TransportFailure("connection closed by peer")
         line = raw.decode("utf-8").rstrip("\n")
+        msg = decode(line)
         if self._recorder is not None:
-            self._recorder.record(self.peer, line)
-        return decode(line)
+            self._recorder.record(self.peer, msg, line)
+        return msg
 
     def close(self):
         try:

@@ -69,6 +69,18 @@ class TestPower:
         rates = {float(r["noise_scale"]): float(r["reject_rate"]) for r in rows}
         assert rates[0.5] <= rates[0.0]
 
+    def test_leaves_scipy_special_unloaded(self, tmp_path):
+        # importing scipy.special or scipy.stats costs tens of milliseconds of
+        # start-up and megabytes of memory; the screening path needs neither
+        script = ("import sys\nfrom aeal.cli import main\n"
+                  "main(['power', '--reps', '1', '--settings', 's2', '--t-list', '1,5', "
+                  f"'--noise-list', '0', '--n', '300', '--out', {str(tmp_path / 'p.csv')!r}])\n"
+                  "assert 'scipy.special' not in sys.modules\n"
+                  "assert 'scipy.stats' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestTrainCompare:
     def test_oracle_constant_and_methods_present(self, tmp_path):
@@ -224,6 +236,37 @@ class TestAgent:
         bob.communicate(timeout=60)
         assert alice.returncode == 0, a_err
         assert json.loads(a_out)["n_used"] == 60
+
+    def test_screen_clipped_epsilon_sketch_matches_library(self, owner_csvs):
+        from aeal.data import AgentView, Owner, load_agent_csv
+        from aeal.losses import parse_family
+        from aeal.screening import wald_screen
+        from aeal.sketch import make_sketch
+
+        path_a, path_b = owner_csvs
+        port = free_port()
+        bob = spawn_agent(["--role", "bob", "--listen", f"127.0.0.1:{port}",
+                           "--data", path_b, "--mode", "screen", "--t", "2",
+                           "--seed", "3", "--screen-rows", "60", "--epsilon", "5",
+                           "--clip-bound", "1.0"])
+        wait_listening(port)
+        alice = spawn_agent(["--role", "alice", "--connect", f"127.0.0.1:{port}",
+                             "--data", path_a, "--mode", "screen"])
+        a_out, a_err = alice.communicate(timeout=60)
+        bob.communicate(timeout=60)
+        assert alice.returncode == 0, a_err
+        a = json.loads(a_out)
+
+        _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
+        sketch = make_sketch(view_b.design[:60], 2, np.random.default_rng(3),
+                             epsilon=5.0, c2=1.0)
+        assert sketch.rows_excluded  # some of B's rows lie outside the clip bound
+        _, view_a, y = load_agent_csv(path_a, "id", Owner.A, response_column="y")
+        lead = AgentView(design=view_a.design[:60], column_names=view_a.column_names,
+                         owner=Owner.A)
+        want = wald_screen(lead, y[:60], sketch, parse_family("logistic"))
+        assert a["n_used"] == want.n_used == 60 - len(sketch.rows_excluded)
+        assert float(a["statistic"]) == want.decision.statistic
 
     def test_no_message_type_carries_projection_matrix(self):
         # the schema itself guarantees the projection matrix cannot leave B

@@ -8,7 +8,7 @@ from aeal.errors import DimensionMismatch, ProtocolError
 from aeal.losses import LossFamily
 from aeal.messages import Handshake, Offset, decode
 from aeal.protocol import (StopCriterion, TrainSession, joint_loss, predict,
-                           replay, run_bob, train, transcript)
+                           replay, run_bob, train)
 from aeal.simulate import SimDesign, eta_bound, map_T, oracle_fit, simulate
 from aeal.stats import normal_quantile
 from aeal.transport import local_pair
@@ -74,7 +74,7 @@ class TestTrainLoop:
         sess = train(va, y, vb, GAUSS, stop=StopCriterion(max_rounds=3))
         k = sess.rounds
         assert sess.rounds_transmitted == 2 * k + 1
-        lines = transcript(sess)
+        lines = sess.transcript
         offsets = [(s, decode(l)) for s, l in lines if '"type":"Offset"' in l]
         rounds_a = [m.round for s, m in offsets if s == "A"]
         rounds_b = [m.round for s, m in offsets if s == "B"]
@@ -160,6 +160,19 @@ class TestTrainLoop:
         oracle = oracle_fit(sim.X, sim.y, LOGIT)
         gap = np.max(np.abs(sess.nu_a + sess.nu_b - sim.X @ oracle.beta))
         assert gap <= 1e-4
+
+    def test_warm_start_just_above_tolerance_converges(self, monkeypatch):
+        # a warm-started fit here starts with its gradient just above the
+        # solver tolerance, where the predicted decrease is below the
+        # objective's rounding; it must take its step, not fail the session
+        monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 10.0)
+        design = SimDesign(setting="s1", n=2000, rho=0.1, family=LOGIT)
+        sim = simulate(design, np.random.default_rng([10, 1]), hypothesis="h1")
+        va, vb = views_from(sim)
+        sess = train(va, sim.y, vb, LOGIT, stop=StopCriterion.default(2000))
+        assert sess.stop_reason == "OffsetDelta"
+        oracle = oracle_fit(sim.X, sim.y, LOGIT)
+        assert np.max(np.abs(sess.nu_a + sess.nu_b - sim.X @ oracle.beta)) <= 1e-6
 
 
 class TestRidge:

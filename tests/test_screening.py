@@ -5,7 +5,7 @@ import scipy.linalg
 from aeal.data import AgentView, Owner
 from aeal.errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock)
 from aeal.losses import LossFamily
-from aeal.screening import lrt_screen, screen_on_subset, wald_screen
+from aeal.screening import lrt_screen, wald_screen
 from aeal.simulate import SimDesign, simulate, spawn_rngs
 from aeal.sketch import SketchPackage, make_projection, make_sketch, project
 from aeal.solver import fit_offset, sandwich_pieces
@@ -173,8 +173,8 @@ class TestSubset:
         X_a, X_b, y, rng = gaussian_fixture(seed=13)
         sketch = make_sketch(X_b, 2, rng)
         full = wald_screen(make_view(X_a), y, sketch, GAUSS)
-        sub = screen_on_subset(make_view(X_a), y, sketch, GAUSS, 0.05,
-                               row_indices=np.arange(len(y)))
+        sub = wald_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
+                          row_indices=np.arange(len(y)))
         assert sub.decision.statistic == pytest.approx(full.decision.statistic, rel=1e-12)
         assert sub.n_used == full.n_used
 
@@ -182,16 +182,35 @@ class TestSubset:
         X_a, X_b, y, rng = gaussian_fixture(seed=14)
         sketch = make_sketch(X_b, 2, rng)
         with pytest.raises(RankDeficientAugmented):
-            screen_on_subset(make_view(X_a), y, sketch, GAUSS, 0.05,
-                             row_indices=np.arange(4))  # fewer rows than columns
+            wald_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
+                        row_indices=np.arange(4))  # fewer rows than columns
 
     def test_lrt_on_subset(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=20, n=400, signal_b=0.3)
         sketch = make_sketch(X_b, 1, rng)
-        rep = screen_on_subset(make_view(X_a), y, sketch, GAUSS, 0.05,
-                               row_indices=np.arange(200), test="lrt")
+        rep = lrt_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
+                         row_indices=np.arange(200))
         assert rep.n_used == 200
         assert rep.decision.statistic >= 0.0
+
+    def test_clipped_epsilon_sketch_drops_excluded_rows(self):
+        X_a, X_b, y, rng = gaussian_fixture(seed=22, n=500, p_b=3, signal_b=0.2)
+        sketch = make_sketch(X_b, 2, rng, epsilon=5.0, c2=1.5)
+        assert len(sketch.rows_excluded) > 0
+        keep = np.setdiff1d(np.arange(len(y)), sketch.rows_excluded)
+        aligned = SketchPackage(projected=sketch.projected, t=2)
+        for screen in (wald_screen, lrt_screen):
+            got = screen(make_view(X_a), y, sketch, GAUSS)
+            want = screen(make_view(X_a[keep]), y[keep], aligned, GAUSS)
+            assert got.n_used == len(keep)
+            assert got.decision.statistic == want.decision.statistic
+
+    def test_excluded_rows_outside_view_rejected(self):
+        X_a, X_b, y, rng = gaussian_fixture(seed=23)
+        sketch = SketchPackage(projected=X_b[1:] @ make_projection(2, 2, rng), t=2,
+                               rows_excluded=(len(y),))
+        with pytest.raises(ValueError):
+            wald_screen(make_view(X_a), y, sketch, GAUSS)
 
     def test_poisson_wald_runs(self):
         rng = np.random.default_rng(21)
@@ -215,6 +234,6 @@ class TestSubset:
                            owner=Owner.A)
         sketch = make_sketch(sim.X_b, 3, rng)
         half = rng.choice(2000, size=1000, replace=False)
-        rep = screen_on_subset(view_a, y, sketch, LOGIT, 0.05, row_indices=half)
+        rep = wald_screen(view_a, y, sketch, LOGIT, 0.05, row_indices=half)
         assert rep.n_used == 1000
         assert rep.decision.reject

@@ -6,7 +6,8 @@ import scipy.special
 import scipy.stats
 
 from aeal.errors import DomainError, OneClassOnly
-from aeal.stats import auc, chi2_sf, ks_uniform, make_decision, normal_quantile
+from aeal.stats import (_kolmogorov_sf, auc, chi2_sf, ks_uniform, make_decision,
+                        normal_quantile)
 
 
 def bisect_inverse(func, target, lo, hi, iters=200):
@@ -34,12 +35,13 @@ class TestChi2:
             assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), abs=1e-12)
 
     def test_against_independent_gamma(self):
-        # the implementation is a hand-rolled series/CF split; the oracle is
+        # the implementation is a closed-form finite sum; the oracle is
         # scipy's regularized incomplete gamma
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            df = int(rng.integers(1, 40))
-            x = float(rng.uniform(0, 80))
+        cases = [(int(rng.integers(1, 40)), float(rng.uniform(0, 80))) for _ in range(300)]
+        cases += [(int(rng.integers(1, 81)), float(np.exp(rng.uniform(-14, np.log(1e6)))))
+                  for _ in range(300)]
+        for df, x in cases:
             want = float(scipy.special.gammaincc(df / 2.0, x / 2.0))
             assert chi2_sf(x, df) == pytest.approx(want, abs=1e-10)
 
@@ -57,6 +59,9 @@ class TestChi2:
     def test_domain(self):
         with pytest.raises(DomainError):
             chi2_sf(-1.0, 2)
+        for df in (0, 2.5):
+            with pytest.raises(DomainError):
+                chi2_sf(1.0, df)
 
 
 class TestNormalQuantile:
@@ -75,7 +80,7 @@ class TestNormalQuantile:
             assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-11)
 
     def test_accuracy_grid(self):
-        for p in np.linspace(1e-6, 1 - 1e-6, 101):
+        for p in np.concatenate([np.linspace(1e-6, 1 - 1e-6, 101), np.logspace(-300, -2)]):
             assert normal_quantile(float(p)) == pytest.approx(
                 float(scipy.stats.norm.ppf(p)), abs=1e-9)
 
@@ -111,10 +116,16 @@ class TestAuc:
 
 class TestKsUniform:
     def test_centered_grid(self):
-        for m in (4, 25, 100):
+        for m in (4, 25, 100, 10_000):
             u = (np.arange(1, m + 1) - 0.5) / m
-            d, _ = ks_uniform(u)
+            d, p = ks_uniform(u)
             assert d == pytest.approx(1.0 / (2 * m), abs=1e-14)
+            assert p == pytest.approx(1.0, abs=1e-6)
+
+    def test_kolmogorov_tail_against_scipy(self):
+        for lam in np.concatenate([np.linspace(0.001, 3.0, 600), [0.01, 0.05, 1.0]]):
+            assert _kolmogorov_sf(float(lam)) == pytest.approx(
+                float(scipy.special.kolmogorov(lam)), abs=1e-12)
 
     def test_point_mass(self):
         d, p = ks_uniform([0.5] * 40)

@@ -5,8 +5,8 @@ import pytest
 
 from aeal.errors import ProtocolError, TransportFailure
 from aeal.messages import (GradShare, Handshake, Offset, PredictContribution,
-                           ResponseShare, ScreenResult, SketchOffer, Stop,
-                           VarianceShare, decode, encode, format_float)
+                           ResponseShare, ScreenResult, SketchOffer, Stop, decode,
+                           encode, format_float)
 from aeal.transport import Recorder, connect, local_pair, serve_one
 
 ALL_MESSAGES = [
@@ -18,7 +18,6 @@ ALL_MESSAGES = [
     ScreenResult(statistic=5.25, df=2, p_value=0.07243, reject=False, alpha=0.05),
     ResponseShare(y=(0.0, 1.0, 1.0), masked=True, flip_prob=0.1),
     Offset(round=3, vector=(0.1, -2.5e-17, 3.0)),
-    VarianceShare(sigma_sq=0.3333333333333333),
     PredictContribution(nu=-1.5, sigma=0.25),
     Stop(reason="CoefDelta"),
     GradShare(round=1, vector=(1e300, -1e-300)),
