@@ -93,11 +93,11 @@ def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0, record_history=Fal
         lr = _step(cfg, k)
 
         # B -> A: batch predictor; A -> B: per-row gradient at the sync point
-        chan_b.send(Offset(round=k, vector=tuple(Xb_k @ beta_b)))
-        nu_b_stale = np.asarray(chan_a.recv().vector)
+        chan_b.send(Offset(round=k, vector=Xb_k @ beta_b))
+        nu_b_stale = chan_a.recv().vector
         grad_rows = fam.grad(y_k, Xa_k @ beta_a + nu_b_stale)
-        chan_a.send(GradShare(round=k, vector=tuple(grad_rows)))
-        grad_stale = np.asarray(chan_b.recv().vector)
+        chan_a.send(GradShare(round=k, vector=grad_rows))
+        grad_stale = chan_b.recv().vector
 
         sync_a, sync_b = beta_a.copy(), beta_b.copy()
         for _ in range(q_steps):

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import baselines
-from .data import Owner, load_agent_csv
-from .errors import (AealError, DomainError, OneClassOnly, ProtocolError,
+from .data import AgentView, Owner, load_agent_csv
+from .errors import (AealError, BadDimensions, DomainError, OneClassOnly, ProtocolError,
                      RankDeficientAugmented, RankDeficientView, SingularCovarianceBlock,
                      SingularHessian, SingularVariance, SolverFailure, TransportFailure)
 from .losses import parse_family
@@ -28,7 +28,6 @@ from .simulate import SimDesign, map_T, oracle_fit, simulate, spawn_rngs
 from .sketch import SketchPackage, make_sketch
 from .stats import auc
 from .transport import Recorder, connect, serve_one
-from .data import AgentView
 
 _NUMERIC_ERRORS = (SolverFailure, SingularHessian, SingularCovarianceBlock,
                    RankDeficientAugmented, RankDeficientView, SingularVariance,
@@ -255,9 +254,9 @@ def _agent_screen(args, fam, view, y, chan):
         t = min(args.t, X_b.shape[1])
         sketch = make_sketch(X_b, t, rng, noise_scale=args.laplace_scale,
                              epsilon=args.epsilon, c2=args.clip_bound)
-        chan.send(SketchOffer(projected=tuple(map(tuple, sketch.projected)),
-                              t=sketch.t, noised=sketch.noised, epsilon=sketch.epsilon,
-                              c2=sketch.c2, rows_excluded=sketch.rows_excluded))
+        chan.send(SketchOffer(projected=sketch.projected, t=sketch.t, noised=sketch.noised,
+                              epsilon=sketch.epsilon, c2=sketch.c2,
+                              rows_excluded=sketch.rows_excluded))
         result = chan.recv()
         if not isinstance(result, ScreenResult):
             raise ProtocolError("expected a screening result")
@@ -267,13 +266,18 @@ def _agent_screen(args, fam, view, y, chan):
     offer = chan.recv()
     if not isinstance(offer, SketchOffer):
         raise ProtocolError("expected a sketch offer")
-    sketch = SketchPackage(projected=np.asarray(offer.projected), t=offer.t,
-                           noised=offer.noised, epsilon=offer.epsilon, c2=offer.c2,
-                           rows_excluded=offer.rows_excluded)
     # B sketched its leading rows; the screening functions drop the clipped ones
-    n_rows = sketch.n + len(sketch.rows_excluded)
+    excluded = offer.rows_excluded
+    n_rows = len(offer.projected) + len(excluded)
     if n_rows > view.n:
         raise ProtocolError("sketch carries more rows than this agent holds")
+    if len(set(excluded)) != len(excluded) or not all(0 <= i < n_rows for i in excluded):
+        raise ProtocolError("excluded sketch rows must be distinct rows of the sketch")
+    try:
+        sketch = SketchPackage(projected=offer.projected, t=offer.t, noised=offer.noised,
+                               epsilon=offer.epsilon, c2=offer.c2, rows_excluded=excluded)
+    except (BadDimensions, ValueError) as exc:  # e.g. not t columns, noised without epsilon
+        raise ProtocolError(f"malformed sketch offer: {exc}") from None
     view_rows = AgentView(design=view.design[:n_rows], column_names=view.column_names,
                           owner=view.owner)
     y_rows = np.asarray(y, dtype=float)[:n_rows]

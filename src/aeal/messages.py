@@ -1,16 +1,21 @@
 """Wire messages: newline-delimited JSON, one message per line.
 
-Floats are written with 17 significant digits so every IEEE-754 double
-round-trips exactly; unknown message types and unknown or missing fields are
-rejected. The handshake pins protocol version "aeal/1".
+Vector and matrix payloads (a matrix with its shape) are base64 of their
+little-endian IEEE-754 binary64 bytes and decode to read-only float64 arrays
+of exactly those bytes; scalar floats carry 17 significant digits, also
+exact. Non-finite numbers (DomainError on encode), unknown message types and
+unknown or missing fields are rejected. The handshake pins "aeal/2".
 """
 
+import base64
 import json
 from dataclasses import dataclass
 
-from .errors import ProtocolError
+import numpy as np
 
-PROTOCOL_VERSION = "aeal/1"
+from .errors import DomainError, ProtocolError
+
+PROTOCOL_VERSION = "aeal/2"
 
 
 @dataclass(frozen=True)
@@ -23,7 +28,7 @@ class Handshake:
 
 @dataclass(frozen=True)
 class SketchOffer:
-    projected: tuple    # tuple of row tuples, n x t
+    projected: np.ndarray   # n x t
     t: int
     noised: bool
     epsilon: float      # None when not noised
@@ -42,7 +47,7 @@ class ScreenResult:
 
 @dataclass(frozen=True)
 class ResponseShare:
-    y: tuple
+    y: np.ndarray
     masked: bool
     flip_prob: float    # None when not masked
 
@@ -50,7 +55,7 @@ class ResponseShare:
 @dataclass(frozen=True)
 class Offset:
     round: int
-    vector: tuple
+    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ class Stop:
 @dataclass(frozen=True)
 class GradShare:
     round: int
-    vector: tuple
+    vector: np.ndarray
 
 
 # field name -> wire type tag, per message type
@@ -89,11 +94,15 @@ _CLASSES = {cls.__name__: cls for cls in (
     Stop, GradShare)}
 
 # Decimal form with 17 significant digits; float() recovers the exact bits.
-# A bound method, not a def: vectors are mapped through it element by element.
 format_float = "{:.17g}".format
 
 
-def _emit(tag, value):
+def _check_finite(value, fld):
+    if not np.isfinite(value).all():
+        raise DomainError(f"field {fld!r}: non-finite values cannot be sent")
+
+
+def _emit(tag, value, fld):
     if tag == "str":
         return json.dumps(value)
     if tag == "int":
@@ -101,14 +110,18 @@ def _emit(tag, value):
     if tag == "bool":
         return "true" if value else "false"
     if tag == "float":
+        _check_finite(value, fld)
         return format_float(value)
     if tag == "float?":
-        return "null" if value is None else format_float(value)
-    if tag == "vector":
-        return "[" + ",".join(map(format_float, value)) + "]"
-    if tag == "matrix":
-        return "[" + ",".join("[" + ",".join(map(format_float, row)) + "]"
-                              for row in value) + "]"
+        return "null" if value is None else _emit("float", value, fld)
+    if tag in ("vector", "matrix"):
+        arr = np.asarray(value, "<f8")
+        _check_finite(arr, fld)
+        data = '"' + base64.b64encode(arr.tobytes()).decode("ascii") + '"'
+        if tag == "vector":
+            return data
+        rows, cols = arr.shape
+        return f'{{"shape":[{rows},{cols}],"data":{data}}}'
     if tag == "ints":
         return "[" + ",".join(map(str, map(int, value))) + "]"
     raise AssertionError(tag)
@@ -122,41 +135,42 @@ def encode(msg):
         raise ProtocolError(f"unencodable message type {name!r}")
     parts = ['"type":' + json.dumps(name)]
     for fld, tag in schema.items():
-        parts.append(json.dumps(fld) + ":" + _emit(tag, getattr(msg, fld)))
+        parts.append(json.dumps(fld) + ":" + _emit(tag, getattr(msg, fld), fld))
     return "{" + ",".join(parts) + "}"
+
+
+# JSON types each scalar tag accepts; a bool, an int subclass, only as "bool"
+_SCALAR_TYPES = {"str": str, "int": int, "bool": bool, "float": (int, float)}
 
 
 def _take(tag, value, fld):
     def bad(expected):
         raise ProtocolError(f"field {fld!r}: expected {expected}")
-    if tag == "str":
-        if not isinstance(value, str):
-            bad("string")
-        return value
-    if tag == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            bad("integer")
-        return value
-    if tag == "bool":
-        if not isinstance(value, bool):
-            bad("boolean")
-        return value
-    if tag == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            bad("number")
-        return float(value)
+    if tag in _SCALAR_TYPES:
+        if not isinstance(value, _SCALAR_TYPES[tag]) or (
+                isinstance(value, bool) and tag != "bool"):
+            bad(tag)
+        return float(value) if tag == "float" else value
     if tag == "float?":
-        if value is None:
-            return None
-        return _take("float", value, fld)
+        return None if value is None else _take("float", value, fld)
     if tag == "vector":
-        if not isinstance(value, list):
-            bad("array")
-        return tuple(_take("float", v, fld) for v in value)
+        try:  # a non-string, bad base64 and a partial double all land here
+            arr = np.frombuffer(base64.b64decode(value, validate=True), "<f8")
+        except (TypeError, ValueError):
+            bad("base64 of whole 8-byte doubles")
+        if not np.isfinite(arr).all():
+            bad("finite numbers")
+        return arr
     if tag == "matrix":
-        if not isinstance(value, list):
-            bad("array of arrays")
-        return tuple(_take("vector", row, fld) for row in value)
+        if not isinstance(value, dict) or set(value) != {"shape", "data"}:
+            bad("object with shape and data")
+        shape = _take("ints", value["shape"], fld)
+        if len(shape) != 2 or min(shape) < 0:  # reshape would read -1 as "infer"
+            bad("shape [rows, cols]")
+        try:
+            return _take("vector", value["data"], fld).reshape(shape)
+        except ValueError:
+            bad("data of rows x cols doubles")
     if tag == "ints":
         if not isinstance(value, list):
             bad("array")
@@ -164,10 +178,14 @@ def _take(tag, value, fld):
     raise AssertionError(tag)
 
 
+def _reject_constant(name):
+    raise ProtocolError(f"non-finite number {name} on the wire")
+
+
 def decode(line):
     """Parse one line into a message object, rejecting anything off-schema."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):

@@ -155,7 +155,7 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
         y_train = mask_response(y, mask_flip_prob, rng).y_prime
     else:
         y_train = np.asarray(y, dtype=float)
-    chan.send(ResponseShare(y=tuple(y_train), masked=masked, flip_prob=mask_flip_prob))
+    chan.send(ResponseShare(y=y_train, masked=masked, flip_prob=mask_flip_prob))
 
     def data_loss(nu):
         return float(np.mean(fam.value(y_train, nu)))
@@ -180,7 +180,7 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
         if stop.max_rounds is not None and k >= stop.max_rounds:
             stop_reason = STOP_MAX
             break
-        chan.send(Offset(round=k, vector=tuple(nu_a)))
+        chan.send(Offset(round=k, vector=nu_a))
         nu_b = peer.take(chan.recv())
         k += 1
         loss_entries.append((data_loss(nu_a + nu_b) + own_pen, k))
@@ -208,7 +208,7 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
             break
 
     chan.send(Stop(reason=stop_reason))
-    chan.send(Offset(round=k, vector=tuple(nu_a)))
+    chan.send(Offset(round=k, vector=nu_a))
 
     cov_a = _predictor_covariance(X_a, y_train, nu_b, fam, beta_a)
     return {"beta_a": beta_a, "nu_a": nu_a, "nu_b": nu_b, "rounds": k,
@@ -256,7 +256,7 @@ def run_bob(view_b, fam, chan, cfg=None, ridge=0.0, record_history=False):
         penalties.append(ridge * float(beta_b @ beta_b))
         if record_history:
             history.append(beta_b.copy())
-        chan.send(Offset(round=k, vector=tuple(nu_b)))
+        chan.send(Offset(round=k, vector=nu_b))
         msg = chan.recv()
     stop_reason = msg.reason
     nu_a = peer.take(chan.recv())  # A's final predictor
@@ -376,8 +376,7 @@ def replay(session, view_a, view_b, fam):
     for sender, line in session.transcript:
         msg = decode(line)
         if isinstance(msg, Offset):
-            (offsets_a if sender == "A" else offsets_b).append(
-                np.asarray(msg.vector, dtype=float))
+            (offsets_a if sender == "A" else offsets_b).append(msg.vector)
     cfg = SolverConfig(ridge=session.ridge)
     y = session.y_train
     beta_a = fit_offset(view_a.design, y, None, fam, cfg).beta

@@ -12,7 +12,7 @@ import socket
 import threading
 from collections import Counter
 
-from .errors import TransportFailure
+from .errors import ProtocolError, TransportFailure
 from .messages import decode, encode
 
 RECV_TIMEOUT = 120.0
@@ -30,7 +30,7 @@ class Recorder:
     def record(self, sender, msg, line):
         with self._lock:
             self.lines.append((sender, line))
-            self.bytes_transmitted += len(line.encode("utf-8")) + 1  # newline included
+            self.bytes_transmitted += len(line) + 1  # ASCII wire: chars = bytes, + newline
             self.counts[type(msg).__name__] += 1
 
     @property
@@ -44,11 +44,11 @@ class Recorder:
 class LocalChannel:
     """One endpoint of an in-memory duplex pair.
 
-    Messages are serialized for the transcript and byte accounting but the
-    peer receives the original object: decimal round-trips of finite doubles
-    at 17 significant digits are exact, so this is bit-identical to parsing
-    the line back (the socket transport does, and reproduces the same
-    numbers).
+    Every message is serialized, for the transcript and byte accounting and
+    so a message the wire refuses fails here as on a socket, but the peer
+    receives the original object: decoding a line gives back the very bytes
+    of each payload, so this is bit-identical to the socket transport, which
+    parses the line back.
     """
 
     def __init__(self, name, outbox, inbox, recorder):
@@ -58,8 +58,9 @@ class LocalChannel:
         self._recorder = recorder
 
     def send(self, msg):
+        line = encode(msg)
         if self._recorder is not None:
-            self._recorder.record(self.name, msg, encode(msg))
+            self._recorder.record(self.name, msg, line)
         self._outbox.put(msg)
 
     def recv(self):
@@ -99,7 +100,7 @@ class SocketChannel:
         if self._recorder is not None:
             self._recorder.record(self.name, msg, line)
         try:
-            self._file.write(line.encode("utf-8") + b"\n")
+            self._file.write(line.encode("ascii") + b"\n")
             self._file.flush()
         except OSError as exc:
             raise TransportFailure(f"send failed: {exc}") from None
@@ -111,7 +112,10 @@ class SocketChannel:
             raise TransportFailure(f"recv failed: {exc}") from None
         if not raw:
             raise TransportFailure("connection closed by peer")
-        line = raw.decode("utf-8").rstrip("\n")
+        try:  # the wire is ASCII, so the recorder's len(line) + 1 is the bytes read
+            line = raw.decode("ascii").rstrip("\n")
+        except UnicodeDecodeError:
+            raise ProtocolError("non-ASCII bytes on the wire") from None
         msg = decode(line)
         if self._recorder is not None:
             self._recorder.record(self.peer, msg, line)

@@ -268,6 +268,29 @@ class TestAgent:
         assert a["n_used"] == want.n_used == 60 - len(sketch.rows_excluded)
         assert float(a["statistic"]) == want.decision.statistic
 
+    @pytest.mark.parametrize("bad", [
+        {"rows_excluded": (-1,)},
+        {"rows_excluded": (4, 4)},
+        {"t": 3},
+    ], ids=["negative-row", "repeated-row", "t-vs-columns"])
+    def test_malformed_sketch_offer_exits_2(self, owner_csvs, bad):
+        from aeal.messages import SketchOffer, encode
+
+        path_a, _ = owner_csvs
+        offer = {"projected": np.random.default_rng(5).normal(size=(39, 2)), "t": 2,
+                 "noised": False, "epsilon": None, "c2": None, "rows_excluded": ()}
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            srv.settimeout(30)
+            alice = spawn_agent(["--role", "alice", "--connect",
+                                 f"127.0.0.1:{srv.getsockname()[1]}",
+                                 "--data", path_a, "--mode", "screen"])
+            conn, _ = srv.accept()
+            with conn:
+                conn.sendall((encode(SketchOffer(**offer | bad)) + "\n").encode())
+                _, a_err = alice.communicate(timeout=60)
+        assert alice.returncode == 2, a_err
+        assert "protocol error" in a_err
+
     def test_no_message_type_carries_projection_matrix(self):
         # the schema itself guarantees the projection matrix cannot leave B
         from aeal.messages import _SCHEMAS

@@ -6,7 +6,7 @@ import pytest
 from aeal.data import AgentView, Owner
 from aeal.errors import DimensionMismatch, ProtocolError
 from aeal.losses import LossFamily
-from aeal.messages import Handshake, Offset, decode
+from aeal.messages import PROTOCOL_VERSION, Handshake, Offset, decode
 from aeal.protocol import (StopCriterion, TrainSession, joint_loss, predict,
                            replay, run_bob, train)
 from aeal.simulate import SimDesign, eta_bound, map_T, oracle_fit, simulate
@@ -311,7 +311,7 @@ class TestProtocolValidation:
     def test_rounds_must_increase(self):
         va, vb, y = orthogonal_fixture()
         chan_a, chan_b = local_pair()
-        chan_a.send(Handshake(version="aeal/1", n=vb.n, family="gaussian", lam=0.0))
+        chan_a.send(Handshake(version=PROTOCOL_VERSION, n=vb.n, family="gaussian", lam=0.0))
         import threading
 
         def bob():
