@@ -47,7 +47,7 @@ class BaselineSession:
     bytes_transmitted: int
     diverged: bool
     stop_reason: str
-    history: list = None           # [(beta_a, beta_b)] per sync round when recorded
+    history: list = None           # [(beta_a, beta_b)] per sync round (index 0 = start)
     transcript: list = None        # ordered (sender, wire line)
 
 
@@ -57,7 +57,7 @@ def _step(cfg, k):
     return cfg.step0
 
 
-def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0, record_history=False):
+def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0):
     """Run a baseline session; on divergence (loss above 10x initial or
     non-finite) the best visited iterate is returned with the flag set."""
     X_a, X_b = view_a.design, view_b.design
@@ -75,7 +75,7 @@ def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0, record_history=Fal
         return float(np.mean(fam.value(y, nu)))
 
     loss_log = [full_loss(beta_a, beta_b)]
-    history = [(beta_a.copy(), beta_b.copy())] if record_history else None
+    history = [(beta_a, beta_b)]
     best = (loss_log[0], beta_a.copy(), beta_b.copy())
     diverged = False
     guard = 10.0 * loss_log[0]
@@ -110,8 +110,7 @@ def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0, record_history=Fal
 
         cur = full_loss(beta_a, beta_b)
         loss_log.append(cur)
-        if record_history:
-            history.append((beta_a.copy(), beta_b.copy()))
+        history.append((beta_a, beta_b))
         if np.isfinite(cur) and cur < best[0]:
             best = (cur, beta_a.copy(), beta_b.copy())
         if not np.isfinite(cur) or cur > guard:
@@ -142,7 +141,7 @@ class TuneResult:
 
 
 def tune_step(view_a, y, view_b, fam, cfg, grid, budget_rounds, batch_seed=0,
-              score_fn=None, record_history=False):
+              score_fn=None):
     """Run the baseline once per candidate step and keep the lowest score.
 
     The default score is the best full-data loss reached within the budget;
@@ -153,18 +152,18 @@ def tune_step(view_a, y, view_b, fam, cfg, grid, budget_rounds, batch_seed=0,
     if not grid:
         raise ValueError("empty tuning grid")
     scores = []
-    sessions = []
+    best = None                    # (step0, score, session) of the best so far
     total_sends = 0
     for step0 in grid:
         run_cfg = replace(cfg, step0=float(step0), max_rounds=budget_rounds)
-        sess = train_baseline(view_a, y, view_b, fam, run_cfg, batch_seed=batch_seed,
-                              record_history=record_history)
+        sess = train_baseline(view_a, y, view_b, fam, run_cfg, batch_seed=batch_seed)
         total_sends += sess.rounds_transmitted
-        score = (score_fn(sess) if score_fn is not None
-                 else min(v for v in sess.loss_log if np.isfinite(v)))
-        scores.append((float(step0), float(score)))
-        sessions.append(sess)
-    best_idx = int(np.argmin([s for _, s in scores]))
-    result = TuneResult(best_step0=scores[best_idx][0], best_score=scores[best_idx][1],
+        score = float(score_fn(sess) if score_fn is not None
+                      else min(v for v in sess.loss_log if np.isfinite(v)))
+        scores.append((float(step0), score))
+        # np.argmin's choice: the first NaN if any, else the first minimum
+        if best is None or (not np.isnan(best[1]) and (np.isnan(score) or score < best[1])):
+            best = (float(step0), score, sess)
+    result = TuneResult(best_step0=best[0], best_score=best[1],
                         total_vector_sends=total_sends, scores=scores)
-    return result, sessions[best_idx]
+    return result, best[2]

@@ -24,7 +24,8 @@ from .messages import (PredictContribution, ScreenResult, SketchOffer,
                        format_float)
 from .protocol import StopCriterion, joint_interval, run_alice, run_bob
 from .screening import lrt_screen, wald_screen
-from .simulate import SimDesign, map_T, oracle_fit, simulate, spawn_rngs
+from .simulate import (SimData, SimDesign, gen_covariates, gen_response, map_T,
+                       oracle_fit, simulate, spawn_rngs)
 from .sketch import SketchPackage, make_sketch
 from .stats import auc
 from .transport import Recorder, connect, serve_one
@@ -112,27 +113,22 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
     """Per-round metric for the oracle, the alternating protocol, and the two
     tuned baselines. Logistic uses evaluation AUC; other families use the
     coefficient distance to the oracle in the pooled space."""
-    from .protocol import train
+    from .protocol import train  # looked up per call: perfbench hooks protocol.train
 
     view_a, view_b = _views(sim)
     oracle = oracle_fit(sim.X, sim.y, fam)
     use_auc = fam.kind == "logistic"
     if use_auc:
-        X_eval = sim.X.copy()
+        X_eval = sim.X
         if eval_size != sim.X.shape[0]:
-            from .simulate import gen_covariates
             X_eval = gen_covariates(eval_size, sim.X.shape[1], rho, rng)
-        nu_true = X_eval @ sim.beta_true
-        y_eval = (rng.uniform(size=eval_size) < 1.0 / (1.0 + np.exp(-nu_true))).astype(float)
-        own = sim.ownership
-        pos = {nm: j for j, nm in enumerate(own.pooled_names)}
-        Xe_a = X_eval[:, [pos[nm] for nm in own.a_names]]
-        Xe_b = X_eval[:, [pos[nm] for nm in own.b_names]]
+        ev = SimData(X=X_eval, y=gen_response(fam, X_eval, sim.beta_true, rng),
+                     beta_true=sim.beta_true, ownership=sim.ownership)
 
         def metric(beta_a, beta_b):
-            return auc(Xe_a @ beta_a + Xe_b @ beta_b, y_eval)
+            return auc(ev.X_a @ beta_a + ev.X_b @ beta_b, ev.y)
 
-        oracle_metric = auc(X_eval @ oracle.beta, y_eval)
+        oracle_metric = auc(ev.X @ oracle.beta, ev.y)
     else:
         def metric(beta_a, beta_b):
             return float(np.linalg.norm(map_T(beta_a, beta_b, sim.ownership) - oracle.beta))
@@ -140,22 +136,20 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
         oracle_metric = 0.0
 
     sess = train(view_a, sim.y, view_b, fam,
-                 stop=StopCriterion(offset_tol=None, coef_tol=None, max_rounds=rounds),
-                 record_history=True)
+                 stop=StopCriterion(offset_tol=None, coef_tol=None, max_rounds=rounds))
     aeal_curve = [metric(ba, bb) for ba, bb in sess.history]
 
     curves = {"oracle": [oracle_metric] * (rounds + 1), "aeal": aeal_curve}
+    sign = -1.0 if use_auc else 1.0  # tuning minimizes; a higher AUC is better
+
+    def score(sess_b):
+        return sign * metric(sess_b.beta_a, sess_b.beta_b)
+
     for algo in (baselines.FEDSGD, baselines.FEDBCD):
         cfg = baselines.BaselineConfig(algorithm=algo, decay="sqrt", batch=None,
                                        q_local=5, mu=0.1, max_rounds=rounds)
-        if use_auc:
-            def score(sess_b):
-                return -metric(sess_b.beta_a, sess_b.beta_b)
-        else:
-            def score(sess_b):
-                return metric(sess_b.beta_a, sess_b.beta_b)
         _, best = baselines.tune_step(view_a, sim.y, view_b, fam, cfg, tune_grid,
-                                      rounds, score_fn=score, record_history=True)
+                                      rounds, score_fn=score)
         curves[algo] = [metric(ba, bb) for ba, bb in best.history]
     return curves
 

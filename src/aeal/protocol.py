@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (DimensionMismatch, ProtocolError, SingularVariance,
-                     SolverFailure)
+                     SolverFailure, TransportFailure)
 from .losses import parse_family
 from .messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare,
                        Stop, decode)
@@ -73,7 +73,7 @@ class TrainSession:
     cov_a: np.ndarray            # x' cov x = variance of x' beta_A (already /n)
     cov_b: np.ndarray
     mask_flip_prob: float = None
-    history: list = None         # optional [(beta_a, beta_b)] per round, round 0 first
+    history: list = None         # [(beta_a, beta_b)] per round, round 0 first
 
 
 @dataclass
@@ -135,7 +135,7 @@ class _PeerTracker:
 
 
 def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
-              mask_flip_prob=None, rng=None, record_history=False):
+              mask_flip_prob=None, rng=None):
     """A's side of the training session over an arbitrary channel.
 
     Returns a dict with A's state plus the per-entry loss log; the log holds
@@ -168,7 +168,7 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
     nu_b = np.zeros(n)
     own_pen = ridge * float(beta_a @ beta_a)
     loss_entries = [(data_loss(nu_a) + own_pen, 0)]
-    history = [beta_a.copy()] if record_history else None
+    history = [beta_a]
 
     # A's offset for round k doubles as the continue signal for round k+1,
     # so it is sent only once the next round is certain to happen; on stop,
@@ -191,8 +191,7 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
         nu_a = X_a @ beta_a
         own_pen = ridge * float(beta_a @ beta_a)
         loss_entries.append((data_loss(nu_a + nu_b) + own_pen, k))
-        if record_history:
-            history.append(beta_a.copy())
+        history.append(beta_a)
 
         fired = None
         if k >= 2:  # delta rules need two full-round iterates
@@ -217,7 +216,7 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
             "history": history, "mask_flip_prob": mask_flip_prob}
 
 
-def run_bob(view_b, fam, chan, cfg=None, ridge=0.0, record_history=False):
+def run_bob(view_b, fam, chan, cfg=None, ridge=0.0):
     """B's side: adopt the handshake's family and penalty, receive the
     response, then answer each of A's offsets with a local fit."""
     X_b = view_b.design
@@ -242,7 +241,7 @@ def run_bob(view_b, fam, chan, cfg=None, ridge=0.0, record_history=False):
     beta_b = np.zeros(X_b.shape[1])
     nu_b = np.zeros(n)
     penalties = [0.0]            # ridge * ||beta_B^k||^2 per B round, index 0 = init
-    history = [beta_b.copy()] if record_history else None
+    history = [beta_b]
     max_grad = 0.0
     k = 0
     msg = chan.recv()
@@ -254,8 +253,7 @@ def run_bob(view_b, fam, chan, cfg=None, ridge=0.0, record_history=False):
         max_grad = max(max_grad, fit.grad_norm_inf)
         nu_b = X_b @ beta_b
         penalties.append(ridge * float(beta_b @ beta_b))
-        if record_history:
-            history.append(beta_b.copy())
+        history.append(beta_b)
         chan.send(Offset(round=k, vector=nu_b))
         msg = chan.recv()
     stop_reason = msg.reason
@@ -268,9 +266,11 @@ def run_bob(view_b, fam, chan, cfg=None, ridge=0.0, record_history=False):
 
 
 def train(view_a, y, view_b, fam, cfg=None, stop=None, ridge=0.0,
-          mask_flip_prob=None, rng=None, record_history=False):
+          mask_flip_prob=None, rng=None):
     """Run a full in-process session (two threads, serialized channel) and
-    merge both agents' states into one TrainSession."""
+    merge both agents' states into one TrainSession. Each side closes its
+    channel when it stops, so a failure on either side reaches the caller
+    at once: Bob's own error first, else Alice's."""
     y = np.asarray(y, dtype=float)
     if view_a.n != view_b.n or len(y) != view_a.n:
         raise DimensionMismatch("agents must hold the same aligned rows")
@@ -281,27 +281,28 @@ def train(view_a, y, view_b, fam, cfg=None, stop=None, ridge=0.0,
 
     def bob_main():
         try:
-            bob_box["result"] = run_bob(view_b, fam, chan_b, cfg=cfg, ridge=ridge,
-                                        record_history=record_history)
+            bob_box["result"] = run_bob(view_b, fam, chan_b, cfg=cfg, ridge=ridge)
         except Exception as exc:  # propagated after join
             bob_box["error"] = exc
+        finally:
+            chan_b.close()
 
     worker = threading.Thread(target=bob_main, daemon=True)
     worker.start()
     try:
         alice = run_alice(view_a, y, fam, chan_a, cfg=cfg, stop=stop, ridge=ridge,
-                          mask_flip_prob=mask_flip_prob, rng=rng,
-                          record_history=record_history)
+                          mask_flip_prob=mask_flip_prob, rng=rng)
     finally:
+        chan_a.close()
         worker.join(timeout=120.0)
-    if "error" in bob_box:
-        raise bob_box["error"]
+        bob_error = bob_box.get("error")
+        if bob_error is not None and not isinstance(bob_error, TransportFailure):
+            raise bob_error  # Bob's own failure; Alice then saw the closed channel
+    if bob_error is not None:
+        raise bob_error
     bob = bob_box["result"]
 
     loss_log = [val + bob["penalties"][kb] for val, kb in alice["loss_entries"]]
-    history = None
-    if record_history:
-        history = [(a, b) for a, b in zip(alice["history"], bob["history"])]
 
     return TrainSession(
         beta_a=alice["beta_a"], beta_b=bob["beta_b"],
@@ -313,7 +314,8 @@ def train(view_a, y, view_b, fam, cfg=None, stop=None, ridge=0.0,
         n=view_a.n, y_train=alice["y_train"], transcript=list(recorder.lines),
         max_block_grad_inf=max(alice["max_grad"], bob["max_grad"]),
         cov_a=alice["cov_a"], cov_b=bob["cov_b"],
-        mask_flip_prob=mask_flip_prob, history=history)
+        mask_flip_prob=mask_flip_prob,
+        history=list(zip(alice["history"], bob["history"])))
 
 
 def joint_loss(session, view_a, view_b, y, fam):

@@ -125,7 +125,6 @@ class _IdentifiedModel:
         self._fit_red = fit_red
         return FitResult(beta=self.Z @ fit_red.beta, iterations=fit_red.iterations,
                          grad_norm_inf=fit_red.grad_norm_inf,
-                         hessian=self.Z @ fit_red.hessian @ self.Z.T,
                          converged=True, final_loss=fit_red.final_loss)
 
     def block_covariance(self, y, fam, t):

@@ -17,7 +17,7 @@ from .errors import BadDimensions, BadEpsilon, BadFlipProb
 class SketchPackage:
     """Projected (optionally noised) covariates ready for transmission.
 
-    u_seed and p_b are B-side bookkeeping and are never serialized.
+    p_b is B-side bookkeeping and is never serialized.
     """
 
     projected: np.ndarray
@@ -26,7 +26,6 @@ class SketchPackage:
     epsilon: float = None
     c2: float = None
     rows_excluded: tuple = ()
-    u_seed: int = field(default=None, repr=False)
     p_b: int = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -73,11 +72,9 @@ def make_projection(p_b, t, rng):
     return U
 
 
-def project(X_b, U, row_indices=None):
-    """Sketch X_b (or a row subset of it) through the projection matrix."""
+def project(X_b, U):
+    """Sketch X_b through the projection matrix."""
     X_b = np.asarray(X_b, dtype=float)
-    if row_indices is not None:
-        X_b = X_b[np.asarray(row_indices, dtype=int)]
     return X_b @ np.asarray(U, dtype=float)
 
 
@@ -115,7 +112,7 @@ def laplace_scale(epsilon, c2, t):
     return 2.0 * t * c2 / epsilon
 
 
-def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None, u_seed=None):
+def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
     """Convenience constructor used by the simulation harness and the agent CLI.
 
     Either pass epsilon (rows are clipped at c2, defaulting to the max row
@@ -125,8 +122,6 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None, u_seed=None
     """
     X_b = np.asarray(X_b, dtype=float)
     p_b = X_b.shape[1]
-    if u_seed is not None:
-        rng = np.random.default_rng(u_seed)
     U = make_projection(p_b, t, rng)
     excluded = ()
     if epsilon is not None:
@@ -135,15 +130,15 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None, u_seed=None
         X_b, excluded = clip_rows(X_b, c2)
         M = laplace_noise(project(X_b, U), epsilon, c2, rng)
         return SketchPackage(projected=M, t=t, noised=True, epsilon=float(epsilon),
-                             c2=float(c2), rows_excluded=excluded, u_seed=u_seed, p_b=p_b)
+                             c2=float(c2), rows_excluded=excluded, p_b=p_b)
     M = project(X_b, U)
     if noise_scale > 0.0:
         c2_eff = float(np.max(np.linalg.norm(X_b, axis=1)))
         eps_eff = 2.0 * t * c2_eff / noise_scale
         M = M + laplace_matrix(M.shape, noise_scale, rng)
         return SketchPackage(projected=M, t=t, noised=True, epsilon=eps_eff,
-                             c2=c2_eff, rows_excluded=(), u_seed=u_seed, p_b=p_b)
-    return SketchPackage(projected=M, t=t, noised=False, u_seed=u_seed, p_b=p_b)
+                             c2=c2_eff, rows_excluded=(), p_b=p_b)
+    return SketchPackage(projected=M, t=t, noised=False, p_b=p_b)
 
 
 def mask_response(y, flip_prob, rng):

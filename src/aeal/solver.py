@@ -16,14 +16,14 @@ import scipy.linalg
 from .errors import SingularHessian
 
 _EPS = np.finfo(float).eps
+_ARMIJO = 1e-4    # sufficient-decrease fraction of the predicted descent
+_SHRINK = 0.5     # backtracking factor on the step length
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-9          # on the inf-norm of the penalized gradient
     max_iter: int = 100
-    armijo: float = 1e-4
-    shrink: float = 0.5
     ridge: float = 0.0
 
     def __post_init__(self):
@@ -40,7 +40,6 @@ class FitResult:
     beta: np.ndarray
     iterations: int
     grad_norm_inf: float
-    hessian: np.ndarray      # unpenalized (1/n) sum m'' x x' at the solution
     converged: bool
     final_loss: float        # penalized objective value
 
@@ -58,8 +57,9 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
     stationary point when the objective is strictly convex.
 
     Requires X of full column rank or ridge > 0. A singular Newton system at
-    ridge = 0 raises SingularHessian; hitting max_iter returns the best
-    iterate with converged=False.
+    ridge = 0 raises SingularHessian. Running out of max_iter or a stalled
+    line search returns the last iterate; converged reports whether its
+    gradient is within tol.
     """
     cfg = cfg or SolverConfig()
     X = np.asarray(X, dtype=float)
@@ -74,19 +74,16 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
 
     beta = np.zeros(p) if init is None else np.array(init, dtype=float)
     obj = _objective(X, y, offset, fam, lam, beta)
-    converged = False
-    grad_inf = np.inf
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    while True:
         nu = X @ beta + offset
         g = X.T @ fam.grad(y, nu) / n
         if lam > 0:
             g = g + 2.0 * lam * beta
         grad_inf = float(np.max(np.abs(g))) if p else 0.0
-        if grad_inf <= cfg.tol:
-            converged = True
-            it -= 1
+        if grad_inf <= cfg.tol or it == cfg.max_iter:
             break
+        it += 1
         w = fam.hess(y, nu)
         H = (X * w[:, None]).T @ X / n
         if lam > 0:
@@ -109,30 +106,18 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
         # warm start just above tol still takes its Newton step
         slack = 4.0 * _EPS * abs(obj)
         t = 1.0
-        accepted = False
         for _ in range(60):
             cand = beta - t * step
             cand_obj = _objective(X, y, offset, fam, lam, cand)
-            if cand_obj <= obj - cfg.armijo * t * slope + slack:
+            if cand_obj <= obj - _ARMIJO * t * slope + slack:
                 beta, obj = cand, cand_obj
-                accepted = True
                 break
-            t *= cfg.shrink
-        if not accepted:
-            break  # stalled at numerical precision; report best iterate
+            t *= _SHRINK
+        else:
+            break  # stalled at numerical precision; grad_inf is still beta's
 
-    nu = X @ beta + offset
-    g = X.T @ fam.grad(y, nu) / n
-    if lam > 0:
-        g = g + 2.0 * lam * beta
-    grad_inf = float(np.max(np.abs(g))) if p else 0.0
-    if grad_inf <= cfg.tol:
-        converged = True
-    w = fam.hess(y, nu)
-    hessian = (X * w[:, None]).T @ X / n
     return FitResult(beta=beta, iterations=it, grad_norm_inf=grad_inf,
-                     hessian=hessian, converged=converged,
-                     final_loss=_objective(X, y, offset, fam, lam, beta))
+                     converged=grad_inf <= cfg.tol, final_loss=obj)
 
 
 def sandwich_pieces(X, y, offset, fam, beta):

@@ -16,6 +16,7 @@ from .errors import ProtocolError, TransportFailure
 from .messages import decode, encode
 
 RECV_TIMEOUT = 120.0
+_CLOSED = object()  # queued by LocalChannel.close: the peer reads it as EOF
 
 
 class Recorder:
@@ -65,12 +66,15 @@ class LocalChannel:
 
     def recv(self):
         try:
-            return self._inbox.get(timeout=RECV_TIMEOUT)
+            msg = self._inbox.get(timeout=RECV_TIMEOUT)
         except queue.Empty:
             raise TransportFailure("peer did not respond")
+        if msg is _CLOSED:
+            raise TransportFailure("connection closed by peer")
+        return msg
 
     def close(self):
-        pass
+        self._outbox.put(_CLOSED)
 
 
 def local_pair(recorder=None):

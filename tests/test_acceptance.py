@@ -172,16 +172,14 @@ def _auc_curves_one_seed(rng):
     auc_oracle = auc(X_eval @ oracle.beta, y_eval)
 
     sess = train(va, sim.y, vb, LOGIT,
-                 stop=StopCriterion(offset_tol=None, coef_tol=None, max_rounds=25),
-                 record_history=True)
+                 stop=StopCriterion(offset_tol=None, coef_tol=None, max_rounds=25))
     SESSIONS.append(sess)
     aeal_curve = [metric(a, b) for a, b in sess.history]
 
     cfg = BaselineConfig(algorithm="fedbcd", decay="sqrt", batch=None, q_local=5,
                          mu=0.1, max_rounds=50)
     _, best = tune_step(va, sim.y, vb, LOGIT, cfg, default_step_grid(), 50,
-                        score_fn=lambda s: -metric(s.beta_a, s.beta_b),
-                        record_history=True)
+                        score_fn=lambda s: -metric(s.beta_a, s.beta_b))
     bcd_curve = [metric(a, b) for a, b in best.history]
     return auc_oracle, aeal_curve, bcd_curve
 

@@ -40,7 +40,7 @@ class TestFedSgd:
     def test_transmitted_gradient_matches_loss_grad(self):
         sim, va, vb = fixture(seed=1, n=60)
         cfg = BaselineConfig(algorithm="fedsgd", step0=0.05, max_rounds=3)
-        sess = train_baseline(va, sim.y, vb, GAUSS, cfg, record_history=True)
+        sess = train_baseline(va, sim.y, vb, GAUSS, cfg)
         offsets = {}
         grads = {}
         for sender, line in sess.transcript:
@@ -76,10 +76,10 @@ class TestFedBcd:
         kw = dict(step0=0.05, decay="sqrt", batch=None, max_rounds=15)
         sgd = train_baseline(va, sim.y, vb, GAUSS,
                              BaselineConfig(algorithm="fedsgd", **kw),
-                             batch_seed=1, record_history=True)
+                             batch_seed=1)
         bcd = train_baseline(va, sim.y, vb, GAUSS,
                              BaselineConfig(algorithm="fedbcd", q_local=1, mu=0.0, **kw),
-                             batch_seed=1, record_history=True)
+                             batch_seed=1)
         for (a1, b1), (a2, b2) in zip(sgd.history, bcd.history):
             assert np.max(np.abs(a1 - a2)) <= 1e-12
             assert np.max(np.abs(b1 - b2)) <= 1e-12

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from aeal import protocol
 from aeal.data import AgentView, Owner
-from aeal.errors import DimensionMismatch, ProtocolError
+from aeal.errors import DimensionMismatch, ProtocolError, SolverFailure
 from aeal.losses import LossFamily
 from aeal.messages import PROTOCOL_VERSION, Handshake, Offset, decode
 from aeal.protocol import (StopCriterion, TrainSession, joint_loss, predict,
@@ -173,6 +175,27 @@ class TestTrainLoop:
         assert sess.stop_reason == "OffsetDelta"
         oracle = oracle_fit(sim.X, sim.y, LOGIT)
         assert np.max(np.abs(sess.nu_a + sess.nu_b - sim.X @ oracle.beta)) <= 1e-6
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_failure_reaches_caller_at_once(self, monkeypatch, side):
+        # one side's warm-started fit fails mid-session; the caller must get
+        # that error, not the other side's receive timeout
+        monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 10.0)
+        fit_or_fail = protocol._fit_or_fail
+
+        def failing(X, y, offset, fam, cfg, init, who):
+            if who == side and init is not None:
+                raise SolverFailure(f"{who}'s local fit did not converge")
+            return fit_or_fail(X, y, offset, fam, cfg, init, who)
+
+        monkeypatch.setattr(protocol, "_fit_or_fail", failing)
+        va, vb, y = orthogonal_fixture()
+        start = time.perf_counter()
+        with pytest.raises(SolverFailure, match=f"^{side}'s"):
+            train(va, y, vb, GAUSS)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRidge:

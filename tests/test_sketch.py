@@ -58,12 +58,6 @@ class TestProject:
                     want[i, j] += X[i, k] * U[k, j]
         assert np.max(np.abs(got - want)) <= 1e-14
 
-    def test_row_subset(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(6, 3))
-        U = make_projection(3, 2, rng)
-        assert np.array_equal(project(X, U, row_indices=[0, 2]), (X[[0, 2]] @ U))
-
 
 class TestClip:
     def test_identity_when_within(self):
