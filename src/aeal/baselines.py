@@ -100,8 +100,9 @@ def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0):
         grad_stale = chan_b.recv().vector
 
         sync_a, sync_b = beta_a.copy(), beta_b.copy()
-        for _ in range(q_steps):
-            g_rows = fam.grad(y_k, Xa_k @ beta_a + nu_b_stale)
+        for j in range(q_steps):
+            # the first step starts at the sync point, where grad_rows was taken
+            g_rows = grad_rows if j == 0 else fam.grad(y_k, Xa_k @ beta_a + nu_b_stale)
             g_a = Xa_k.T @ g_rows / m + 2.0 * mu * (beta_a - sync_a)
             beta_a = beta_a - lr * g_a
         for _ in range(q_steps):

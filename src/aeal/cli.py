@@ -45,19 +45,17 @@ def _write_csv(path, config, header, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def _views(sim):
+def _view(sim, owner):
     own = sim.ownership
-    view_a = AgentView(design=sim.X_a, column_names=own.a_names, owner=Owner.A)
-    view_b = AgentView(design=sim.X_b, column_names=own.b_names, owner=Owner.B)
-    return view_a, view_b
+    X, names = (sim.X_a, own.a_names) if owner is Owner.A else (sim.X_b, own.b_names)
+    return AgentView(design=X, column_names=names, owner=owner)
 
 
-def _screen(sim, t, noise_scale, fam, alpha, test, rng, ridge=0.0):
-    view_a, _ = _views(sim)
+def _screen(view_a, sim, t, noise_scale, fam, args, rng):
+    # the sketch reads sim.X_b directly: screening needs no view of B
     sketch = make_sketch(sim.X_b, t, rng, noise_scale=noise_scale)
-    if test == "lrt":
-        return lrt_screen(view_a, sim.y, sketch, fam, alpha=alpha)
-    return wald_screen(view_a, sim.y, sketch, fam, alpha=alpha, ridge=ridge)
+    screen = lrt_screen if args.test == "lrt" else wald_screen
+    return screen(view_a, sim.y, sketch, fam, alpha=args.alpha)
 
 
 # -- qq -------------------------------------------------------------------
@@ -70,8 +68,9 @@ def cmd_qq(args):
     rows = []
     for rep, rng in enumerate(rngs):
         sim = simulate(design, rng, hypothesis="h0")
+        view_a = _view(sim, Owner.A)
         for t in range(1, args.t_max + 1):
-            report = _screen(sim, t, args.laplace_scale, fam, args.alpha, args.test, rng)
+            report = _screen(view_a, sim, t, args.laplace_scale, fam, args, rng)
             rows.append((rep, t, format_float(report.decision.p_value)))
     _write_csv(args.out, vars(args) | {"command": "qq"},
                ("replication", "t", "p_value"), rows)
@@ -93,9 +92,10 @@ def cmd_power(args):
         rejects = {(t, s): 0 for t in t_values for s in noises}
         for rng in rngs:
             sim = simulate(design, rng, hypothesis="h1")
+            view_a = _view(sim, Owner.A)
             for t in t_values:
                 for noise in noises:
-                    report = _screen(sim, t, noise, fam, args.alpha, args.test, rng)
+                    report = _screen(view_a, sim, t, noise, fam, args, rng)
                     rejects[(t, noise)] += int(report.decision.reject)
         for t in t_values:
             for noise in noises:
@@ -115,7 +115,7 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
     coefficient distance to the oracle in the pooled space."""
     from .protocol import train  # looked up per call: perfbench hooks protocol.train
 
-    view_a, view_b = _views(sim)
+    view_a, view_b = _view(sim, Owner.A), _view(sim, Owner.B)
     oracle = oracle_fit(sim.X, sim.y, fam)
     use_auc = fam.kind == "logistic"
     if use_auc:
@@ -190,10 +190,10 @@ def cmd_robust_u(args):
         matches = 0
         for rng in rngs:
             sim = simulate(design, rng, hypothesis=scenario)
+            view_a = _view(sim, Owner.A)
             decisions = []
             for _ in range(args.u_count):
-                report = _screen(sim, args.t, args.noise, fam, args.alpha,
-                                 args.test, rng)
+                report = _screen(view_a, sim, args.t, args.noise, fam, args, rng)
                 decisions.append(report.decision.reject)
             matches += int(all(decisions) or not any(decisions))
         rows.append((scenario, args.noise, matches))

@@ -16,7 +16,7 @@ import scipy.linalg
 from .errors import (DuplicateId, EmptyIntersection, MissingId,
                      RankDeficientView, SharedColumnMismatch)
 
-RANK_TOL = 1e-10  # relative tolerance on pivoted-QR diagonals
+RANK_TOL = 1e-10  # relative tolerance on pivoted-QR diagonals and singular values
 
 
 class Owner(enum.Enum):
@@ -57,20 +57,23 @@ class AgentView:
         return self.design.shape[1]
 
 
+def pivoted_qr_diag(matrix):
+    """|diag R| and the column order of a column-pivoted economic QR."""
+    _, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
+    return np.abs(np.diag(r)), piv
+
+
 def _check_full_rank(matrix, names, owner):
     """Column-pivoted QR rank check; names the first numerically dependent column."""
     if matrix.shape[1] == 0:
         return
-    _, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    diag, piv = pivoted_qr_diag(matrix)
     if diag.size == 0 or diag[0] == 0.0:
         raise RankDeficientView(owner.value, names[piv[0]])
     bad = np.nonzero(diag < RANK_TOL * diag[0])[0]
-    if matrix.shape[1] > matrix.shape[0]:
-        extra = np.arange(matrix.shape[0], matrix.shape[1])
-        bad = np.union1d(bad, extra)
-    if bad.size:
-        raise RankDeficientView(owner.value, names[piv[int(bad[0])]])
+    first = int(bad[0]) if bad.size else diag.size  # columns past the row count are dependent
+    if first < matrix.shape[1]:
+        raise RankDeficientView(owner.value, names[piv[first]])
 
 
 def _freeze(arr):

@@ -25,12 +25,9 @@ def _softplus(v):
 
 
 def _sigmoid(v):
-    out = np.empty_like(v, dtype=float)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below: the two-branch form's exact operations
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 class LossFamily:

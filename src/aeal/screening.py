@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .data import RANK_TOL, pivoted_qr_diag
 from .errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock,
                      SolverFailure)
 from .solver import FitResult, SolverConfig, fit_offset, sandwich_pieces
 from .stats import make_decision
 
-_RANK_TOL = 1e-10
 # screening decisions tolerate a looser stationarity floor than training;
 # ill-scaled reduced designs can stall a few ulps above the solver default
 _SCREEN_CFG_ARGS = dict(tol=1e-7, max_iter=200)
@@ -54,13 +54,10 @@ class ScreenReport:
 
 
 def _numerical_rank(M):
-    if min(M.shape) == 0:
-        return 0
-    _, r, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    diag, _ = pivoted_qr_diag(M)
     if diag.size == 0 or diag[0] == 0.0:
         return 0
-    return int(np.sum(diag >= _RANK_TOL * diag[0]))
+    return int(np.sum(diag >= RANK_TOL * diag[0]))
 
 
 def _classify_rank(X_aug, X_a, S, t):
@@ -113,7 +110,7 @@ class _IdentifiedModel:
 
     def __init__(self, X_aug):
         _, s, vt = scipy.linalg.svd(X_aug, full_matrices=False)
-        keep = s >= _RANK_TOL * s[0]
+        keep = s >= RANK_TOL * s[0]
         self.Z = vt[keep].T                 # p x r identified basis
         self.N = vt[~keep].T                # p x m null-space basis
         self.X_red = X_aug @ self.Z
@@ -137,7 +134,7 @@ class _IdentifiedModel:
         """Orthonormal sketch-block directions outside the null space's shadow."""
         N_t = self.N[-t:, :]
         u, s, _ = scipy.linalg.svd(N_t, full_matrices=True)
-        m_eff = int(np.sum(s >= _RANK_TOL * max(float(s[0]), 1.0))) if s.size else 0
+        m_eff = int(np.sum(s >= RANK_TOL * max(float(s[0]), 1.0))) if s.size else 0
         return u[:, m_eff:]                 # t x (t - m_eff)
 
 

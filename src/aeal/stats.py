@@ -59,7 +59,9 @@ def normal_quantile(p):
 
 
 def auc(scores, labels):
-    """Area under the ROC curve as the Mann-Whitney statistic, ties counted 1/2."""
+    """Area under the ROC curve as the Mann-Whitney statistic, ties counted 1/2.
+
+    A tie group shares its midrank, so any sort order gives the same ranks."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     pos = labels == 1
@@ -68,7 +70,7 @@ def auc(scores, labels):
     n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise OneClassOnly("both classes required for AUC")
-    order = np.argsort(scores, kind="mergesort")
+    order = np.argsort(scores)
     s = scores[order]
     n = len(s)
     starts_new = np.r_[True, s[1:] != s[:-1]]

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from aeal.cli import main
-from aeal.data import from_arrays, write_owner_csvs
+from aeal.data import AgentView, Owner, from_arrays, write_owner_csvs
+from aeal.losses import parse_family
+from aeal.screening import wald_screen
+from aeal.simulate import SimDesign, simulate, spawn_rngs
+from aeal.sketch import make_sketch
 
 
 def read_output(path):
@@ -68,6 +72,33 @@ class TestPower:
         _, rows = read_output(out)
         rates = {float(r["noise_scale"]): float(r["reject_rate"]) for r in rows}
         assert rates[0.5] <= rates[0.0]
+
+    def test_rates_match_library_screens(self, tmp_path):
+        # replays the command's rng stream: one simulation per replication,
+        # then one sketch per (t, noise) cell drawn from the same generator
+        out = tmp_path / "pw.csv"
+        assert main(["power", "--reps", "2", "--settings", "s1,s2", "--t-list", "1,3",
+                     "--noise-list", "0,2", "--n", "1000", "--seed", "1",
+                     "--out", str(out)]) == 0
+        _, rows = read_output(out)
+        fam = parse_family("logistic")
+        counts = {}
+        for setting in ("s1", "s2"):
+            design = SimDesign(setting=setting, n=1000, rho=0.1, family=fam)
+            for rng in spawn_rngs(1, 2):
+                sim = simulate(design, rng, hypothesis="h1")
+                view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names,
+                                   owner=Owner.A)
+                for t in (1, 3):
+                    for noise in (0.0, 2.0):
+                        sketch = make_sketch(sim.X_b, t, rng, noise_scale=noise)
+                        report = wald_screen(view_a, sim.y, sketch, fam, alpha=0.05)
+                        key = (setting, t, noise)
+                        counts[key] = counts.get(key, 0) + int(report.decision.reject)
+        got = {(r["setting"], int(r["t"]), float(r["noise_scale"])):
+               round(float(r["reject_rate"]) * 2) for r in rows}
+        assert got == counts
+        assert len(set(counts.values())) > 1  # the grid does not reject uniformly
 
     def test_leaves_scipy_special_unloaded(self, tmp_path):
         # importing scipy.special or scipy.stats costs tens of milliseconds of

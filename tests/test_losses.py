@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aeal.errors import NotAGlm, UnsupportedResponse
-from aeal.losses import LossFamily, parse_family
+from aeal.losses import LossFamily, _sigmoid, parse_family
 
 FAMILIES = [
     LossFamily("gaussian"),
@@ -95,6 +95,30 @@ def test_logistic_stabilized_tails():
             assert math.isfinite(val)
             asymptote = max(nu, 0.0) - y * nu
             assert abs(val - asymptote) <= 1e-12
+
+
+def test_sigmoid_bitwise_two_branch():
+    def two_branch(v):
+        out = np.empty_like(v, dtype=float)
+        pos = v >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        ev = np.exp(v[~pos])
+        out[~pos] = ev / (1.0 + ev)
+        return out
+
+    rng = np.random.default_rng(17)
+    edges = [0.0, 709.8, 745.2, 1e-300, np.inf]
+    v = np.concatenate([rng.normal(0.0, scale, 2000) for scale in (1, 10, 100, 800)]
+                       + [np.array(edges), -np.array(edges)])
+    got = _sigmoid(v)
+    assert got.dtype == np.float64 and got.shape == v.shape
+    assert got.tobytes() == two_branch(v).tobytes()
+    assert np.signbit(v[-5])  # -0.0 is among the inputs
+    assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+    for x in (0.3, -0.3, 0.0):  # the scalar path of inverse_link
+        scalar = LossFamily("logistic").inverse_link(x)
+        assert np.ndim(scalar) == 0
+        assert np.float64(scalar).tobytes() == two_branch(np.array([x])).tobytes()
 
 
 class TestInverseLink:

@@ -113,6 +113,21 @@ class TestAuc:
         with pytest.raises(OneClassOnly):
             auc([1.0, 2.0], [1, 1])
 
+    def test_tie_order_does_not_matter(self):
+        # every tie group gets one midrank, so the sort's order inside a tie
+        # cannot reach the result
+        rng = np.random.default_rng(21)
+        scores = np.round(rng.normal(size=5000), 1)
+        labels = (rng.uniform(size=5000) < 1.0 / (1.0 + np.exp(-scores))).astype(int)
+        base = auc(scores, labels)
+        for _ in range(5):
+            perm = rng.permutation(5000)
+            assert auc(scores[perm], labels[perm]).hex() == base.hex()
+        s, lab = scores[:300], labels[:300]
+        diff = s[lab == 1][:, None] - s[lab == 0][None, :]
+        brute = (np.sum(diff > 0) + 0.5 * np.sum(diff == 0)) / diff.size
+        assert auc(s, lab) == brute
+
 
 class TestKsUniform:
     def test_centered_grid(self):
