@@ -16,7 +16,7 @@ import scipy.linalg
 from .errors import (DuplicateId, EmptyIntersection, MissingId,
                      RankDeficientView, SharedColumnMismatch)
 
-RANK_TOL = 1e-10  # relative tolerance on pivoted-QR diagonals and singular values
+RANK_TOL = 1e-10  # relative tolerance on pivoted-QR diagonals
 
 
 class Owner(enum.Enum):
@@ -57,17 +57,17 @@ class AgentView:
         return self.design.shape[1]
 
 
-def pivoted_qr_diag(matrix):
-    """|diag R| and the column order of a column-pivoted economic QR."""
-    _, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
-    return np.abs(np.diag(r)), piv
+def pivoted_qr(matrix):
+    """Column-pivoted economic QR: (Q, R, column order)."""
+    return scipy.linalg.qr(matrix, mode="economic", pivoting=True)
 
 
 def _check_full_rank(matrix, names, owner):
     """Column-pivoted QR rank check; names the first numerically dependent column."""
     if matrix.shape[1] == 0:
         return
-    diag, piv = pivoted_qr_diag(matrix)
+    _, r, piv = pivoted_qr(matrix)
+    diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         raise RankDeficientView(owner.value, names[piv[0]])
     bad = np.nonzero(diag < RANK_TOL * diag[0])[0]

@@ -27,7 +27,10 @@ def _softplus(v):
 def _sigmoid(v):
     # 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below: the two-branch form's exact operations
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    out = np.where(v >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out[()]  # a scalar for a scalar input
 
 
 class LossFamily:

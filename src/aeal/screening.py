@@ -1,24 +1,29 @@
-"""A-side usefulness screening on the augmented design (X_A | sketch).
+"""A-side usefulness screening of Bob's sketch S against Alice's columns X_A.
 
-The main test fits the augmented model, forms the robust covariance
-V = V1^{-1} V2 V1^{-1} from the unpenalized pieces, extracts the lower-right
-t x t block for the sketch coefficients, and compares
-n * beta_t' V_t^{-1} beta_t against the chi-squared(t) upper tail. The
-likelihood-ratio variant compares the A-only and augmented fits directly.
-Both pair A's rows with the sketch's after dropping the rows B clipped out
-of the sketch (rows_excluded).
+Both tests run on one reparametrization of the augmented design (X_A | S).
+A column-pivoted QR of X_A gives an orthonormal basis Q_A of A's span; the
+sketch's residual S_perp = S - Q_A Q_A' S is factored by a second pivoted QR,
+whose r diagonals at or above RANK_TOL times S's largest column norm give an
+orthonormal basis Q_r of what the sketch adds beyond X_A. The model is then
+fit once on (X_A | sqrt(n) Q_r), so the tested block has unit mean-square
+columns whatever the sketch's scale.
 
-Shared covariates make the noise-free augmented design structurally rank
-deficient once t exceeds the number of columns B holds exclusively (every
-sketch column then equals an X_A-spanned part plus a combination of B's few
-unique columns). For exactly this overlap geometry the test switches to the
-identified submodel: directions of the tested block lying in the null
-space's shadow carry only representation ambiguity and are annihilated (the
-infinite-variance limit of the sandwich form), and the surviving directions
-are tested with the identified covariance against a chi-squared whose
-degrees of freedom equal the number of restrictions actually tested. The
-report discloses the reduced identified rank. Degenerate sketches and
-underdetermined row subsets raise.
+The Wald test compares n * gamma' V_r^{-1} gamma against the chi-squared(df)
+upper tail, where gamma holds the last r coefficients and V_r is their block
+of the robust covariance V1^{-1} V2 V1^{-1} from the unpenalized pieces. The
+likelihood-ratio variant compares the A-only and augmented losses. Both test
+df = max(1, r) restrictions. Since the Wald form is invariant under a
+nonsingular reparametrization of the tested block and the column space is
+that of (X_A | S), the statistics are those of the sketch coordinates; with
+ridge > 0 the penalty falls on the residual-basis coordinates, so a ridge
+screen does not depend on the sketch's arbitrary scale either.
+
+r < t (the report's `degenerate`) happens when the sketch overlaps span(X_A):
+with shared covariates a noise-free sketch of more columns than B holds
+exclusively tests only those exclusive directions. A sketch of rank below t
+(SingularCovarianceBlock), fewer rows than p_A + t or an A view that is
+deficient on the aligned rows (RankDeficientAugmented) raise. Both tests drop
+the rows B clipped out of the sketch (rows_excluded) before pairing rows.
 """
 
 import warnings
@@ -27,63 +32,34 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import RANK_TOL, pivoted_qr_diag
+from .data import RANK_TOL, pivoted_qr
 from .errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock,
                      SolverFailure)
-from .solver import FitResult, SolverConfig, fit_offset, sandwich_pieces
+from .solver import SolverConfig, fit_offset, sandwich_pieces
 from .stats import make_decision
 
-# screening decisions tolerate a looser stationarity floor than training;
-# ill-scaled reduced designs can stall a few ulps above the solver default
+# a decision needs fewer digits than training: the looser stationarity floor
+# saves one Newton step in about thirteen over a power sweep
 _SCREEN_CFG_ARGS = dict(tol=1e-7, max_iter=200)
 
 
 @dataclass
 class ScreenReport:
-    decision: object          # TestDecision
-    beta_u_t: np.ndarray      # sketch-block coefficients
-    v_hat_t: np.ndarray       # t x t covariance block (identified part if degenerate)
-    fit: object               # FitResult of the augmented model
+    decision: object          # TestDecision; decision.df = max(1, r)
+    beta_u_t: np.ndarray      # t sketch coefficients if r = t, else r residual-basis ones
+    v_hat_t: np.ndarray       # robust covariance block of beta_u_t, same coordinates
+    fit: object               # FitResult of the model on (X_A | sqrt(n) Q_r)
     n_used: int
-    identified_rank: int = None   # < p_A + t when the overlap fallback ran
-
-    @property
-    def degenerate(self):
-        return (self.identified_rank is not None
-                and self.identified_rank < len(self.fit.beta))
+    identified_rank: int      # p_A + r
+    degenerate: bool          # r < t: the sketch overlaps span(X_A)
 
 
-def _numerical_rank(M):
-    diag, _ = pivoted_qr_diag(M)
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.sum(diag >= RANK_TOL * diag[0]))
-
-
-def _classify_rank(X_aug, X_a, S, t):
-    """Full-rank check with attribution of any deficiency.
-
-    Returns the identified rank; raises for invalid geometries (degenerate
-    sketch block, underdetermined subset, deficient A view).
-    """
-    p_aug = X_aug.shape[1]
-    rank = _numerical_rank(X_aug)
-    if rank == p_aug:
-        return rank
-    if _numerical_rank(S) < t:
-        raise SingularCovarianceBlock("sketch block is numerically rank deficient")
-    if X_aug.shape[0] < p_aug:
-        raise RankDeficientAugmented("fewer rows than augmented columns")
-    if _numerical_rank(X_a) < X_a.shape[1]:
-        raise RankDeficientAugmented("A's view is rank deficient on these rows")
-    return rank  # sketch overlaps span(X_A): identified-subspace fallback
-
-
-def _robust_covariance(X, y, fam, beta, what):
-    """V1^{-1} V2 V1^{-1} from the unpenalized sandwich pieces at beta."""
-    V1, V2 = sandwich_pieces(X, y, None, fam, beta)
-    V1_inv = _spd_inverse(V1, what)
-    return V1_inv @ V2 @ V1_inv
+def _rank(R, scale=None):
+    """Pivoted-R diagonals reaching RANK_TOL * scale (default: the first one)."""
+    diag = np.abs(np.diag(R))
+    if scale is None:
+        scale = diag[0] if diag.size else 0.0
+    return int(np.sum(diag >= RANK_TOL * scale)) if scale > 0 else 0
 
 
 def _spd_inverse(M, what):
@@ -97,45 +73,15 @@ def _spd_inverse(M, what):
     return scipy.linalg.cho_solve(chol, np.eye(M.shape[0]))
 
 
-class _IdentifiedModel:
-    """Rank-deficient augmented design reduced to its identified subspace.
-
-    The fit runs on X Z for an orthonormal row-space basis Z; the expanded
-    coefficient Z theta is the minimum-norm representative of the solution
-    set. Under the null the tested block's component inside the null space's
-    shadow is pure representation ambiguity of shared covariates; the
-    statistic keeps only its orthocomplement, matching the infinite-variance
-    limit of the sandwich quadratic form.
-    """
-
-    def __init__(self, X_aug):
-        _, s, vt = scipy.linalg.svd(X_aug, full_matrices=False)
-        keep = s >= RANK_TOL * s[0]
-        self.Z = vt[keep].T                 # p x r identified basis
-        self.N = vt[~keep].T                # p x m null-space basis
-        self.X_red = X_aug @ self.Z
-
-    def fit(self, y, fam, cfg):
-        fit_red = fit_offset(self.X_red, y, None, fam, cfg)
-        if not fit_red.converged:
-            raise SolverFailure("identified augmented fit did not converge")
-        self._fit_red = fit_red
-        return FitResult(beta=self.Z @ fit_red.beta, iterations=fit_red.iterations,
-                         grad_norm_inf=fit_red.grad_norm_inf,
-                         converged=True, final_loss=fit_red.final_loss)
-
-    def block_covariance(self, y, fam, t):
-        Vr = _robust_covariance(self.X_red, y, fam, self._fit_red.beta,
-                                "identified Hessian piece")
-        Z_t = self.Z[-t:, :]
-        return Z_t @ Vr @ Z_t.T
-
-    def testable_directions(self, t):
-        """Orthonormal sketch-block directions outside the null space's shadow."""
-        N_t = self.N[-t:, :]
-        u, s, _ = scipy.linalg.svd(N_t, full_matrices=True)
-        m_eff = int(np.sum(s >= RANK_TOL * max(float(s[0]), 1.0))) if s.size else 0
-        return u[:, m_eff:]                 # t x (t - m_eff)
+def _residual_design(X_a, S):
+    """(X_A | sqrt(n) Q_r), X_A's pivoted R, and the pivoted R and column
+    order of S's residual off span(X_A). Q_r holds the residual's leading
+    pivoted-QR columns whose diagonals reach RANK_TOL * S's largest column
+    norm. The n-row factors die on return, before the fit."""
+    Q_a, R_a, _ = pivoted_qr(X_a)
+    Q_s, R_s, piv = pivoted_qr(S - Q_a @ (Q_a.T @ S))
+    r = _rank(R_s, np.max(np.linalg.norm(S, axis=0), initial=0.0))
+    return np.hstack([X_a, np.sqrt(len(X_a)) * Q_s[:, :r]]), R_a, R_s, piv
 
 
 def _screen_fit(view_a, y, sketch, fam, cfg, row_indices):
@@ -143,11 +89,10 @@ def _screen_fit(view_a, y, sketch, fam, cfg, row_indices):
 
     Aligns A's rows with the sketch's: rows B clipped out of the sketch
     (rows_excluded) are dropped first, then row_indices select among the
-    remaining rows. Builds the augmented design, classifies its rank and fits
-    it, on the identified submodel when it is rank deficient. Returns
-    (X_aug, y, rank, K, fit, lam, df): K holds the testable directions of the
-    sketch block (None at full rank: all of them), lam is the tested
-    covariance block and df the number of restrictions tested.
+    remaining rows. Builds the residual basis, fits (X_A | sqrt(n) Q_r) and
+    returns (X_a, y, fit, lam, to_sketch): lam is the robust covariance block
+    of the last r coefficients, and to_sketch maps them back to sketch
+    coordinates when r = t (None otherwise).
     """
     X_a = view_a.design
     y = np.asarray(y, dtype=float)
@@ -164,20 +109,41 @@ def _screen_fit(view_a, y, sketch, fam, cfg, row_indices):
         X_a, y, S = X_a[idx], y[idx], S[idx]
     if X_a.shape[0] != S.shape[0]:
         raise ValueError("sketch rows do not match the view rows")
-    X_aug = np.hstack([X_a, S])
+    n, p_a = X_a.shape
     t = sketch.t
-    rank = _classify_rank(X_aug, X_a, S, t)
-    if rank == X_aug.shape[1]:
-        fit = fit_offset(X_aug, y, None, fam, cfg)
-        if not fit.converged:
-            raise SolverFailure("augmented fit did not converge")
-        lam = _robust_covariance(X_aug, y, fam, fit.beta, "Hessian piece V1")[-t:, -t:]
-        return X_aug, y, rank, None, fit, lam, t
-    ident = _IdentifiedModel(X_aug)
-    fit = ident.fit(y, fam, cfg)
-    K = ident.testable_directions(t)
-    # the surviving quadratic form tests exactly t - m' restrictions
-    return X_aug, y, rank, K, fit, ident.block_covariance(y, fam, t), max(1, K.shape[1])
+    X, R_a, R_s, piv = _residual_design(X_a, S)
+    r = X.shape[1] - p_a
+    if r < t and _rank(pivoted_qr(S)[1]) < t:
+        raise SingularCovarianceBlock("sketch block is numerically rank deficient")
+    if n < p_a + t:
+        raise RankDeficientAugmented("fewer rows than augmented columns")
+    if _rank(R_a) < p_a:
+        raise RankDeficientAugmented("A's view is rank deficient on these rows")
+    fit = fit_offset(X, y, None, fam, cfg)
+    if not fit.converged:
+        raise SolverFailure("augmented fit did not converge")
+    V1, V2 = sandwich_pieces(X, y, None, fam, fit.beta)
+    V1_inv = _spd_inverse(V1, "Hessian piece V1")
+    lam = (V1_inv @ V2 @ V1_inv)[p_a:, p_a:]
+    to_sketch = None
+    if r == t:
+        # S_perp[:, piv] = Q_s R_s, so the sketch coefficients in pivot order
+        # are sqrt(n) R_s^{-1} times the residual-basis ones
+        M = np.sqrt(n) * scipy.linalg.solve_triangular(R_s, np.eye(t))
+        to_sketch = M[np.argsort(piv)]
+    return X_a, y, fit, lam, to_sketch
+
+
+def _report(X_a, fit, lam, to_sketch, stat, alpha):
+    """The report of r = len(lam) tested restrictions, in sketch coordinates if r = t."""
+    n, p_a = X_a.shape
+    r = len(lam)
+    coef = fit.beta[p_a:]
+    if to_sketch is not None:
+        coef, lam = to_sketch @ coef, to_sketch @ lam @ to_sketch.T
+    return ScreenReport(decision=make_decision(stat, max(1, r), alpha), beta_u_t=coef,
+                        v_hat_t=lam, fit=fit, n_used=n, identified_rank=p_a + r,
+                        degenerate=to_sketch is None)
 
 
 def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None):
@@ -187,23 +153,17 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None)
     stay unpenalized. Noised sketches are treated identically to clean ones.
     """
     cfg = SolverConfig(ridge=ridge, **_SCREEN_CFG_ARGS)
-    _, y, rank, K, fit, lam, df = _screen_fit(view_a, y, sketch, fam, cfg, row_indices)
-    n = len(y)
-    beta_t = fit.beta[-sketch.t:]
-    # on the identified submodel only the testable directions enter the form
-    b, lam_b = (beta_t, lam) if K is None else (K.T @ beta_t, K.T @ lam @ K)
-    stat = 0.0 if b.size == 0 else float(
-        n * b @ _spd_inverse(lam_b, "tested covariance block") @ b)
-    return ScreenReport(decision=make_decision(stat, df, alpha), beta_u_t=beta_t,
-                        v_hat_t=lam, fit=fit, n_used=n, identified_rank=rank)
+    X_a, y, fit, lam, to_sketch = _screen_fit(view_a, y, sketch, fam, cfg, row_indices)
+    gamma = fit.beta[X_a.shape[1]:]
+    stat = 0.0 if gamma.size == 0 else float(
+        len(y) * gamma @ _spd_inverse(lam, "tested covariance block") @ gamma)
+    return _report(X_a, fit, lam, to_sketch, stat, alpha)
 
 
 def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None):
     """Likelihood-ratio screening: 2n * (A-only loss - augmented loss).
 
     Valid only for likelihood-backed families; both fits are unpenalized.
-    The augmented loss is well defined even on the overlap-degenerate
-    geometry (all minimizers share it).
     """
     if not fam.is_glm:
         raise NotAGlm("likelihood-ratio screening needs a GLM family")
@@ -211,13 +171,9 @@ def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None):
         warnings.warn("likelihood-ratio screening is designed for t < p_B",
                       stacklevel=2)
     cfg = SolverConfig(**_SCREEN_CFG_ARGS)
-    X_aug, y, rank, _, fit_u, lam, df = _screen_fit(view_a, y, sketch, fam, cfg,
-                                                    row_indices)
-    fit_a = fit_offset(X_aug[:, :view_a.p], y, None, fam, cfg)
+    X_a, y, fit_u, lam, to_sketch = _screen_fit(view_a, y, sketch, fam, cfg, row_indices)
+    fit_a = fit_offset(X_a, y, None, fam, cfg)
     if not fit_a.converged:
         raise SolverFailure("A-only screening fit did not converge")
-    n = len(y)
-    stat = max(0.0, 2.0 * n * (fit_a.final_loss - fit_u.final_loss))
-    return ScreenReport(decision=make_decision(stat, df, alpha),
-                        beta_u_t=fit_u.beta[-sketch.t:], v_hat_t=lam, fit=fit_u,
-                        n_used=n, identified_rank=rank)
+    stat = max(0.0, 2.0 * len(y) * (fit_a.final_loss - fit_u.final_loss))
+    return _report(X_a, fit_u, lam, to_sketch, stat, alpha)

@@ -61,8 +61,11 @@ def normal_quantile(p):
 def auc(scores, labels):
     """Area under the ROC curve as the Mann-Whitney statistic, ties counted 1/2.
 
-    A tie group shares its midrank, so any sort order gives the same ranks."""
+    A tie group shares its midrank, so any sort order gives the same ranks.
+    Non-finite scores have no rank and raise DomainError."""
     scores = np.asarray(scores, dtype=float)
+    if not np.isfinite(scores).all():
+        raise DomainError("AUC scores must be finite")
     labels = np.asarray(labels)
     pos = labels == 1
     neg = labels == 0

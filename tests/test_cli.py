@@ -100,6 +100,17 @@ class TestPower:
         assert got == counts
         assert len(set(counts.values())) > 1  # the grid does not reject uniformly
 
+    def test_near_collinear_sketch_completes(self, tmp_path):
+        # seed 2828282983 draws an s2 replication whose clean t = 4 sketch is
+        # nearly inside span(X_A) (pivoted-QR diagonal ratio 2.3e-5 of the
+        # augmented design); the screen must still decide instead of exiting 3
+        out = tmp_path / "pw.csv"
+        assert main(["power", "--settings", "s2", "--t-list", "1,2,3,4",
+                     "--noise-list", "0,0.1,0.5", "--n", "20000", "--reps", "1",
+                     "--rho", "0.1", "--seed", "2828282983", "--out", str(out)]) == 0
+        _, rows = read_output(out)
+        assert len(rows) == 12
+
     def test_leaves_scipy_special_unloaded(self, tmp_path):
         # importing scipy.special or scipy.stats costs tens of milliseconds of
         # start-up and megabytes of memory; the screening path needs neither

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from aeal.data import AgentView, Owner
 from aeal.errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock)
@@ -72,14 +71,18 @@ class TestWald:
             wald_screen(make_view(X_a), y, sketch, GAUSS)
 
     def test_scale_invariance(self):
+        # a ridge screen penalizes the residual-basis coordinates, which do not
+        # depend on the sketch's scale
         X_a, X_b, y, rng = gaussian_fixture(seed=5, signal_b=0.1)
         U = make_projection(2, 2, rng)
         S = project(X_b, U)
-        base = wald_screen(make_view(X_a), y, SketchPackage(projected=S, t=2), GAUSS)
-        scaled = wald_screen(make_view(X_a), y,
-                             SketchPackage(projected=3.7 * S, t=2), GAUSS)
-        rel = abs(scaled.decision.statistic - base.decision.statistic)
-        assert rel <= 1e-8 * max(1.0, base.decision.statistic)
+        for ridge in (0.0, 1e-2):
+            base = wald_screen(make_view(X_a), y, SketchPackage(projected=S, t=2), GAUSS,
+                               ridge=ridge)
+            scaled = wald_screen(make_view(X_a), y, SketchPackage(projected=3.7 * S, t=2),
+                                 GAUSS, ridge=ridge)
+            rel = abs(scaled.decision.statistic - base.decision.statistic)
+            assert rel <= 1e-8 * max(1.0, base.decision.statistic), ridge
 
     def test_report_fields(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=6)
@@ -114,6 +117,33 @@ class TestWald:
         sketch = make_sketch(X_b, 2, rng)
         rep = wald_screen(make_view(X_a), y, sketch, GAUSS, ridge=1e-4)
         assert 0.0 <= rep.decision.p_value <= 1.0
+
+
+class TestOverlap:
+    def test_clean_sketch_tests_b_exclusive_directions(self):
+        # s2 shares x5..x8, so B holds x9..x12 alone: a clean sketch of t >= 4
+        # columns adds exactly their span to X_A, and t = 5 overlaps span(X_A)
+        design = SimDesign(setting="s2", n=20000, rho=0.1, family=LOGIT)
+        rng = spawn_rngs(11, 1)[0]
+        sim = simulate(design, rng, hypothesis="h1")
+        view_a = make_view(sim.X_a)
+        want = direct_wald(np.hstack([sim.X_a, sim.X_b[:, -4:]]), sim.y, LOGIT, 4)
+        for t in (4, 5):
+            rep = wald_screen(view_a, sim.y, make_sketch(sim.X_b, t, rng), LOGIT)
+            assert rep.decision.df == 4
+            assert rep.degenerate == (t == 5)
+            assert rep.identified_rank == sim.X_a.shape[1] + 4
+            assert rep.beta_u_t.shape == (4,) and rep.v_hat_t.shape == (4, 4)
+            assert abs(rep.decision.statistic - want) <= 1e-6 * want
+
+    def test_sketch_inside_span_tests_nothing(self):
+        X_a, _, y, _ = gaussian_fixture(seed=24, signal_b=0.0)
+        sketch = SketchPackage(projected=X_a[:, :2] @ np.array([[1.0, 2.0], [-1.0, 0.5]]),
+                               t=2)
+        for screen in (wald_screen, lrt_screen):
+            rep = screen(make_view(X_a), y, sketch, GAUSS)
+            assert rep.degenerate and rep.decision.df == 1
+            assert rep.decision.statistic == 0.0 and not rep.decision.reject
 
 
 class TestLrt:

@@ -113,6 +113,12 @@ class TestAuc:
         with pytest.raises(OneClassOnly):
             auc([1.0, 2.0], [1, 1])
 
+    def test_non_finite_scores_rejected(self):
+        # a NaN has no rank; sorting it last would read as a score
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                auc([bad, 0.1, 0.2, 0.3], [1, 0, 1, 0])
+
     def test_tie_order_does_not_matter(self):
         # every tie group gets one midrank, so the sort's order inside a tie
         # cannot reach the result
