@@ -3,7 +3,8 @@
 An AlignedDataset holds the response and every covariate column together
 with an owner tag (A-only, B-only, or shared). Each agent's view is the
 dense design matrix assembled from its own plus the shared columns; views
-must have full column rank. Datasets are immutable after construction.
+must have full column rank (singular values against RANK_TOL; numpy only,
+free of scipy). Datasets are immutable after construction.
 """
 
 import csv
@@ -11,12 +12,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DuplicateId, EmptyIntersection, MissingId,
                      RankDeficientView, SharedColumnMismatch)
 
-RANK_TOL = 1e-10  # relative tolerance on pivoted-QR diagonals
+RANK_TOL = 1e-10  # relative tolerance on singular values
 
 
 class Owner(enum.Enum):
@@ -57,23 +57,27 @@ class AgentView:
         return self.design.shape[1]
 
 
-def pivoted_qr(matrix):
-    """Column-pivoted economic QR: (Q, R, column order)."""
-    return scipy.linalg.qr(matrix, mode="economic", pivoting=True)
+def numerical_rank(sigma, scale=None):
+    """Singular values reaching RANK_TOL * scale (default: the largest one)."""
+    if scale is None:
+        scale = np.max(sigma, initial=0.0)
+    return int(np.count_nonzero(sigma >= RANK_TOL * scale)) if scale > 0 else 0
 
 
 def _check_full_rank(matrix, names, owner):
-    """Column-pivoted QR rank check; names the first numerically dependent column."""
-    if matrix.shape[1] == 0:
+    """Singular-value rank check of R; names the first column that the columns
+    before it span (the first leading block of R short of full rank)."""
+    p = matrix.shape[1]
+    if p == 0:
         return
-    _, r, piv = pivoted_qr(matrix)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        raise RankDeficientView(owner.value, names[piv[0]])
-    bad = np.nonzero(diag < RANK_TOL * diag[0])[0]
-    first = int(bad[0]) if bad.size else diag.size  # columns past the row count are dependent
-    if first < matrix.shape[1]:
-        raise RankDeficientView(owner.value, names[piv[first]])
+    R = np.linalg.qr(matrix, mode="r")
+    sigma = np.linalg.svd(R, compute_uv=False)
+    if numerical_rank(sigma) == p:
+        return
+    scale = np.max(sigma, initial=0.0)
+    first = next(k for k in range(1, p + 1)
+                 if numerical_rank(np.linalg.svd(R[:k, :k], compute_uv=False), scale) < k)
+    raise RankDeficientView(owner.value, names[first - 1])
 
 
 def _freeze(arr):

@@ -18,7 +18,6 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DimensionMismatch, ProtocolError, SingularVariance,
                      SolverFailure, TransportFailure)
@@ -26,7 +25,7 @@ from .losses import parse_family
 from .messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare,
                        Stop, decode)
 from .sketch import mask_response, unmask_probability
-from .solver import SolverConfig, fit_offset, sandwich_pieces
+from .solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse
 from .stats import normal_quantile
 from .transport import Recorder, local_pair
 
@@ -98,10 +97,9 @@ def _predictor_covariance(X, y, offset, fam, beta):
     """Sandwich variance of x' beta_hat: V1^-1 V2 V1^-1 / n."""
     V1, V2 = sandwich_pieces(X, y, offset, fam, beta)
     try:
-        chol = scipy.linalg.cho_factor(V1, lower=True)
-    except scipy.linalg.LinAlgError:
+        V1_inv = spd_inverse(V1)
+    except np.linalg.LinAlgError:
         raise SingularVariance("Hessian piece V1 is not positive definite")
-    V1_inv = scipy.linalg.cho_solve(chol, np.eye(V1.shape[0]))
     return V1_inv @ V2 @ V1_inv / X.shape[0]
 
 

@@ -1,12 +1,13 @@
 """A-side usefulness screening of Bob's sketch S against Alice's columns X_A.
 
 Both tests run on one reparametrization of the augmented design (X_A | S).
-A column-pivoted QR of X_A gives an orthonormal basis Q_A of A's span; the
-sketch's residual S_perp = S - Q_A Q_A' S is factored by a second pivoted QR,
-whose r diagonals at or above RANK_TOL times S's largest column norm give an
-orthonormal basis Q_r of what the sketch adds beyond X_A. The model is then
-fit once on (X_A | sqrt(n) Q_r), so the tested block has unit mean-square
-columns whatever the sketch's scale.
+S is projected off span(X_A) twice through one Cholesky of X_A'X_A, and the
+residual S_perp is factored by a thin SVD U Sigma V'. Its r singular values
+at or above RANK_TOL times S's largest column norm give an orthonormal basis
+U_r of what the sketch adds beyond X_A. The model is then fit once on
+(X_A | sqrt(n) U_r), so the tested block has unit mean-square columns
+whatever the sketch's scale; when r = t, sqrt(n) V Sigma^-1 maps its
+coefficients back to sketch coordinates.
 
 The Wald test compares n * gamma' V_r^{-1} gamma against the chi-squared(df)
 upper tail, where gamma holds the last r coefficients and V_r is their block
@@ -21,21 +22,20 @@ screen does not depend on the sketch's arbitrary scale either.
 r < t (the report's `degenerate`) happens when the sketch overlaps span(X_A):
 with shared covariates a noise-free sketch of more columns than B holds
 exclusively tests only those exclusive directions. A sketch of rank below t
-(SingularCovarianceBlock), fewer rows than p_A + t or an A view that is
-deficient on the aligned rows (RankDeficientAugmented) raise. Both tests drop
-the rows B clipped out of the sketch (rows_excluded) before pairing rows.
+(SingularCovarianceBlock), fewer rows than p_A + t or an X_A'X_A that fails
+the solver's pivot floor (RankDeficientAugmented) raise. Both tests drop the
+rows B clipped out of the sketch (rows_excluded) before pairing rows.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .data import RANK_TOL, pivoted_qr
+from .data import numerical_rank
 from .errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock,
                      SolverFailure)
-from .solver import SolverConfig, fit_offset, sandwich_pieces
+from .solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse
 from .stats import make_decision
 
 # a decision needs fewer digits than training: the looser stationarity floor
@@ -48,40 +48,41 @@ class ScreenReport:
     decision: object          # TestDecision; decision.df = max(1, r)
     beta_u_t: np.ndarray      # t sketch coefficients if r = t, else r residual-basis ones
     v_hat_t: np.ndarray       # robust covariance block of beta_u_t, same coordinates
-    fit: object               # FitResult of the model on (X_A | sqrt(n) Q_r)
+    fit: object               # FitResult of the model on (X_A | sqrt(n) U_r)
     n_used: int
     identified_rank: int      # p_A + r
     degenerate: bool          # r < t: the sketch overlaps span(X_A)
 
 
-def _rank(R, scale=None):
-    """Pivoted-R diagonals reaching RANK_TOL * scale (default: the first one)."""
-    diag = np.abs(np.diag(R))
-    if scale is None:
-        scale = diag[0] if diag.size else 0.0
-    return int(np.sum(diag >= RANK_TOL * scale)) if scale > 0 else 0
-
-
 def _spd_inverse(M, what):
     try:
-        chol = scipy.linalg.cho_factor(M, lower=True)
-        d = np.diag(chol[0])
-        if np.min(d) ** 2 <= 1e-12 * np.max(np.diag(M)):
-            raise scipy.linalg.LinAlgError("numerically singular")
-    except scipy.linalg.LinAlgError:
+        return spd_inverse(M, 1e-12)
+    except np.linalg.LinAlgError:
         raise SingularCovarianceBlock(f"{what} is not positive definite")
-    return scipy.linalg.cho_solve(chol, np.eye(M.shape[0]))
 
 
 def _residual_design(X_a, S):
-    """(X_A | sqrt(n) Q_r), X_A's pivoted R, and the pivoted R and column
-    order of S's residual off span(X_A). Q_r holds the residual's leading
-    pivoted-QR columns whose diagonals reach RANK_TOL * S's largest column
-    norm. The n-row factors die on return, before the fit."""
-    Q_a, R_a, _ = pivoted_qr(X_a)
-    Q_s, R_s, piv = pivoted_qr(S - Q_a @ (Q_a.T @ S))
-    r = _rank(R_s, np.max(np.linalg.norm(S, axis=0), initial=0.0))
-    return np.hstack([X_a, np.sqrt(len(X_a)) * Q_s[:, :r]]), R_a, R_s, piv
+    """(X_A | sqrt(n) U_r), column-major for the fit's products and X_A itself
+    if r = 0, and the map sqrt(n) V Sigma^-1 to sketch coordinates if r = t
+    (else None). The n-row temporaries die on return, before the fit."""
+    try:  # the solver's floor: a Gram matrix it could not invert fails here
+        G_inv = spd_inverse(X_a.T @ X_a, 1e-14)
+    except np.linalg.LinAlgError:
+        raise RankDeficientAugmented("A's view is rank deficient on these rows")
+    # one pass through the normal equations leaves an error of order
+    # cond(X_A)^2 eps in span(X_A); the second pass removes it
+    S_perp = S - X_a @ (G_inv @ (X_a.T @ S))
+    S_perp -= X_a @ (G_inv @ (X_a.T @ S_perp))
+    U, sigma, Vt = np.linalg.svd(S_perp, full_matrices=False)
+    r = numerical_rank(sigma, np.max(np.linalg.norm(S, axis=0), initial=0.0))
+    n, p_a = X_a.shape
+    to_sketch = np.sqrt(n) * Vt.T / sigma if r == S.shape[1] else None
+    if r == 0:
+        return X_a, to_sketch
+    X = np.empty((n, p_a + r), order="F")
+    X[:, :p_a] = X_a
+    np.multiply(U[:, :r], np.sqrt(n), out=X[:, p_a:])
+    return X, to_sketch
 
 
 def _screen_fit(view_a, y, sketch, fam, cfg, row_indices):
@@ -89,7 +90,7 @@ def _screen_fit(view_a, y, sketch, fam, cfg, row_indices):
 
     Aligns A's rows with the sketch's: rows B clipped out of the sketch
     (rows_excluded) are dropped first, then row_indices select among the
-    remaining rows. Builds the residual basis, fits (X_A | sqrt(n) Q_r) and
+    remaining rows. Builds the residual basis, fits (X_A | sqrt(n) U_r) and
     returns (X_a, y, fit, lam, to_sketch): lam is the robust covariance block
     of the last r coefficients, and to_sketch maps them back to sketch
     coordinates when r = t (None otherwise).
@@ -111,26 +112,18 @@ def _screen_fit(view_a, y, sketch, fam, cfg, row_indices):
         raise ValueError("sketch rows do not match the view rows")
     n, p_a = X_a.shape
     t = sketch.t
-    X, R_a, R_s, piv = _residual_design(X_a, S)
+    X, to_sketch = _residual_design(X_a, S)
     r = X.shape[1] - p_a
-    if r < t and _rank(pivoted_qr(S)[1]) < t:
+    if r < t and numerical_rank(np.linalg.svd(S, compute_uv=False)) < t:
         raise SingularCovarianceBlock("sketch block is numerically rank deficient")
     if n < p_a + t:
         raise RankDeficientAugmented("fewer rows than augmented columns")
-    if _rank(R_a) < p_a:
-        raise RankDeficientAugmented("A's view is rank deficient on these rows")
     fit = fit_offset(X, y, None, fam, cfg)
     if not fit.converged:
         raise SolverFailure("augmented fit did not converge")
     V1, V2 = sandwich_pieces(X, y, None, fam, fit.beta)
     V1_inv = _spd_inverse(V1, "Hessian piece V1")
     lam = (V1_inv @ V2 @ V1_inv)[p_a:, p_a:]
-    to_sketch = None
-    if r == t:
-        # S_perp[:, piv] = Q_s R_s, so the sketch coefficients in pivot order
-        # are sqrt(n) R_s^{-1} times the residual-basis ones
-        M = np.sqrt(n) * scipy.linalg.solve_triangular(R_s, np.eye(t))
-        to_sketch = M[np.argsort(piv)]
     return X_a, y, fit, lam, to_sketch
 
 

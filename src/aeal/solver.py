@@ -11,7 +11,6 @@ for GLM families the step coincides with IRLS.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularHessian
 
@@ -52,6 +51,17 @@ def _objective(X, y, offset, fam, lam, beta):
     return val
 
 
+def spd_inverse(M, floor=None):
+    """L^-T L^-1 from the Cholesky factor L of M. Raises np.linalg.LinAlgError
+    if M does not factor or, given a floor, if the squared smallest pivot is at
+    most floor * max(diag M): rounding can let an exactly singular M factor."""
+    L = np.linalg.cholesky(M)
+    if floor is not None and M.size and np.min(np.diag(L)) ** 2 <= floor * np.max(np.diag(M)):
+        raise np.linalg.LinAlgError("numerically singular")
+    L_inv = np.linalg.inv(L)
+    return L_inv.T @ L_inv
+
+
 def fit_offset(X, y, offset, fam, cfg=None, init=None):
     """Minimize the offset objective by damped Newton; returns the unique
     stationary point when the objective is strictly convex.
@@ -89,17 +99,11 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
         if lam > 0:
             H = H + 2.0 * lam * np.eye(p)
         try:
-            chol = scipy.linalg.cho_factor(H, lower=True)
-            # rounding can let an exactly singular Gram matrix factor; the
-            # squared smallest pivot exposes it
-            d = np.diag(chol[0])
-            if np.min(d) ** 2 <= 1e-14 * np.max(np.diag(H)):
-                raise scipy.linalg.LinAlgError("numerically singular")
-        except scipy.linalg.LinAlgError:
+            step = spd_inverse(H, 1e-14) @ g
+        except np.linalg.LinAlgError:
             if lam == 0:
                 raise SingularHessian("Newton system singular; design may be rank deficient")
             raise
-        step = scipy.linalg.cho_solve(chol, g)
         slope = float(g @ step)  # descent amount predicted by the model
         # near the minimum the predicted decrease falls below the rounding of
         # the objective itself; a step is accepted within that rounding, so a

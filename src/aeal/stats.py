@@ -1,6 +1,6 @@
 """Statistical special functions and evaluation metrics.
 
-Keeps the screening path free of scipy.special: chi-squared upper tails in
+Free of scipy, like the rest of the package: chi-squared upper tails in
 closed form for integer degrees of freedom, normal quantiles from the
 standard library.
 """

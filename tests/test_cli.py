@@ -111,14 +111,24 @@ class TestPower:
         _, rows = read_output(out)
         assert len(rows) == 12
 
-    def test_leaves_scipy_special_unloaded(self, tmp_path):
-        # importing scipy.special or scipy.stats costs tens of milliseconds of
-        # start-up and megabytes of memory; the screening path needs neither
-        script = ("import sys\nfrom aeal.cli import main\n"
+    def test_leaves_scipy_unloaded(self, tmp_path):
+        # importing scipy costs most of the package's start-up and megabytes of
+        # memory; neither the screening path nor a train session needs it
+        script = ("import sys\nimport numpy as np\nfrom aeal.cli import main\n"
+                  "from aeal.data import AgentView, Owner\n"
+                  "from aeal.losses import parse_family\n"
+                  "from aeal.protocol import train\n"
+                  "from aeal.simulate import SimDesign, simulate\n"
                   "main(['power', '--reps', '1', '--settings', 's2', '--t-list', '1,5', "
                   f"'--noise-list', '0', '--n', '300', '--out', {str(tmp_path / 'p.csv')!r}])\n"
-                  "assert 'scipy.special' not in sys.modules\n"
-                  "assert 'scipy.stats' not in sys.modules\n")
+                  "fam = parse_family('logistic')\n"
+                  "sim = simulate(SimDesign(setting='s2', n=300, family=fam),\n"
+                  "               np.random.default_rng(1))\n"
+                  "own = sim.ownership\n"
+                  "train(AgentView(sim.X_a, own.a_names, Owner.A), sim.y,\n"
+                  "      AgentView(sim.X_b, own.b_names, Owner.B), fam)\n"
+                  "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                  "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -119,10 +119,15 @@ def test_dataset_immutable():
 
 
 def test_agent_view_rank_check():
+    # the named column is the first one that the columns before it span
     x = np.arange(6.0)
-    with pytest.raises(RankDeficientView):
-        AgentView(design=np.column_stack([x, 2 * x]), column_names=("a", "b"),
-                  owner=Owner.A)
+    z = np.ones(6)
+    cases = [(np.column_stack([x, 2 * x]), ("a", "b"), "b"),
+             (np.column_stack([z, x, z + x, x ** 2]), ("z", "x", "zx", "w"), "zx")]
+    for design, names, named in cases:
+        with pytest.raises(RankDeficientView) as info:
+            AgentView(design=design, column_names=names, owner=Owner.A)
+        assert info.value.column == named
 
 
 class TestSplit:

@@ -6,7 +6,8 @@ import pytest
 
 from aeal import protocol
 from aeal.data import AgentView, Owner
-from aeal.errors import DimensionMismatch, ProtocolError, SolverFailure
+from aeal.errors import (DimensionMismatch, ProtocolError, SingularVariance,
+                         SolverFailure)
 from aeal.losses import LossFamily
 from aeal.messages import PROTOCOL_VERSION, Handshake, Offset, decode
 from aeal.protocol import (StopCriterion, TrainSession, joint_loss, predict,
@@ -196,6 +197,12 @@ class TestFailFast:
         with pytest.raises(SolverFailure, match=f"^{side}'s"):
             train(va, y, vb, GAUSS)
         assert time.perf_counter() - start < 1.0
+
+    def test_singular_predictor_covariance(self):
+        # a zero column makes V1 exactly singular
+        X = np.column_stack([np.ones(10), np.zeros(10)])
+        with pytest.raises(SingularVariance):
+            protocol._predictor_covariance(X, np.arange(10.0), None, GAUSS, np.zeros(2))
 
 
 class TestRidge:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aeal import screening
 from aeal.data import AgentView, Owner
 from aeal.errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock)
 from aeal.losses import LossFamily
@@ -72,17 +73,33 @@ class TestWald:
 
     def test_scale_invariance(self):
         # a ridge screen penalizes the residual-basis coordinates, which do not
-        # depend on the sketch's scale
+        # depend on the sketch's scale or on an orthogonal rotation of it
         X_a, X_b, y, rng = gaussian_fixture(seed=5, signal_b=0.1)
         U = make_projection(2, 2, rng)
         S = project(X_b, U)
+        O = np.linalg.qr(rng.normal(size=(2, 2)))[0]
         for ridge in (0.0, 1e-2):
             base = wald_screen(make_view(X_a), y, SketchPackage(projected=S, t=2), GAUSS,
                                ridge=ridge)
-            scaled = wald_screen(make_view(X_a), y, SketchPackage(projected=3.7 * S, t=2),
-                                 GAUSS, ridge=ridge)
-            rel = abs(scaled.decision.statistic - base.decision.statistic)
-            assert rel <= 1e-8 * max(1.0, base.decision.statistic), ridge
+            for other in (3.7 * S, S @ O):
+                alt = wald_screen(make_view(X_a), y, SketchPackage(projected=other, t=2),
+                                  GAUSS, ridge=ridge)
+                rel = abs(alt.decision.statistic - base.decision.statistic)
+                assert rel <= 1e-8 * max(1.0, base.decision.statistic), ridge
+
+    def test_singular_covariance_pieces_raise(self, monkeypatch):
+        # exactly singular V1 or tested block: the screen's own error type
+        X_a, X_b, y, rng = gaussian_fixture(seed=7)
+        sketch = make_sketch(X_b, 2, rng)
+        real = screening.sandwich_pieces
+        for piece, what in ((0, "Hessian piece V1"), (1, "tested covariance block")):
+            def singular(*args, piece=piece):
+                pieces = list(real(*args))
+                pieces[piece] = np.zeros_like(pieces[piece])
+                return tuple(pieces)
+            monkeypatch.setattr(screening, "sandwich_pieces", singular)
+            with pytest.raises(SingularCovarianceBlock, match=what):
+                wald_screen(make_view(X_a), y, sketch, GAUSS)
 
     def test_report_fields(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=6)
@@ -214,6 +231,10 @@ class TestSubset:
         with pytest.raises(RankDeficientAugmented):
             wald_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
                         row_indices=np.arange(4))  # fewer rows than columns
+        X_a[:50, 0] = 0.0  # full rank overall, deficient on the first 50 rows
+        with pytest.raises(RankDeficientAugmented, match="A's view"):
+            wald_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
+                        row_indices=np.arange(50))
 
     def test_lrt_on_subset(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=20, n=400, signal_b=0.3)
