@@ -82,14 +82,16 @@ def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0):
     q_steps = cfg.q_local if cfg.algorithm == FEDBCD else 1
     mu = cfg.mu if cfg.algorithm == FEDBCD else 0.0
 
+    if cfg.batch is None:
+        # C-ordered like a row gather: a matvec on an F-ordered view rounds differently
+        Xa_k, Xb_k, y_k = (np.ascontiguousarray(v) for v in (X_a, X_b, y))
+        m = n
     k = 0
     for k in range(1, cfg.max_rounds + 1):
-        if cfg.batch is None:
-            idx = np.arange(n)
-        else:
+        if cfg.batch is not None:
             idx = batch_rng.choice(n, size=min(cfg.batch, n), replace=False)
-        Xa_k, Xb_k, y_k = X_a[idx], X_b[idx], y[idx]
-        m = len(idx)
+            Xa_k, Xb_k, y_k = X_a[idx], X_b[idx], y[idx]
+            m = len(idx)
         lr = _step(cfg, k)
 
         # B -> A: batch predictor; A -> B: per-row gradient at the sync point
@@ -105,8 +107,9 @@ def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0):
             g_rows = grad_rows if j == 0 else fam.grad(y_k, Xa_k @ beta_a + nu_b_stale)
             g_a = Xa_k.T @ g_rows / m + 2.0 * mu * (beta_a - sync_a)
             beta_a = beta_a - lr * g_a
+        g_b_stale = Xb_k.T @ grad_stale / m  # the same at every local step
         for _ in range(q_steps):
-            g_b = Xb_k.T @ grad_stale / m + 2.0 * mu * (beta_b - sync_b)
+            g_b = g_b_stale + 2.0 * mu * (beta_b - sync_b)
             beta_b = beta_b - lr * g_b
 
         cur = full_loss(beta_a, beta_b)

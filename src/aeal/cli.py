@@ -135,8 +135,12 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
 
         oracle_metric = 0.0
 
+    # Stopping once beta_A repeats exactly cuts no round short: each fit returned
+    # has converged, so once beta_A^k = beta_A^(k-1), Bob's next fit starts where he
+    # already converged for the same offset and takes no Newton step; so does
+    # Alice's, and every later entry equals entry k (the caller holds the last one).
     sess = train(view_a, sim.y, view_b, fam,
-                 stop=StopCriterion(offset_tol=None, coef_tol=None, max_rounds=rounds))
+                 stop=StopCriterion(offset_tol=None, coef_tol=0.0, max_rounds=rounds))
     aeal_curve = [metric(ba, bb) for ba, bb in sess.history]
 
     curves = {"oracle": [oracle_metric] * (rounds + 1), "aeal": aeal_curve}

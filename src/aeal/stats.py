@@ -75,15 +75,17 @@ def auc(scores, labels):
         raise OneClassOnly("both classes required for AUC")
     order = np.argsort(scores)
     s = scores[order]
-    n = len(s)
     starts_new = np.r_[True, s[1:] != s[:-1]]
-    group = np.cumsum(starts_new) - 1
-    counts = np.bincount(group)
-    ends = np.cumsum(counts)                    # 1-based last rank per tie group
-    mid = ends - (counts - 1) / 2.0             # midrank per tie group
-    ranks = np.empty(n, dtype=float)
-    ranks[order] = mid[group]
-    rank_sum_pos = float(ranks[pos].sum())
+    if starts_new.all():  # no ties: the 1-based positions are the ranks, an exact integer sum
+        rank_sum_pos = float(np.flatnonzero(pos[order]).sum() + n_pos)
+    else:
+        group = np.cumsum(starts_new) - 1
+        counts = np.bincount(group)
+        ends = np.cumsum(counts)                # 1-based last rank per tie group
+        mid = ends - (counts - 1) / 2.0         # midrank per tie group
+        ranks = np.empty(len(s), dtype=float)
+        ranks[order] = mid[group]
+        rank_sum_pos = float(ranks[pos].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -104,6 +104,27 @@ class TestFedBcd:
         assert np.all(np.isfinite(sess.beta_a)) and np.all(np.isfinite(sess.beta_b))
 
 
+@pytest.mark.parametrize("algorithm", ["fedsgd", "fedbcd"])
+def test_full_batch_ignores_design_layout(algorithm):
+    # a matvec on an F-ordered design may round differently from one on a
+    # C-ordered copy; the full batch must not let the layout reach a bit
+    sim, _, _ = fixture(seed=9, n=300, family=LOGIT, setting="s2", rho=0.1)
+    cfg = BaselineConfig(algorithm=algorithm, step0=0.5, decay="sqrt", batch=None,
+                         max_rounds=20)
+    runs = []
+    for order in (np.asfortranarray, np.ascontiguousarray):
+        va = AgentView(design=order(sim.X_a), column_names=sim.ownership.a_names,
+                       owner=Owner.A)
+        vb = AgentView(design=order(sim.X_b), column_names=sim.ownership.b_names,
+                       owner=Owner.B)
+        assert va.design.flags.f_contiguous != va.design.flags.c_contiguous
+        runs.append(train_baseline(va, sim.y, vb, LOGIT, cfg))
+    f_run, c_run = runs
+    assert f_run.transcript == c_run.transcript
+    for (a1, b1), (a2, b2) in zip(f_run.history, c_run.history, strict=True):
+        assert a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
+
+
 class TestComparative:
     def test_alternating_beats_gradient_exchange(self):
         # tuned full-batch gradient exchange after 50 rounds still trails the

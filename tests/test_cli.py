@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import socket
 import subprocess
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from aeal import protocol
 from aeal.cli import main
 from aeal.data import AgentView, Owner, from_arrays, write_owner_csvs
 from aeal.losses import parse_family
@@ -147,6 +149,27 @@ class TestTrainCompare:
         assert len(oracle_vals) == 1
         for m in methods:
             assert [int(r["round"]) for r in rows if r["method"] == m] == list(range(5))
+
+    @pytest.mark.parametrize("family", ["logistic", "gaussian"])
+    def test_fixed_point_stop_leaves_csv_unchanged(self, tmp_path, monkeypatch, family):
+        # the AEAL session stops once its coefficients repeat exactly; running
+        # every round instead must write the same bytes
+        argv = ["train-compare", "--setting", "s2", "--family", family, "--n", "400",
+                "--rounds", "30", "--eval-size", "1000", "--grid-size", "2",
+                "--reps", "2", "--seed", "8"]
+        assert main(argv + ["--out", str(tmp_path / "stop.csv")]) == 0
+        train, shipped_tols = protocol.train, []
+
+        def train_all_rounds(*args, stop, **kw):
+            shipped_tols.append(stop.coef_tol)
+            return train(*args, stop=dataclasses.replace(stop, coef_tol=None), **kw)
+
+        monkeypatch.setattr(protocol, "train", train_all_rounds)
+        assert main(argv + ["--out", str(tmp_path / "full.csv")]) == 0
+        assert shipped_tols == [0.0, 0.0]  # one session per replication
+        bodies = [(tmp_path / name).read_text().split("\n", 1)[1]
+                  for name in ("stop.csv", "full.csv")]
+        assert bodies[0] == bodies[1]
 
 
 class TestRobustU:

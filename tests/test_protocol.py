@@ -164,6 +164,24 @@ class TestTrainLoop:
         gap = np.max(np.abs(sess.nu_a + sess.nu_b - sim.X @ oracle.beta))
         assert gap <= 1e-4
 
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson", "logcosh"])
+    def test_exact_coef_stop_is_a_fixed_point(self, family):
+        # once beta_A repeats bit for bit, every later round repeats too, so
+        # stopping there and holding the last entry loses nothing
+        fam = LossFamily(family)
+        design = SimDesign(setting="s2", n=500, rho=0.1, family=fam)
+        sim = simulate(design, np.random.default_rng(31), hypothesis="h1")
+        va, vb = views_from(sim)
+        runs = [train(va, sim.y, vb, fam,
+                      stop=StopCriterion(offset_tol=None, coef_tol=tol, max_rounds=40))
+                for tol in (0.0, None)]
+        stopped, full = runs[0].history, runs[1].history
+        assert len(full) == 41
+        assert runs[0].rounds < 40 and runs[0].stop_reason == "CoefDelta"
+        padded = stopped + [stopped[-1]] * (len(full) - len(stopped))
+        for (a1, b1), (a2, b2) in zip(padded, full):
+            assert a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
+
     def test_warm_start_just_above_tolerance_converges(self, monkeypatch):
         # a warm-started fit here starts with its gradient just above the
         # solver tolerance, where the predicted decrease is below the

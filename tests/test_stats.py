@@ -134,6 +134,27 @@ class TestAuc:
         brute = (np.sum(diff > 0) + 0.5 * np.sum(diff == 0)) / diff.size
         assert auc(s, lab) == brute
 
+    def test_untied_scores_match_pair_count(self):
+        # untied scores are ranked by position; the result is the exact pair
+        # count whatever the input order
+        rng = np.random.default_rng(22)
+        scores = rng.normal(size=3000)
+        labels = (rng.uniform(size=3000) < 1.0 / (1.0 + np.exp(-scores))).astype(int)
+        assert len(np.unique(scores)) == 3000
+        diff = scores[labels == 1][:, None] - scores[labels == 0][None, :]
+        base = auc(scores, labels)
+        assert base == np.sum(diff > 0) / diff.size
+        for _ in range(5):
+            perm = rng.permutation(3000)
+            assert auc(scores[perm], labels[perm]).hex() == base.hex()
+        # one tied pair takes the midrank path
+        tied = scores.copy()
+        i, j = np.flatnonzero(labels == 1)[0], np.flatnonzero(labels == 0)[0]
+        tied[j] = tied[i]
+        diff = tied[labels == 1][:, None] - tied[labels == 0][None, :]
+        assert np.sum(diff == 0) == 1
+        assert auc(tied, labels) == (np.sum(diff > 0) + 0.5) / diff.size
+
 
 class TestKsUniform:
     def test_centered_grid(self):
