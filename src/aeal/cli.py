@@ -72,8 +72,7 @@ def cmd_qq(args):
         for t in range(1, args.t_max + 1):
             report = _screen(view_a, sim, t, args.laplace_scale, fam, args, rng)
             rows.append((rep, t, format_float(report.decision.p_value)))
-    _write_csv(args.out, vars(args) | {"command": "qq"},
-               ("replication", "t", "p_value"), rows)
+    _write_csv(args.out, vars(args), ("replication", "t", "p_value"), rows)
     return 0
 
 
@@ -101,7 +100,7 @@ def cmd_power(args):
             for noise in noises:
                 rows.append((setting, args.n, t, noise,
                              format_float(rejects[(t, noise)] / args.reps)))
-    _write_csv(args.out, vars(args) | {"command": "power"},
+    _write_csv(args.out, vars(args),
                ("setting", "n", "t", "noise_scale", "reject_rate"), rows)
     return 0
 
@@ -176,8 +175,7 @@ def cmd_train_compare(args):
     for method in sorted(sums):
         for rnd, val in enumerate(sums[method] / args.reps):
             rows.append((method, rnd, format_float(val)))
-    _write_csv(args.out, vars(args) | {"command": "train-compare"},
-               ("method", "round", "metric"), rows)
+    _write_csv(args.out, vars(args), ("method", "round", "metric"), rows)
     return 0
 
 
@@ -201,8 +199,7 @@ def cmd_robust_u(args):
                 decisions.append(report.decision.reject)
             matches += int(all(decisions) or not any(decisions))
         rows.append((scenario, args.noise, matches))
-    _write_csv(args.out, vars(args) | {"command": "robust-u"},
-               ("scenario", "noise", "matches_out_of_reps"), rows)
+    _write_csv(args.out, vars(args), ("scenario", "noise", "matches_out_of_reps"), rows)
     return 0
 
 
@@ -367,19 +364,12 @@ def build_parser(presets=None):
     parser.add_argument("--config", help="JSON file whose keys preset any flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def apply_presets(p):
-        if not presets:
-            return
-        dests = {a.dest for a in p._actions}
-        p.set_defaults(**{k: v for k, v in presets.items() if k in dests})
-
     p = sub.add_parser("qq", help="null-hypothesis p-values to CSV")
     _add_common(p)
     p.add_argument("--setting", default="s2")
     p.add_argument("--laplace-scale", type=float, default=0.5)
     p.add_argument("--t-max", type=int, default=5)
     p.set_defaults(func=cmd_qq)
-    apply_presets(p)
 
     p = sub.add_parser("power", help="rejection rates by (t, noise) to CSV")
     _add_common(p)
@@ -387,7 +377,6 @@ def build_parser(presets=None):
     p.add_argument("--t-list", default="1,2,3,4,5")
     p.add_argument("--noise-list", default="0,0.1,0.5")
     p.set_defaults(func=cmd_power)
-    apply_presets(p)
 
     p = sub.add_parser("train-compare", help="metric vs rounds for all methods")
     _add_common(p)
@@ -396,7 +385,6 @@ def build_parser(presets=None):
     p.add_argument("--eval-size", type=int, default=100000)
     p.add_argument("--grid-size", type=int, default=20)
     p.set_defaults(func=cmd_train_compare)
-    apply_presets(p)
 
     p = sub.add_parser("robust-u", help="decision agreement across projections")
     _add_common(p)
@@ -406,7 +394,6 @@ def build_parser(presets=None):
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--u-count", type=int, default=6)
     p.set_defaults(func=cmd_robust_u)
-    apply_presets(p)
 
     p = sub.add_parser("agent", help="run one side of the socket protocol")
     p.add_argument("--role", choices=("alice", "bob"), required=True)
@@ -436,7 +423,10 @@ def build_parser(presets=None):
                    help="negative = default 1e-8, 0 = disabled")
     p.add_argument("--predict-data")
     p.set_defaults(func=cmd_agent)
-    apply_presets(p)
+
+    for p in sub.choices.values():
+        dests = {a.dest for a in p._actions}
+        p.set_defaults(**{k: v for k, v in (presets or {}).items() if k in dests})
     return parser
 
 

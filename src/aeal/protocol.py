@@ -64,8 +64,6 @@ class TrainSession:
     bytes_transmitted: int
     stop_reason: str
     ridge: float
-    family_name: str
-    n: int
     y_train: np.ndarray          # the response the session was trained on (masked if masking)
     transcript: list             # ordered (sender, wire line)
     max_block_grad_inf: float
@@ -132,17 +130,17 @@ class _PeerTracker:
         return np.asarray(msg.vector, dtype=float)
 
 
-def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
+def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
               mask_flip_prob=None, rng=None):
     """A's side of the training session over an arbitrary channel.
 
-    Returns a dict with A's state plus the per-entry loss log; the log holds
-    the data term plus A's own penalty, tagged with B's round index so the
-    in-process driver can add B's (locally unknowable) penalty term.
+    Returns a dict with A's final state and ``fits``, her local fit per
+    round, round 0 first. Each fit's ``final_loss`` is the data loss at the
+    joint predictor plus A's own penalty; ``train`` adds B's.
     """
     X_a = view_a.design
     n = X_a.shape[0]
-    cfg = replace(cfg or SolverConfig(), ridge=ridge)
+    cfg = SolverConfig(ridge=ridge)
     stop = stop or StopCriterion.default(n)
 
     chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=ridge))
@@ -155,18 +153,11 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
         y_train = np.asarray(y, dtype=float)
     chan.send(ResponseShare(y=y_train, masked=masked, flip_prob=mask_flip_prob))
 
-    def data_loss(nu):
-        return float(np.mean(fam.value(y_train, nu)))
-
     peer = _PeerTracker(n)
-    fit = _fit_or_fail(X_a, y_train, None, fam, cfg, None, "A")
-    beta_a = fit.beta
-    max_grad = fit.grad_norm_inf
+    fits = [_fit_or_fail(X_a, y_train, None, fam, cfg, None, "A")]
+    beta_a = fits[0].beta
     nu_a = X_a @ beta_a
     nu_b = np.zeros(n)
-    own_pen = ridge * float(beta_a @ beta_a)
-    loss_entries = [(data_loss(nu_a) + own_pen, 0)]
-    history = [beta_a]
 
     # A's offset for round k doubles as the continue signal for round k+1,
     # so it is sent only once the next round is certain to happen; on stop,
@@ -181,15 +172,10 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
         chan.send(Offset(round=k, vector=nu_a))
         nu_b = peer.take(chan.recv())
         k += 1
-        loss_entries.append((data_loss(nu_a + nu_b) + own_pen, k))
 
-        fit = _fit_or_fail(X_a, y_train, nu_b, fam, cfg, beta_a, "A")
-        prev_beta_a, beta_a = beta_a, fit.beta
-        max_grad = max(max_grad, fit.grad_norm_inf)
+        fits.append(_fit_or_fail(X_a, y_train, nu_b, fam, cfg, beta_a, "A"))
+        prev_beta_a, beta_a = beta_a, fits[-1].beta
         nu_a = X_a @ beta_a
-        own_pen = ridge * float(beta_a @ beta_a)
-        loss_entries.append((data_loss(nu_a + nu_b) + own_pen, k))
-        history.append(beta_a)
 
         fired = None
         if k >= 2:  # delta rules need two full-round iterates
@@ -209,14 +195,17 @@ def run_alice(view_a, y, fam, chan, cfg=None, stop=None, ridge=0.0,
 
     cov_a = _predictor_covariance(X_a, y_train, nu_b, fam, beta_a)
     return {"beta_a": beta_a, "nu_a": nu_a, "nu_b": nu_b, "rounds": k,
-            "stop_reason": stop_reason, "loss_entries": loss_entries,
-            "max_grad": max_grad, "cov_a": cov_a, "y_train": y_train,
-            "history": history, "mask_flip_prob": mask_flip_prob}
+            "stop_reason": stop_reason, "fits": fits, "cov_a": cov_a,
+            "y_train": y_train}
 
 
-def run_bob(view_b, fam, chan, cfg=None, ridge=0.0):
+def run_bob(view_b, fam, chan):
     """B's side: adopt the handshake's family and penalty, receive the
-    response, then answer each of A's offsets with a local fit."""
+    response, then answer each of A's offsets with a local fit.
+
+    Returns a dict with B's final state and ``fits``, his local fit for
+    rounds 1..k; each ``final_loss`` adds only B's own penalty.
+    """
     X_b = view_b.design
     n = X_b.shape[0]
 
@@ -224,9 +213,8 @@ def run_bob(view_b, fam, chan, cfg=None, ridge=0.0):
     fam = parse_family(hs.family) if fam is None else fam
     if fam.name != hs.family:
         raise ProtocolError("family mismatch between handshake and local config")
-    ridge = hs.lam
-    cfg = replace(cfg or SolverConfig(), ridge=ridge)
-    chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=ridge))
+    cfg = SolverConfig(ridge=hs.lam)
+    chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=hs.lam))
 
     share = chan.recv()
     if not isinstance(share, ResponseShare):
@@ -238,32 +226,25 @@ def run_bob(view_b, fam, chan, cfg=None, ridge=0.0):
     peer = _PeerTracker(n)
     beta_b = np.zeros(X_b.shape[1])
     nu_b = np.zeros(n)
-    penalties = [0.0]            # ridge * ||beta_B^k||^2 per B round, index 0 = init
-    history = [beta_b]
-    max_grad = 0.0
-    k = 0
+    fits = []
     msg = chan.recv()
     while not isinstance(msg, Stop):
         nu_a = peer.take(msg)
-        k += 1
-        fit = _fit_or_fail(X_b, y_train, nu_a, fam, cfg, beta_b, "B")
-        beta_b = fit.beta
-        max_grad = max(max_grad, fit.grad_norm_inf)
+        fits.append(_fit_or_fail(X_b, y_train, nu_a, fam, cfg, beta_b, "B"))
+        beta_b = fits[-1].beta
         nu_b = X_b @ beta_b
-        penalties.append(ridge * float(beta_b @ beta_b))
-        history.append(beta_b)
-        chan.send(Offset(round=k, vector=nu_b))
+        chan.send(Offset(round=len(fits), vector=nu_b))
         msg = chan.recv()
     stop_reason = msg.reason
     nu_a = peer.take(chan.recv())  # A's final predictor
 
     cov_b = _predictor_covariance(X_b, y_train, nu_a, fam, beta_b) if X_b.shape[1] else None
-    return {"beta_b": beta_b, "nu_b": nu_b, "nu_a": nu_a, "rounds": k,
-            "penalties": penalties, "max_grad": max_grad, "cov_b": cov_b,
-            "stop_reason": stop_reason, "y_train": y_train, "history": history}
+    return {"beta_b": beta_b, "nu_b": nu_b, "nu_a": nu_a, "rounds": len(fits),
+            "fits": fits, "cov_b": cov_b, "stop_reason": stop_reason,
+            "y_train": y_train}
 
 
-def train(view_a, y, view_b, fam, cfg=None, stop=None, ridge=0.0,
+def train(view_a, y, view_b, fam, stop=None, ridge=0.0,
           mask_flip_prob=None, rng=None):
     """Run a full in-process session (two threads, serialized channel) and
     merge both agents' states into one TrainSession. Each side closes its
@@ -279,7 +260,7 @@ def train(view_a, y, view_b, fam, cfg=None, stop=None, ridge=0.0,
 
     def bob_main():
         try:
-            bob_box["result"] = run_bob(view_b, fam, chan_b, cfg=cfg, ridge=ridge)
+            bob_box["result"] = run_bob(view_b, fam, chan_b)
         except Exception as exc:  # propagated after join
             bob_box["error"] = exc
         finally:
@@ -288,7 +269,7 @@ def train(view_a, y, view_b, fam, cfg=None, stop=None, ridge=0.0,
     worker = threading.Thread(target=bob_main, daemon=True)
     worker.start()
     try:
-        alice = run_alice(view_a, y, fam, chan_a, cfg=cfg, stop=stop, ridge=ridge,
+        alice = run_alice(view_a, y, fam, chan_a, stop=stop, ridge=ridge,
                           mask_flip_prob=mask_flip_prob, rng=rng)
     finally:
         chan_a.close()
@@ -300,7 +281,14 @@ def train(view_a, y, view_b, fam, cfg=None, stop=None, ridge=0.0,
         raise bob_error
     bob = bob_box["result"]
 
-    loss_log = [val + bob["penalties"][kb] for val, kb in alice["loss_entries"]]
+    # each fit's objective holds the joint data loss and that side's own
+    # penalty at its half-round; the other side's penalty is added here
+    fits_a, fits_b = alice["fits"], bob["fits"]
+    loss_log = [fits_a[0].final_loss]
+    for a_prev, b, a in zip(fits_a, fits_b, fits_a[1:]):
+        loss_log += [b.final_loss + ridge * float(a_prev.beta @ a_prev.beta),
+                     a.final_loss + ridge * float(b.beta @ b.beta)]
+    betas_b = [np.zeros(len(bob["beta_b"]))] + [f.beta for f in fits_b]
 
     return TrainSession(
         beta_a=alice["beta_a"], beta_b=bob["beta_b"],
@@ -308,12 +296,12 @@ def train(view_a, y, view_b, fam, cfg=None, stop=None, ridge=0.0,
         rounds=alice["rounds"], loss_log=loss_log,
         rounds_transmitted=recorder.offset_count(),
         bytes_transmitted=recorder.bytes_transmitted,
-        stop_reason=alice["stop_reason"], ridge=ridge, family_name=fam.name,
-        n=view_a.n, y_train=alice["y_train"], transcript=list(recorder.lines),
-        max_block_grad_inf=max(alice["max_grad"], bob["max_grad"]),
+        stop_reason=alice["stop_reason"], ridge=ridge,
+        y_train=alice["y_train"], transcript=list(recorder.lines),
+        max_block_grad_inf=max(f.grad_norm_inf for f in fits_a + fits_b),
         cov_a=alice["cov_a"], cov_b=bob["cov_b"],
         mask_flip_prob=mask_flip_prob,
-        history=list(zip(alice["history"], bob["history"])))
+        history=list(zip([f.beta for f in fits_a], betas_b)))
 
 
 def joint_loss(session, view_a, view_b, y, fam):

@@ -3,7 +3,7 @@ pooled-data oracles used as test references (pooled fits, coefficient-space
 mapping, and the geometric contraction bound).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,15 +44,10 @@ class SimDesign:
     n: int = 2000
     rho: float = 0.0
     family: object = None            # LossFamily
-    beta: object = None              # vector, or ("normal", variance) drawn per replication
-    ownership: Ownership = None      # required for setting="custom"
+    beta: object = None              # fixed vector; None lets the hypothesis choose
     centered: bool = False           # subtract the 0.5 mean from uniform covariates
 
     def resolved_ownership(self):
-        if self.setting == "custom":
-            if self.ownership is None:
-                raise ValueError("custom designs need an explicit ownership map")
-            return self.ownership
         return SETTINGS[self.setting]
 
 
@@ -134,12 +129,9 @@ def simulate(design, rng, hypothesis="h1"):
     return SimData(X=X, y=y, beta_true=beta, ownership=own)
 
 
-def oracle_fit(X_pooled, y, fam, ridge=0.0, cfg=None):
+def oracle_fit(X_pooled, y, fam, ridge=0.0):
     """M-estimator on the (infeasible) pooled deduplicated design."""
-    cfg = cfg or SolverConfig()
-    if ridge != 0.0:  # ridge=0.0 keeps the given config's own penalty
-        cfg = replace(cfg, ridge=ridge)
-    return fit_offset(X_pooled, y, None, fam, cfg)
+    return fit_offset(X_pooled, y, None, fam, SolverConfig(ridge=ridge))
 
 
 def map_T(beta_a, beta_b, ownership):

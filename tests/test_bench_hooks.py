@@ -1,11 +1,20 @@
-"""The benchmark in perfbench/ wraps package attributes by name, so a
-refactor that drops or renames one of them breaks it. The check runs in a
-subprocess because importing the benchmark's workloads sets
-transport.RECV_TIMEOUT for the whole process."""
+"""The benchmark in perfbench/ wraps package attributes and reads the agents'
+result dicts by name, so a refactor that drops or renames one of them breaks
+it. The hook check runs in a subprocess because importing the benchmark's
+workloads sets transport.RECV_TIMEOUT for the whole process."""
 
 import os
 import subprocess
 import sys
+import threading
+
+import numpy as np
+
+from aeal import protocol
+from aeal.data import AgentView, Owner
+from aeal.losses import LossFamily
+from aeal.simulate import SimDesign, simulate
+from aeal.transport import local_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,3 +61,29 @@ def test_benchmark_hooks_install_and_uninstall():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_agent_results_carry_what_the_benchmark_and_agent_read():
+    # the agent-socket workload and `aeal agent` run each side on its own
+    # channel end and read these keys; here the ends are an in-process pair
+    fam = LossFamily("logistic")
+    sim = simulate(SimDesign(setting="s2", n=500, rho=0.1, family=fam),
+                   np.random.default_rng(0), hypothesis="h1")
+    view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names, owner=Owner.A)
+    view_b = AgentView(design=sim.X_b, column_names=sim.ownership.b_names, owner=Owner.B)
+    chan_a, chan_b = local_pair()
+    bob = {}
+    worker = threading.Thread(target=lambda: bob.update(protocol.run_bob(view_b, fam, chan_b)),
+                              daemon=True)
+    worker.start()
+    alice = protocol.run_alice(view_a, sim.y, fam, chan_a,
+                               stop=protocol.StopCriterion.default(500))
+    worker.join(timeout=60.0)
+
+    assert {"beta_a", "nu_a", "nu_b", "rounds", "stop_reason", "cov_a",
+            "y_train"} <= alice.keys()
+    assert {"beta_b", "nu_b", "rounds", "stop_reason", "cov_b"} <= bob.keys()
+    assert alice["rounds"] == bob["rounds"] >= 1
+    assert alice["stop_reason"] == bob["stop_reason"]
+    assert alice["nu_a"].tobytes() == (view_a.design @ alice["beta_a"]).tobytes()
+    assert bob["nu_b"].tobytes() == (view_b.design @ bob["beta_b"]).tobytes()

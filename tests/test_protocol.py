@@ -182,6 +182,34 @@ class TestTrainLoop:
         for (a1, b1), (a2, b2) in zip(padded, full):
             assert a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
 
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson", "logcosh"])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    def test_loss_log_per_half_round(self, family, ridge):
+        # entry 0 is A's initial fit; round k adds B's fit against a_{k-1},
+        # then A's fit against b_k, each with both agents' penalties
+        fam = LossFamily(family)
+        design = SimDesign(setting="s2", n=500, rho=0.1, family=fam)
+        sim = simulate(design, np.random.default_rng(32), hypothesis="h1")
+        va, vb = views_from(sim)
+        sess = train(va, sim.y, vb, fam, ridge=ridge,
+                     stop=StopCriterion(offset_tol=None, coef_tol=None, max_rounds=15))
+
+        def joint(a, b):
+            val = float(np.mean(fam.value(sim.y, va.design @ a + vb.design @ b)))
+            if ridge > 0:
+                val += ridge * float(a @ a) + ridge * float(b @ b)
+            return val
+
+        hist = sess.history
+        want = [joint(*hist[0])]
+        for (a_prev, _), (a, b) in zip(hist, hist[1:]):
+            want += [joint(a_prev, b), joint(a, b)]
+        assert len(sess.loss_log) == len(want) == 31
+        if ridge == 0.0:
+            assert sess.loss_log == want
+        else:
+            assert sess.loss_log == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_warm_start_just_above_tolerance_converges(self, monkeypatch):
         # a warm-started fit here starts with its gradient just above the
         # solver tolerance, where the predicted decrease is below the
@@ -255,8 +283,7 @@ class TestJointLoss:
         sess = TrainSession(beta_a=np.zeros(2), beta_b=np.zeros(3), nu_a=np.zeros(n),
                             nu_b=np.zeros(n), rounds=0, loss_log=[],
                             rounds_transmitted=0, bytes_transmitted=0,
-                            stop_reason="MaxRounds", ridge=0.0,
-                            family_name="logistic", n=n, y_train=y, transcript=[],
+                            stop_reason="MaxRounds", ridge=0.0, y_train=y, transcript=[],
                             max_block_grad_inf=0.0, cov_a=np.zeros((2, 2)),
                             cov_b=np.zeros((3, 3)))
         assert joint_loss(sess, va, vb, y, LOGIT) == pytest.approx(math.log(2), abs=1e-12)
