@@ -23,7 +23,7 @@ from .losses import parse_family
 from .messages import (PredictContribution, ScreenResult, SketchOffer,
                        format_float)
 from .protocol import StopCriterion, joint_interval, run_alice, run_bob
-from .screening import lrt_screen, wald_screen
+from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SimData, SimDesign, gen_covariates, gen_response, map_T,
                        oracle_fit, simulate, spawn_rngs)
 from .sketch import SketchPackage, make_sketch
@@ -51,11 +51,11 @@ def _view(sim, owner):
     return AgentView(design=X, column_names=names, owner=owner)
 
 
-def _screen(view_a, sim, t, noise_scale, fam, args, rng):
+def _screen(view_a, context, sim, t, noise_scale, fam, args, rng):
     # the sketch reads sim.X_b directly: screening needs no view of B
     sketch = make_sketch(sim.X_b, t, rng, noise_scale=noise_scale)
     screen = lrt_screen if args.test == "lrt" else wald_screen
-    return screen(view_a, sim.y, sketch, fam, alpha=args.alpha)
+    return screen(view_a, sim.y, sketch, fam, alpha=args.alpha, context=context)
 
 
 # -- qq -------------------------------------------------------------------
@@ -69,8 +69,9 @@ def cmd_qq(args):
     for rep, rng in enumerate(rngs):
         sim = simulate(design, rng, hypothesis="h0")
         view_a = _view(sim, Owner.A)
+        context = screen_context(view_a, sim.y, fam)
         for t in range(1, args.t_max + 1):
-            report = _screen(view_a, sim, t, args.laplace_scale, fam, args, rng)
+            report = _screen(view_a, context, sim, t, args.laplace_scale, fam, args, rng)
             rows.append((rep, t, format_float(report.decision.p_value)))
     _write_csv(args.out, vars(args), ("replication", "t", "p_value"), rows)
     return 0
@@ -92,9 +93,10 @@ def cmd_power(args):
         for rng in rngs:
             sim = simulate(design, rng, hypothesis="h1")
             view_a = _view(sim, Owner.A)
+            context = screen_context(view_a, sim.y, fam)
             for t in t_values:
                 for noise in noises:
-                    report = _screen(view_a, sim, t, noise, fam, args, rng)
+                    report = _screen(view_a, context, sim, t, noise, fam, args, rng)
                     rejects[(t, noise)] += int(report.decision.reject)
         for t in t_values:
             for noise in noises:
@@ -193,9 +195,10 @@ def cmd_robust_u(args):
         for rng in rngs:
             sim = simulate(design, rng, hypothesis=scenario)
             view_a = _view(sim, Owner.A)
+            context = screen_context(view_a, sim.y, fam)
             decisions = []
             for _ in range(args.u_count):
-                report = _screen(view_a, sim, args.t, args.noise, fam, args, rng)
+                report = _screen(view_a, context, sim, args.t, args.noise, fam, args, rng)
                 decisions.append(report.decision.reject)
             matches += int(all(decisions) or not any(decisions))
         rows.append((scenario, args.noise, matches))
@@ -286,7 +289,9 @@ def _agent_screen(args, fam, view, y, chan):
                            reject=d.reject, alpha=d.alpha))
     _print_json({"role": "alice", "mode": "screen", "statistic": format_float(d.statistic),
                  "df": d.df, "p_value": format_float(d.p_value), "reject": d.reject,
-                 "alpha": format_float(d.alpha), "n_used": report.n_used})
+                 "alpha": format_float(d.alpha), "n_used": report.n_used,
+                 "identified_rank": report.identified_rank, "degenerate": report.degenerate,
+                 "iterations": report.fit.iterations})
     return 0
 
 

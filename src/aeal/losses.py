@@ -19,11 +19,6 @@ LOGCOSH = "logcosh"
 _GLM_KINDS = (GAUSSIAN, LOGISTIC, POISSON)
 
 
-def _softplus(v):
-    # log(1 + e^v), stable for large |v|
-    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
-
-
 def _sigmoid(v):
     # 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below: the two-branch form's exact operations
     e = np.exp(-np.abs(v))
@@ -83,8 +78,8 @@ class LossFamily:
         nu = np.asarray(nu, dtype=float)
         if self.kind == GAUSSIAN:
             return 0.5 * (y - nu) ** 2
-        if self.kind == LOGISTIC:
-            return _softplus(nu) - y * nu
+        if self.kind == LOGISTIC:  # softplus(nu) - y nu, stable for large |nu|
+            return np.maximum(nu, 0.0) + np.log1p(np.exp(-np.abs(nu))) - y * nu
         if self.kind == POISSON:
             return np.exp(nu) - y * nu
         z = self.alpha * (y - nu)
@@ -103,17 +98,27 @@ class LossFamily:
         return np.tanh(self.alpha * (nu - y))
 
     def hess(self, y, nu):
+        return self.derivatives(y, nu)[2]
+
+    def derivatives(self, y, nu):
+        """(value, grad, hess), bit for bit, from one pass of the transcendental."""
         y = np.asarray(y, dtype=float)
         nu = np.asarray(nu, dtype=float)
         if self.kind == GAUSSIAN:
-            return np.ones_like(nu)
+            r = nu - y  # (y - nu)**2 has the same bits
+            return 0.5 * r ** 2, r, np.ones_like(nu)
         if self.kind == LOGISTIC:
-            s = _sigmoid(nu)
-            return s * (1.0 - s)
+            e = np.exp(-np.abs(nu))
+            s = np.where(nu >= 0, 1.0, e)
+            s /= e + 1.0
+            return np.maximum(nu, 0.0) + np.log1p(e) - y * nu, s - y, s * (1.0 - s)
         if self.kind == POISSON:
-            return np.exp(nu)
-        t = np.tanh(self.alpha * (nu - y))
-        return self.alpha * (1.0 - t * t)
+            e = np.exp(nu)
+            return e - y * nu, e - y, e
+        a = self.alpha * (nu - y)  # |a| = |alpha * (y - nu)| bit for bit
+        t = np.tanh(a)
+        m = (np.abs(a) + np.log1p(np.exp(-2.0 * np.abs(a))) - np.log(2.0)) / self.alpha
+        return m, t, self.alpha * (1.0 - t * t)
 
     def inverse_link(self, nu):
         """Map the linear predictor to the mean scale (GLM kinds only)."""

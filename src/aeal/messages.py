@@ -150,7 +150,12 @@ def _take(tag, value, fld):
         if not isinstance(value, _SCALAR_TYPES[tag]) or (
                 isinstance(value, bool) and tag != "bool"):
             bad(tag)
-        return float(value) if tag == "float" else value
+        try:  # an integer past float range overflows; a literal like 1e400 reads as inf
+            if tag != "float" or np.isfinite(value := float(value)):
+                return value
+        except OverflowError:
+            pass
+        bad("a finite number")
     if tag == "float?":
         return None if value is None else _take("float", value, fld)
     if tag == "vector":
@@ -186,12 +191,12 @@ def decode(line):
     """Parse one line into a message object, rejecting anything off-schema."""
     try:
         obj = json.loads(line, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # e.g. an int past 4300 digits
         raise ProtocolError(f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ProtocolError("message must be a JSON object")
     name = obj.pop("type", None)
-    if name not in _SCHEMAS:
+    if not isinstance(name, str) or name not in _SCHEMAS:
         raise ProtocolError(f"unknown message type {name!r}")
     schema = _SCHEMAS[name]
     unknown = set(obj) - set(schema)

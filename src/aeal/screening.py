@@ -19,15 +19,23 @@ that of (X_A | S), the statistics are those of the sketch coordinates; with
 ridge > 0 the penalty falls on the residual-basis coordinates, so a ridge
 screen does not depend on the sketch's arbitrary scale either.
 
+Every fit stops at the solver's default tolerance. screen_context holds the
+sketch-free work, the inverse of X_A'X_A and the unpenalized A-only fit, for
+all screens of one (view_a, y); with it the augmented fit starts at
+(beta_A, 0), whose A-block gradient is already at tolerance. Without one a
+Wald screen starts cold and a likelihood-ratio screen builds its own.
+
 r < t (the report's `degenerate`) happens when the sketch overlaps span(X_A):
 with shared covariates a noise-free sketch of more columns than B holds
 exclusively tests only those exclusive directions. A sketch of rank below t
 (SingularCovarianceBlock), fewer rows than p_A + t or an X_A'X_A that fails
 the solver's pivot floor (RankDeficientAugmented) raise. Both tests drop the
-rows B clipped out of the sketch (rows_excluded) before pairing rows.
+rows B clipped out of the sketch (rows_excluded) before pairing rows, and
+then ignore a context, which holds all of A's rows.
 """
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +45,6 @@ from .errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock,
                      SolverFailure)
 from .solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse
 from .stats import make_decision
-
-# a decision needs fewer digits than training: the looser stationarity floor
-# saves one Newton step in about thirteen over a power sweep
-_SCREEN_CFG_ARGS = dict(tol=1e-7, max_iter=200)
 
 
 @dataclass
@@ -54,6 +58,10 @@ class ScreenReport:
     degenerate: bool          # r < t: the sketch overlaps span(X_A)
 
 
+# gram_inv: the pivot-floored inverse of X_A'X_A; fit_a: the unpenalized A-only fit
+ScreenContext = namedtuple("ScreenContext", "X_a y gram_inv fit_a")
+
+
 def _spd_inverse(M, what):
     try:
         return spd_inverse(M, 1e-12)
@@ -61,18 +69,30 @@ def _spd_inverse(M, what):
         raise SingularCovarianceBlock(f"{what} is not positive definite")
 
 
-def _residual_design(X_a, S):
+def _gram_inverse(X_a):
+    try:  # the solver's floor: a Gram matrix it could not invert fails here
+        return spd_inverse(X_a.T @ X_a, 1e-14)
+    except np.linalg.LinAlgError:
+        raise RankDeficientAugmented("A's view is rank deficient on these rows")
+
+
+def _context(X_a, y, fam):
+    return ScreenContext(X_a, y, _gram_inverse(X_a), fit_offset(X_a, y, None, fam))
+
+
+def screen_context(view_a, y, fam):
+    """The A-side state every screen of (view_a, y) shares; pass it as context."""
+    return _context(view_a.design, np.asarray(y, dtype=float), fam)
+
+
+def _residual_design(X_a, S, gram_inv):
     """(X_A | sqrt(n) U_r), column-major for the fit's products and X_A itself
     if r = 0, and the map sqrt(n) V Sigma^-1 to sketch coordinates if r = t
     (else None). The n-row temporaries die on return, before the fit."""
-    try:  # the solver's floor: a Gram matrix it could not invert fails here
-        G_inv = spd_inverse(X_a.T @ X_a, 1e-14)
-    except np.linalg.LinAlgError:
-        raise RankDeficientAugmented("A's view is rank deficient on these rows")
     # one pass through the normal equations leaves an error of order
     # cond(X_A)^2 eps in span(X_A); the second pass removes it
-    S_perp = S - X_a @ (G_inv @ (X_a.T @ S))
-    S_perp -= X_a @ (G_inv @ (X_a.T @ S_perp))
+    S_perp = S - X_a @ (gram_inv @ (X_a.T @ S))
+    S_perp -= X_a @ (gram_inv @ (X_a.T @ S_perp))
     U, sigma, Vt = np.linalg.svd(S_perp, full_matrices=False)
     r = numerical_rank(sigma, np.max(np.linalg.norm(S, axis=0), initial=0.0))
     n, p_a = X_a.shape
@@ -85,46 +105,50 @@ def _residual_design(X_a, S):
     return X, to_sketch
 
 
-def _screen_fit(view_a, y, sketch, fam, cfg, row_indices):
-    """The preamble both tests share.
-
-    Aligns A's rows with the sketch's: rows B clipped out of the sketch
-    (rows_excluded) are dropped first, then row_indices select among the
-    remaining rows. Builds the residual basis, fits (X_A | sqrt(n) U_r) and
-    returns (X_a, y, fit, lam, to_sketch): lam is the robust covariance block
-    of the last r coefficients, and to_sketch maps them back to sketch
-    coordinates when r = t (None otherwise).
-    """
+def _aligned(view_a, y, sketch, row_indices, context):
+    """A's rows paired with the sketch's, and the context unless rows drop: rows
+    B clipped (rows_excluded) go first, then row_indices select among the rest."""
     X_a = view_a.design
     y = np.asarray(y, dtype=float)
+    if context is not None and (context.X_a is not X_a or not np.array_equal(context.y, y)):
+        raise ValueError("the screen context was built from another view or response")
     if sketch.rows_excluded:
         excluded = np.asarray(sketch.rows_excluded, dtype=int)
         if excluded.min() < 0 or excluded.max() >= X_a.shape[0]:
             raise ValueError("excluded sketch rows lie outside the view")
         keep = np.ones(X_a.shape[0], dtype=bool)
         keep[excluded] = False
-        X_a, y = X_a[keep], y[keep]
+        X_a, y, context = X_a[keep], y[keep], None
     S = sketch.projected
     if row_indices is not None:
         idx = np.asarray(row_indices, dtype=int)
-        X_a, y, S = X_a[idx], y[idx], S[idx]
+        X_a, y, S, context = X_a[idx], y[idx], S[idx], None
     if X_a.shape[0] != S.shape[0]:
         raise ValueError("sketch rows do not match the view rows")
+    return X_a, y, S, context
+
+
+def _screen_fit(X_a, y, S, fam, cfg, context):
+    """The fit both tests share, from (beta_A, 0) given a context: (fit, lam,
+    to_sketch), with lam the robust covariance block of the last r coefficients
+    and to_sketch their map to sketch coordinates if r = t (None otherwise)."""
     n, p_a = X_a.shape
-    t = sketch.t
-    X, to_sketch = _residual_design(X_a, S)
+    t = S.shape[1]
+    gram_inv = _gram_inverse(X_a) if context is None else context.gram_inv
+    X, to_sketch = _residual_design(X_a, S, gram_inv)
     r = X.shape[1] - p_a
     if r < t and numerical_rank(np.linalg.svd(S, compute_uv=False)) < t:
         raise SingularCovarianceBlock("sketch block is numerically rank deficient")
     if n < p_a + t:
         raise RankDeficientAugmented("fewer rows than augmented columns")
-    fit = fit_offset(X, y, None, fam, cfg)
+    init = None if context is None else np.concatenate([context.fit_a.beta, np.zeros(r)])
+    fit = fit_offset(X, y, None, fam, cfg, init=init)
     if not fit.converged:
         raise SolverFailure("augmented fit did not converge")
     V1, V2 = sandwich_pieces(X, y, None, fam, fit.beta)
     V1_inv = _spd_inverse(V1, "Hessian piece V1")
     lam = (V1_inv @ V2 @ V1_inv)[p_a:, p_a:]
-    return X_a, y, fit, lam, to_sketch
+    return fit, lam, to_sketch
 
 
 def _report(X_a, fit, lam, to_sketch, stat, alpha):
@@ -139,34 +163,37 @@ def _report(X_a, fit, lam, to_sketch, stat, alpha):
                         degenerate=to_sketch is None)
 
 
-def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None):
+def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None,
+                context=None):
     """Robust Wald screening of the sketch block at significance level alpha.
 
     With ridge > 0 the augmented fit is penalized but the covariance pieces
     stay unpenalized. Noised sketches are treated identically to clean ones.
+    context is screen_context(view_a, y, fam), shared across screens.
     """
-    cfg = SolverConfig(ridge=ridge, **_SCREEN_CFG_ARGS)
-    X_a, y, fit, lam, to_sketch = _screen_fit(view_a, y, sketch, fam, cfg, row_indices)
+    X_a, y, S, context = _aligned(view_a, y, sketch, row_indices, context)
+    fit, lam, to_sketch = _screen_fit(X_a, y, S, fam, SolverConfig(ridge=ridge), context)
     gamma = fit.beta[X_a.shape[1]:]
     stat = 0.0 if gamma.size == 0 else float(
         len(y) * gamma @ _spd_inverse(lam, "tested covariance block") @ gamma)
     return _report(X_a, fit, lam, to_sketch, stat, alpha)
 
 
-def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None):
+def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None, context=None):
     """Likelihood-ratio screening: 2n * (A-only loss - augmented loss).
 
-    Valid only for likelihood-backed families; both fits are unpenalized.
+    Valid only for likelihood-backed families; both fits are unpenalized. The
+    A-only fit is the context's, or is made here first when none applies.
     """
     if not fam.is_glm:
         raise NotAGlm("likelihood-ratio screening needs a GLM family")
     if sketch.p_b is not None and sketch.t >= sketch.p_b:
         warnings.warn("likelihood-ratio screening is designed for t < p_B",
                       stacklevel=2)
-    cfg = SolverConfig(**_SCREEN_CFG_ARGS)
-    X_a, y, fit_u, lam, to_sketch = _screen_fit(view_a, y, sketch, fam, cfg, row_indices)
-    fit_a = fit_offset(X_a, y, None, fam, cfg)
-    if not fit_a.converged:
+    X_a, y, S, context = _aligned(view_a, y, sketch, row_indices, context)
+    context = context or _context(X_a, y, fam)
+    if not context.fit_a.converged:
         raise SolverFailure("A-only screening fit did not converge")
-    stat = max(0.0, 2.0 * len(y) * (fit_a.final_loss - fit_u.final_loss))
+    fit_u, lam, to_sketch = _screen_fit(X_a, y, S, fam, SolverConfig(), context)
+    stat = max(0.0, 2.0 * len(y) * (context.fit_a.final_loss - fit_u.final_loss))
     return _report(X_a, fit_u, lam, to_sketch, stat, alpha)

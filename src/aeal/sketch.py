@@ -29,11 +29,12 @@ class SketchPackage:
     p_b: int = field(default=None, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.projected, dtype=float)
+        # column-major: the screen reads the sketch by columns
+        arr = np.array(self.projected, dtype=float, order="F")
         arr.flags.writeable = False
         object.__setattr__(self, "projected", arr)
-        if arr.ndim != 2 or arr.shape[1] != self.t:
-            raise BadDimensions("projected matrix must be n x t")
+        if arr.ndim != 2 or arr.shape[1] != self.t or self.t < 1:
+            raise BadDimensions("projected matrix must be n x t with t >= 1")
         if self.p_b is not None and self.t > self.p_b:
             raise BadDimensions("t cannot exceed the number of B's columns")
         if self.noised and (self.epsilon is None or self.c2 is None):
@@ -89,8 +90,8 @@ def clip_rows(X_b, c2):
 
 def laplace_matrix(shape, scale, rng):
     """Inverse-CDF Laplace(0, scale) draws; exact and reproducible under seeding."""
-    u = rng.uniform(size=shape)
-    return -scale * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
+    h = rng.uniform(size=shape) - 0.5
+    return -scale * np.sign(h) * np.log1p(-2.0 * np.abs(h))
 
 
 def laplace_noise(M, epsilon, c2, rng):

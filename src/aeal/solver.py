@@ -43,14 +43,6 @@ class FitResult:
     final_loss: float        # penalized objective value
 
 
-def _objective(X, y, offset, fam, lam, beta):
-    nu = X @ beta + offset
-    val = float(np.mean(fam.value(y, nu)))
-    if lam > 0:
-        val += lam * float(beta @ beta)
-    return val
-
-
 def spd_inverse(M, floor=None):
     """L^-T L^-1 from the Cholesky factor L of M. Raises np.linalg.LinAlgError
     if M does not factor or, given a floor, if the squared smallest pivot is at
@@ -82,19 +74,25 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
         raise ValueError("inconsistent lengths")
     lam = cfg.ridge
 
+    def evaluate(beta):
+        # the objective at beta, and the loss derivatives its Newton step needs
+        m, m1, m2 = fam.derivatives(y, X @ beta + offset)
+        val = float(np.mean(m))
+        if lam > 0:
+            val += lam * float(beta @ beta)
+        return val, m1, m2
+
     beta = np.zeros(p) if init is None else np.array(init, dtype=float)
-    obj = _objective(X, y, offset, fam, lam, beta)
+    obj, m1, w = evaluate(beta)
     it = 0
     while True:
-        nu = X @ beta + offset
-        g = X.T @ fam.grad(y, nu) / n
+        g = X.T @ m1 / n
         if lam > 0:
             g = g + 2.0 * lam * beta
         grad_inf = float(np.max(np.abs(g))) if p else 0.0
         if grad_inf <= cfg.tol or it == cfg.max_iter:
             break
         it += 1
-        w = fam.hess(y, nu)
         H = (X * w[:, None]).T @ X / n
         if lam > 0:
             H = H + 2.0 * lam * np.eye(p)
@@ -112,9 +110,9 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
         t = 1.0
         for _ in range(60):
             cand = beta - t * step
-            cand_obj = _objective(X, y, offset, fam, lam, cand)
+            cand_obj, c1, c2 = evaluate(cand)
             if cand_obj <= obj - _ARMIJO * t * slope + slack:
-                beta, obj = cand, cand_obj
+                beta, obj, m1, w = cand, cand_obj, c1, c2
                 break
             t *= _SHRINK
         else:
@@ -133,11 +131,8 @@ def sandwich_pieces(X, y, offset, fam, beta):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    if offset is None:
-        offset = np.zeros(n)
-    nu = X @ np.asarray(beta, dtype=float) + np.asarray(offset, dtype=float)
-    w1 = fam.hess(y, nu)
-    g = fam.grad(y, nu)
+    offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+    _, g, w1 = fam.derivatives(y, X @ np.asarray(beta, dtype=float) + offset)
     V1 = (X * w1[:, None]).T @ X / n
     V2 = (X * (g * g)[:, None]).T @ X / n
     return V1, V2

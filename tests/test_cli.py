@@ -221,6 +221,31 @@ def spawn_agent(args):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
+HANDSHAKE = '{"type":"Handshake","version":"aeal/2","n":%s,"family":"logistic","lam":%s}'
+
+
+def send_to_training_bob(path_b, data):
+    """Start Bob in train mode, send him raw bytes as his peer, and return his
+    exit code and standard error."""
+    port = free_port()
+    bob = spawn_agent(["--role", "bob", "--listen", f"127.0.0.1:{port}",
+                       "--data", path_b, "--mode", "train"])
+    deadline = time.time() + 10
+    while True:
+        try:
+            s = socket.create_connection(("127.0.0.1", port), timeout=5)
+            break
+        except OSError:
+            if time.time() > deadline:
+                raise
+            time.sleep(0.1)
+    with s:
+        s.sendall(data)
+        s.recv(1)  # wait for bob to act (connection closes)
+    _, err = bob.communicate(timeout=30)
+    return bob.returncode, err
+
+
 def wait_listening(port, timeout=10.0):
     # NB: probing with a connection would consume the single accept; the
     # client side retries instead, so tests just pause briefly
@@ -245,6 +270,9 @@ class TestAgent:
         b = json.loads(b_out)
         assert a["df"] == 2
         assert a["p_value"] == b["p_value"]
+        # the screen explains itself: rows, identified rank, overlap, Newton steps
+        assert (a["n_used"], a["identified_rank"], a["degenerate"]) == (80, 4, False)
+        assert a["iterations"] > 0
 
     def test_train_matches_in_process_bitwise(self, owner_csvs):
         from aeal.data import Owner, load_aligned_csv
@@ -279,24 +307,21 @@ class TestAgent:
 
     def test_version_mismatch_exits_2(self, owner_csvs):
         _, path_b = owner_csvs
-        port = free_port()
-        bob = spawn_agent(["--role", "bob", "--listen", f"127.0.0.1:{port}",
-                           "--data", path_b, "--mode", "train"])
-        deadline = time.time() + 10
-        while True:
-            try:
-                s = socket.create_connection(("127.0.0.1", port), timeout=5)
-                break
-            except OSError:
-                if time.time() > deadline:
-                    raise
-                time.sleep(0.1)
-        with s:
-            s.sendall(b'{"type":"Handshake","version":"aeal/0","n":80,'
-                      b'"family":"logistic","lam":0}\n')
-            s.recv(1)  # wait for bob to act (connection closes)
-        bob.communicate(timeout=30)
-        assert bob.returncode == 2
+        code, _ = send_to_training_bob(path_b, b'{"type":"Handshake","version":"aeal/0",'
+                                               b'"n":80,"family":"logistic","lam":0}\n')
+        assert code == 2
+
+    @pytest.mark.parametrize("line", [
+        '{"type":[1]}',
+        HANDSHAKE % ("80", "9" * 400),
+        HANDSHAKE % ("9" * 5000, "0"),
+        HANDSHAKE % ("80", "1e400"),
+    ], ids=["type-list", "lam-400-digits", "n-5000-digits", "lam-1e400"])
+    def test_undecodable_handshake_exits_2(self, owner_csvs, line):
+        _, path_b = owner_csvs
+        code, err = send_to_training_bob(path_b, line.encode() + b"\n")
+        assert code == 2, err
+        assert "protocol error" in err
 
     def test_screen_on_row_subset(self, owner_csvs):
         path_a, path_b = owner_csvs
@@ -347,7 +372,8 @@ class TestAgent:
         {"rows_excluded": (-1,)},
         {"rows_excluded": (4, 4)},
         {"t": 3},
-    ], ids=["negative-row", "repeated-row", "t-vs-columns"])
+        {"projected": np.zeros((39, 0)), "t": 0},
+    ], ids=["negative-row", "repeated-row", "t-vs-columns", "zero-columns"])
     def test_malformed_sketch_offer_exits_2(self, owner_csvs, bad):
         from aeal.messages import SketchOffer, encode
 

@@ -121,6 +121,22 @@ def test_sigmoid_bitwise_two_branch():
         assert np.float64(scalar).tobytes() == two_branch(np.array([x])).tobytes()
 
 
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+def test_derivatives_bitwise_equal_to_value_grad_hess(fam):
+    rng = np.random.default_rng(23)
+    edges = np.array([-800.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 800.0])
+    y_rand, nu_rand = sample_domain(fam, rng, 400)
+    for y, nu in ((sample_domain(fam, rng, edges.size)[0], edges), (y_rand, nu_rand),
+                  (y_rand, rng.normal(0.0, 30.0, 400))):
+        with np.errstate(over="ignore"):  # e^800 is inf for poisson
+            got = fam.derivatives(y, nu)
+            want = (fam.value(y, nu), fam.grad(y, nu), fam.hess(y, nu))
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.shape == nu.shape
+            assert g.tobytes() == w.tobytes()
+
+
 class TestInverseLink:
     def test_values(self):
         assert LossFamily("logistic").inverse_link(0.0) == pytest.approx(0.5)

@@ -5,7 +5,7 @@ from aeal import screening
 from aeal.data import AgentView, Owner
 from aeal.errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock)
 from aeal.losses import LossFamily
-from aeal.screening import lrt_screen, wald_screen
+from aeal.screening import lrt_screen, screen_context, wald_screen
 from aeal.simulate import SimDesign, simulate, spawn_rngs
 from aeal.sketch import SketchPackage, make_projection, make_sketch, project
 from aeal.solver import fit_offset, sandwich_pieces
@@ -288,3 +288,85 @@ class TestSubset:
         rep = wald_screen(view_a, y, sketch, LOGIT, 0.05, row_indices=half)
         assert rep.n_used == 1000
         assert rep.decision.reject
+
+
+class TestContext:
+    def test_parametrization_pair_agrees(self):
+        # S against S M (M nonsingular) is the same test; a stationarity floor
+        # of 1e-7 leaves this pair 7.7e-6 relative apart, since one fit stops a
+        # Newton step earlier than the other
+        fam = LOGIT
+        rng = np.random.default_rng(2373)
+        sim = simulate(SimDesign(setting="s1", n=2000, rho=0.1, family=fam), rng,
+                       hypothesis="h0")
+        view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names,
+                           owner=Owner.A)
+        sketch = make_sketch(sim.X_b, 4, rng, noise_scale=0.1)
+        M = rng.normal(size=(4, 4))
+        other = SketchPackage(projected=sketch.projected @ M, t=4)
+        context = screen_context(view_a, sim.y, fam)
+        for ctx in (None, context):
+            a, b = (wald_screen(view_a, sim.y, s, fam, context=ctx).decision.statistic
+                    for s in (sketch, other))
+            assert abs(a - b) <= 9.6e-7 * a
+
+    def test_context_warm_start_matches_cold_screen(self):
+        design = SimDesign(setting="s2", n=2000, rho=0.1, family=LOGIT)
+        rng = np.random.default_rng(41)
+        sim = simulate(design, rng, hypothesis="h1")
+        view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names,
+                           owner=Owner.A)
+        context = screen_context(view_a, sim.y, LOGIT)
+        assert context.fit_a.converged
+        for t in (1, 3, 5):
+            sketch = make_sketch(sim.X_b, t, rng, noise_scale=0.1)
+            cold = wald_screen(view_a, sim.y, sketch, LOGIT)
+            warm = wald_screen(view_a, sim.y, sketch, LOGIT, context=context)
+            assert warm.fit.iterations < cold.fit.iterations
+            assert warm.decision.statistic == pytest.approx(cold.decision.statistic,
+                                                            rel=1e-6)
+            # a likelihood-ratio screen without a context builds the same one
+            assert (lrt_screen(view_a, sim.y, sketch, LOGIT).decision.statistic
+                    == lrt_screen(view_a, sim.y, sketch, LOGIT,
+                                  context=context).decision.statistic)
+
+    def test_mismatched_context_raises(self):
+        X_a, X_b, y, rng = gaussian_fixture(seed=30)
+        sketch = make_sketch(X_b, 1, rng)
+        context = screen_context(make_view(X_a), y, GAUSS)
+        # another view of the same design and an equal response are the same screen
+        same = wald_screen(make_view(X_a), y.copy(), sketch, GAUSS, context=context)
+        assert same.decision.statistic == wald_screen(
+            make_view(X_a), y, sketch, GAUSS, context=context).decision.statistic
+        for view, resp in ((make_view(X_a.copy()), y), (make_view(X_a), y + 1.0),
+                           (make_view(X_a[::-1]), y)):
+            for screen in (wald_screen, lrt_screen):
+                with pytest.raises(ValueError, match="screen context"):
+                    screen(view, resp, sketch, GAUSS, context=context)
+
+    def test_dropped_rows_bypass_context(self, monkeypatch):
+        X_a, X_b, y, rng = gaussian_fixture(seed=22, n=500, p_b=3, signal_b=0.2)
+        clipped = make_sketch(X_b, 2, rng, epsilon=5.0, c2=1.5)
+        assert clipped.rows_excluded
+        full = make_sketch(X_b, 2, rng)
+        view = make_view(X_a)
+        context = screen_context(view, y, GAUSS)
+        inits = []
+        real = screening.fit_offset
+        monkeypatch.setattr(screening, "fit_offset",
+                            lambda *a, init=None: inits.append(init) or real(*a, init=init))
+        for sketch, rows in ((clipped, None), (full, np.arange(300))):
+            for screen in (wald_screen, lrt_screen):
+                inits.clear()
+                got = screen(view, y, sketch, GAUSS, row_indices=rows, context=context)
+                want = screen(view, y, sketch, GAUSS, row_indices=rows)
+                assert got.decision.statistic == want.decision.statistic
+                assert got.n_used < len(y)
+                # the context's A-only beta fits all 500 rows; it seeds no fit here
+                assert not any(i is not None and i[:3].tobytes()
+                               == context.fit_a.beta.tobytes() for i in inits)
+        # with no rows dropped the augmented fit starts from the context's beta_A
+        inits.clear()
+        wald_screen(view, y, full, GAUSS, context=context)
+        assert len(inits) == 1
+        assert inits[0].tobytes() == np.concatenate([context.fit_a.beta, [0.0, 0.0]]).tobytes()

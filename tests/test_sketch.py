@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from aeal.errors import BadDimensions, BadEpsilon, BadFlipProb
-from aeal.sketch import (MaskedResponse, SketchPackage, clip_rows, laplace_noise,
-                         laplace_scale, make_projection, make_sketch, mask_response,
-                         project, unmask_probability)
+from aeal.messages import SketchOffer, decode, encode
+from aeal.sketch import (MaskedResponse, SketchPackage, clip_rows, laplace_matrix,
+                         laplace_noise, laplace_scale, make_projection, make_sketch,
+                         mask_response, project, unmask_probability)
 
 
 class TestProjection:
@@ -102,8 +105,27 @@ class TestLaplace:
         with pytest.raises(BadEpsilon):
             laplace_noise(np.zeros((2, 2)), epsilon=1.0, c2=-1.0, rng=rng)
 
+    def test_seeded_draws_pinned(self):
+        # the seeded draws are pinned: how u - 0.5 is formed must not move a bit
+        got = laplace_matrix((40, 3), 0.7, np.random.default_rng(5))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "c354a17b85572f01f4e3ab8d50c5c0035ff627bf7e6d52514a4812464d5bb774")
+
 
 class TestPackage:
+    def test_column_major_with_unchanged_wire_bytes(self):
+        M = np.random.default_rng(3).normal(size=(6, 2))
+        pkg = SketchPackage(projected=M, t=2)
+        assert pkg.projected.flags.f_contiguous and not pkg.projected.flags.writeable
+        offer = dict(t=2, noised=False, epsilon=None, c2=None, rows_excluded=())
+        line = encode(SketchOffer(projected=pkg.projected, **offer))
+        assert line == encode(SketchOffer(projected=M, **offer))
+        assert decode(line).projected.tobytes() == M.tobytes()
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(BadDimensions):
+            SketchPackage(projected=np.zeros((5, 0)), t=0)
+
     def test_noised_requires_metadata(self):
         with pytest.raises(ValueError):
             SketchPackage(projected=np.zeros((3, 1)), t=1, noised=True)

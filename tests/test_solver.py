@@ -3,10 +3,55 @@ import pytest
 
 from aeal.errors import SingularHessian
 from aeal.losses import LossFamily
-from aeal.solver import SolverConfig, fit_offset, sandwich_pieces
+from aeal.solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse
 
 GAUSS = LossFamily("gaussian")
 LOGIT = LossFamily("logistic")
+FAMILIES = [GAUSS, LOGIT, LossFamily("poisson"), LossFamily("logcosh", alpha=0.3)]
+
+
+def reference_newton(X, y, offset, fam, cfg, init=None):
+    """The Newton loop written with separate value, grad and hess calls, one
+    objective evaluation per candidate and the gradient taken afresh at each
+    accepted point: (beta, iterations, grad_inf, final_loss)."""
+    n, p = X.shape
+    lam = cfg.ridge
+
+    def objective(beta):
+        val = float(np.mean(fam.value(y, X @ beta + offset)))
+        if lam > 0:
+            val += lam * float(beta @ beta)
+        return val
+
+    beta = np.zeros(p) if init is None else np.array(init, dtype=float)
+    obj = objective(beta)
+    it = 0
+    while True:
+        nu = X @ beta + offset
+        g = X.T @ fam.grad(y, nu) / n
+        if lam > 0:
+            g = g + 2.0 * lam * beta
+        grad_inf = float(np.max(np.abs(g)))
+        if grad_inf <= cfg.tol or it == cfg.max_iter:
+            break
+        it += 1
+        H = (X * fam.hess(y, nu)[:, None]).T @ X / n
+        if lam > 0:
+            H = H + 2.0 * lam * np.eye(p)
+        step = spd_inverse(H, 1e-14) @ g
+        slope = float(g @ step)
+        slack = 4.0 * np.finfo(float).eps * abs(obj)
+        t = 1.0
+        for _ in range(60):
+            cand = beta - t * step
+            cand_obj = objective(cand)
+            if cand_obj <= obj - 1e-4 * t * slope + slack:
+                beta, obj = cand, cand_obj
+                break
+            t *= 0.5
+        else:
+            break
+    return beta, it, grad_inf, obj
 
 
 def grid_search_2d(objective, lo=-5.0, hi=5.0):
@@ -140,6 +185,30 @@ class TestFitOffset:
         assert fit.grad_norm_inf == float(np.max(np.abs(X.T @ GAUSS.grad(y, nu) / 50)))
 
 
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+def test_one_evaluation_per_point_is_bitwise_the_reference_loop(fam, ridge):
+    # the accepted candidate's derivatives serve the next step: every
+    # FitResult field keeps the bits of the loop that evaluated each point anew
+    rng = np.random.default_rng(31)
+    n = 400
+    X = np.asfortranarray(rng.normal(size=(n, 4)) * 0.5)
+    nu = X @ np.array([0.4, -0.3, 0.2, 0.1])
+    y = {"gaussian": nu + rng.normal(size=n),
+         "logistic": (rng.uniform(size=n) < 1 / (1 + np.exp(-nu))).astype(float),
+         "poisson": rng.poisson(np.exp(nu)).astype(float),
+         "logcosh": nu + rng.standard_t(3, size=n)}[fam.kind]
+    offset = 0.3 * rng.normal(size=n)
+    cfg = SolverConfig(ridge=ridge)
+    cases = [(np.zeros(n), None), (offset, None), (offset, rng.normal(size=4))]
+    for off, init in cases:
+        fit = fit_offset(X, y, off, fam, cfg, init=init)
+        beta, it, grad_inf, obj = reference_newton(X, y, off, fam, cfg, init=init)
+        assert fit.beta.tobytes() == beta.tobytes()
+        assert (fit.iterations, fit.grad_norm_inf, fit.final_loss) == (it, grad_inf, obj)
+        assert fit.converged and it > 0
+
+
 class TestSandwich:
     def test_gaussian_v1_exact(self):
         rng = np.random.default_rng(11)
@@ -171,3 +240,17 @@ class TestSandwich:
             v2 += float(LOGIT.grad(y[i], nu)) ** 2 * np.outer(X[i], X[i]) / n
         assert np.max(np.abs(V1 - v1)) <= 1e-12
         assert np.max(np.abs(V2 - v2)) <= 1e-12
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+    def test_bitwise_separate_grad_and_hess(self, fam):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(60, 3))
+        y = rng.poisson(1.0, size=60).astype(float) if fam.kind == "poisson" else (
+            rng.uniform(size=60) < 0.5).astype(float)
+        offset = rng.normal(size=60)
+        beta = np.array([0.3, -0.8, 0.1])
+        nu = X @ beta + offset
+        V1, V2 = sandwich_pieces(X, y, offset, fam, beta)
+        g = fam.grad(y, nu)
+        assert V1.tobytes() == ((X * fam.hess(y, nu)[:, None]).T @ X / 60).tobytes()
+        assert V2.tobytes() == ((X * (g * g)[:, None]).T @ X / 60).tobytes()

@@ -1,12 +1,15 @@
 import dataclasses
+import json
+import random
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from aeal.errors import DomainError, ProtocolError, TransportFailure
-from aeal.messages import (PROTOCOL_VERSION, GradShare, Handshake, Offset,
+from aeal.messages import (_SCHEMAS, PROTOCOL_VERSION, GradShare, Handshake, Offset,
                            PredictContribution, ResponseShare, ScreenResult, SketchOffer,
                            Stop, decode, encode, format_float)
 from aeal.transport import Recorder, SocketChannel, connect, local_pair, serve_one
@@ -210,3 +213,113 @@ class TestSocketTransport:
         peer.sendall(raw)
         with pytest.raises(ProtocolError):
             chan.recv()
+
+
+# the JSON lines that once escaped decode as TypeError, ValueError or
+# OverflowError, or decoded to inf
+HANDSHAKE = '{"type":"Handshake","version":"aeal/2","n":%s,"family":"logistic","lam":%s}'
+TOTAL_DECODER_CASES = {
+    "type-list": '{"type":[1]}',
+    "type-object": '{"type":{"a":1}}',
+    "n-5000-digits": HANDSHAKE % ("9" * 5000, "0"),
+    "lam-400-digits": HANDSHAKE % ("80", "9" * 400),
+    "statistic-1e400": '{"type":"ScreenResult","statistic":1e400,"df":1,"p_value":0.5,'
+                       '"reject":false,"alpha":0.05}',
+    "deep-nesting": '{"type":"Stop","reason":' + "[" * 5000 + "]" * 5000 + "}",
+}
+
+
+class TestTotalDecoder:
+    @pytest.mark.parametrize("line", TOTAL_DECODER_CASES.values(),
+                             ids=TOTAL_DECODER_CASES.keys())
+    def test_reproducers_raise_protocol_error(self, line):
+        with pytest.raises(ProtocolError):
+            decode(line)
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "9" * 400])
+    def test_every_float_field_rejects_overflow(self, literal):
+        fields = 0
+        for msg in ALL_MESSAGES:
+            obj = json.loads(encode(msg))
+            for fld, tag in _SCHEMAS[type(msg).__name__].items():
+                if tag.startswith("float"):
+                    fields += 1
+                    parts = [json.dumps(k) + ":" + (literal if k == fld else json.dumps(v))
+                             for k, v in obj.items()]
+                    with pytest.raises(ProtocolError, match=fld):
+                        decode("{" + ",".join(parts) + "}")
+        assert fields >= 9
+
+
+FUZZ_JUNK = ["[1]", "{}", '{"shape":[1,1],"data":"AAAAAAAA8D8="}', '{"shape":[0,2],"data":""}',
+             '"x"', '""', '"AAAAAAAA8D8="', "true", "false", "null", "0", "-0", "-0.0", "7",
+             "-1", "2.5", "1e-400", "1e400", "-1e400", "9" * 400, "-" + "9" * 400,
+             "9" * 5000, "1" + "0" * 308, "[[[]]]", "[-1,2]", "[1.5]", "[true]", "NaN",
+             "-Infinity", "[" * 3000 + "]" * 3000, '"\\ud800"']
+FUZZ_CHARS = '{}[]":,.-+eE0123456789 \\/AZaz=ntflé\x00'
+
+
+def fuzz_line(rng, line):
+    """One mutation of a valid line: type confusion or an extreme literal in one
+    field, a dropped, repeated or unknown field, truncation, or character flips."""
+    kind = rng.randrange(5)
+    if kind <= 1:
+        items = list(json.loads(line).items())
+        parts = [json.dumps(k) + ":" + json.dumps(v) for k, v in items]
+        i = rng.randrange(len(parts))
+        if kind == 0:
+            parts[i] = json.dumps(items[i][0]) + ":" + rng.choice(FUZZ_JUNK)
+        else:
+            parts[i] = rng.choice(["", parts[i] + "," + parts[i], '"extra":1,' + parts[i]])
+        return "{" + ",".join(p for p in parts if p) + "}"
+    if kind == 2:
+        return line[:rng.randrange(len(line))]
+    chars = list(line)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars))
+        if kind == 3:
+            chars[i] = rng.choice(FUZZ_CHARS)
+        else:
+            chars.insert(i, rng.choice(FUZZ_JUNK))
+    return "".join(chars)
+
+
+def same_message(a, b):
+    if type(a) is not type(b):
+        return False
+    for fld in dataclasses.fields(a):
+        x, y = getattr(a, fld.name), getattr(b, fld.name)
+        if isinstance(x, np.ndarray):
+            if not (isinstance(y, np.ndarray) and x.shape == y.shape
+                    and x.tobytes() == y.tobytes()):
+                return False
+        elif type(x) is not type(y) or x != y:
+            return False
+    return True
+
+
+def test_decoder_fuzz():
+    # each mutated line is rejected as a protocol error or decodes to a finite
+    # message that survives a re-encoding unchanged
+    rng = random.Random(1)
+    valid = {type(m).__name__: encode(m) for m in ALL_MESSAGES}
+    assert len(valid) == len(_SCHEMAS)
+    outcomes = {"rejected": 0, "decoded": 0}
+    start = time.perf_counter()
+    for _ in range(20_000 // len(valid)):
+        for line in valid.values():
+            mutated = fuzz_line(rng, line)
+            try:
+                msg = decode(mutated)
+            except ProtocolError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["decoded"] += 1
+            for fld in dataclasses.fields(msg):
+                value = getattr(msg, fld.name)
+                if isinstance(value, (float, np.ndarray)):
+                    assert np.isfinite(value).all(), mutated
+            assert same_message(decode(encode(msg)), msg), mutated
+    assert sum(outcomes.values()) >= 20_000
+    assert min(outcomes.values()) >= 1_000, outcomes
+    assert time.perf_counter() - start < 5.0
