@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .messages import GradShare, Offset
-from .transport import Recorder, local_pair
+from .transport import Tally, local_pair
 
 FEDSGD = "fedsgd"
 FEDBCD = "fedbcd"
@@ -48,7 +48,8 @@ class BaselineSession:
     diverged: bool
     stop_reason: str
     history: list = None           # [(beta_a, beta_b)] per sync round (index 0 = start)
-    transcript: list = None        # ordered (sender, wire line)
+    transcript: tuple = ()         # always empty: nothing read the lines, so none are kept;
+                                   # the field stays for the benchmark's session hook
 
 
 def _step(cfg, k):
@@ -64,8 +65,8 @@ def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0):
     y = fam.validate_response(y)
     n = len(y)
     batch_rng = np.random.default_rng(batch_seed)  # both sides share the schedule
-    recorder = Recorder()
-    chan_a, chan_b = local_pair(recorder)
+    tally = Tally()
+    chan_a, chan_b = local_pair(tally)
 
     beta_a = np.zeros(X_a.shape[1])
     beta_b = np.zeros(X_b.shape[1])
@@ -124,11 +125,10 @@ def train_baseline(view_a, y, view_b, fam, cfg, batch_seed=0):
     if diverged:
         _, beta_a, beta_b = best
     return BaselineSession(beta_a=beta_a, beta_b=beta_b, loss_log=loss_log, rounds=k,
-                           rounds_transmitted=recorder.vector_sends,
-                           bytes_transmitted=recorder.bytes_transmitted,
-                           diverged=diverged,
+                           rounds_transmitted=tally.vector_sends,
+                           bytes_transmitted=tally.bytes_transmitted, diverged=diverged,
                            stop_reason="Divergence" if diverged else "MaxRounds",
-                           history=history, transcript=list(recorder.lines))
+                           history=history)
 
 
 def default_step_grid(low=0.01, high=5.0, count=20):

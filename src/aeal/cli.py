@@ -28,7 +28,7 @@ from .simulate import (SimData, SimDesign, gen_covariates, gen_response, map_T,
                        oracle_fit, simulate, spawn_rngs)
 from .sketch import SketchPackage, make_sketch
 from .stats import auc
-from .transport import Recorder, connect, serve_one
+from .transport import Tally, connect, serve_one
 
 _NUMERIC_ERRORS = (SolverFailure, SingularHessian, SingularCovarianceBlock,
                    RankDeficientAugmented, RankDeficientView, SingularVariance,
@@ -140,9 +140,9 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
     # has converged, so once beta_A^k = beta_A^(k-1), Bob's next fit starts where he
     # already converged for the same offset and takes no Newton step; so does
     # Alice's, and every later entry equals entry k (the caller holds the last one).
-    sess = train(view_a, sim.y, view_b, fam,
-                 stop=StopCriterion(offset_tol=None, coef_tol=0.0, max_rounds=rounds))
-    aeal_curve = [metric(ba, bb) for ba, bb in sess.history]
+    stop = StopCriterion(offset_tol=None, coef_tol=0.0, max_rounds=rounds)
+    history = train(view_a, sim.y, view_b, fam, stop=stop).history  # the transcript is freed
+    aeal_curve = [metric(ba, bb) for ba, bb in history]
 
     curves = {"oracle": [oracle_metric] * (rounds + 1), "aeal": aeal_curve}
     sign = -1.0 if use_auc else 1.0  # tuning minimizes; a higher AUC is better
@@ -209,15 +209,14 @@ def cmd_robust_u(args):
 # -- agent -------------------------------------------------------------------
 
 
-def _agent_channel(args, recorder):
+def _agent_channel(args, tally):
     me = "A" if args.role == "alice" else "B"
     peer = "B" if me == "A" else "A"
     if args.listen:
         host, port = args.listen.rsplit(":", 1)
-        return serve_one(host or "127.0.0.1", int(port), name=me, peer=peer,
-                         recorder=recorder)
+        return serve_one(host or "127.0.0.1", int(port), name=me, peer=peer, recorder=tally)
     host, port = args.connect.rsplit(":", 1)
-    return connect(host, int(port), name=me, peer=peer, recorder=recorder)
+    return connect(host, int(port), name=me, peer=peer, recorder=tally)
 
 
 def _print_json(obj):
@@ -229,16 +228,16 @@ def cmd_agent(args):
     if bool(args.listen) == bool(args.connect):
         raise ProtocolError("pass exactly one of --listen or --connect")
     fam = parse_family(args.family)
-    recorder = Recorder()
+    tally = Tally()  # the agent prints counts only, so it keeps no line
     role_owner = Owner.A if args.role == "alice" else Owner.B
     response = args.response_column if args.role == "alice" else None
     _, view, y = load_agent_csv(args.data, args.id_column, role_owner,
                                 response_column=response)
-    chan = _agent_channel(args, recorder)
+    chan = _agent_channel(args, tally)
     try:
         if args.mode == "screen":
             return _agent_screen(args, fam, view, y, chan)
-        return _agent_train(args, fam, view, y, chan, recorder)
+        return _agent_train(args, fam, view, y, chan, tally)
     finally:
         chan.close()
 
@@ -302,7 +301,7 @@ def _resolve_tol(value, auto):
     return value if value > 0 else None
 
 
-def _agent_train(args, fam, view, y, chan, recorder):
+def _agent_train(args, fam, view, y, chan, tally):
     if args.role == "alice":
         default = StopCriterion.default(view.n)
         stop = StopCriterion(
@@ -319,8 +318,8 @@ def _agent_train(args, fam, view, y, chan, recorder):
     _print_json({"role": args.role, "mode": args.mode,
                  "beta": [format_float(v) for v in beta],
                  "rounds": res["rounds"], "stop_reason": res["stop_reason"],
-                 "rounds_transmitted": recorder.offset_count(),
-                 "bytes_transmitted": recorder.bytes_transmitted})
+                 "rounds_transmitted": tally.offset_count(),
+                 "bytes_transmitted": tally.bytes_transmitted})
     if args.mode == "predict":
         predict_side(args, fam, res, chan)
     return 0

@@ -111,7 +111,8 @@ def _emit(tag, value, fld):
         return "true" if value else "false"
     if tag == "float":
         _check_finite(value, fld)
-        return format_float(value)
+        text = format_float(value)
+        return "-0.0" if text == "-0" else text  # "-0" would parse as the integer 0
     if tag == "float?":
         return "null" if value is None else _emit("float", value, fld)
     if tag in ("vector", "matrix"):

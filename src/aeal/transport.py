@@ -1,10 +1,10 @@
 """Channels carrying wire messages between the two agents.
 
 Both the in-process and the socket channel serialize every message to its
-wire line, so the numeric state either agent observes is identical across
-transports (and transcripts are byte-comparable). The in-process pair runs
-the agents on two threads in lockstep; the protocol is strictly alternating,
-so scheduling cannot affect results.
+wire line for its sink (a Tally counts the lines; a Recorder also keeps
+them), so the numeric state either agent observes is identical across
+transports. The in-process pair runs the agents on two threads in lockstep;
+the protocol is strictly alternating, so scheduling cannot affect results.
 """
 
 import queue
@@ -19,18 +19,16 @@ RECV_TIMEOUT = 120.0
 _CLOSED = object()  # queued by LocalChannel.close: the peer reads it as EOF
 
 
-class Recorder:
-    """Ordered transcript of wire lines with byte and per-type message counters."""
+class Tally:
+    """Byte and per-type message counters of the wire lines; keeps no line."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.lines = []              # (sender, line) in send order
         self.bytes_transmitted = 0
         self.counts = Counter()      # message type name -> lines recorded
 
     def record(self, sender, msg, line):
         with self._lock:
-            self.lines.append((sender, line))
             self.bytes_transmitted += len(line) + 1  # ASCII wire: chars = bytes, + newline
             self.counts[type(msg).__name__] += 1
 
@@ -40,6 +38,18 @@ class Recorder:
 
     def offset_count(self):
         return self.counts["Offset"]
+
+
+class Recorder(Tally):
+    """A Tally that also keeps the ordered transcript of wire lines."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []              # (sender, line) in send order
+
+    def record(self, sender, msg, line):
+        super().record(sender, msg, line)
+        self.lines.append((sender, line))  # a sender records before its peer can answer
 
 
 class LocalChannel:
@@ -78,7 +88,7 @@ class LocalChannel:
 
 
 def local_pair(recorder=None):
-    """Connected (alice_channel, bob_channel) endpoints sharing a recorder."""
+    """Connected (alice_channel, bob_channel) endpoints sharing a Tally or Recorder."""
     a_to_b = queue.Queue()
     b_to_a = queue.Queue()
     return (LocalChannel("A", a_to_b, b_to_a, recorder),

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from aeal import baselines
 from aeal.baselines import (BaselineConfig, default_step_grid, train_baseline,
                             tune_step)
 from aeal.data import AgentView, Owner
@@ -8,6 +11,7 @@ from aeal.losses import LossFamily
 from aeal.messages import decode
 from aeal.protocol import StopCriterion, train
 from aeal.simulate import SimDesign, oracle_fit, simulate
+from aeal.transport import Recorder
 
 GAUSS = LossFamily("gaussian")
 LOGIT = LossFamily("logistic")
@@ -19,6 +23,20 @@ def fixture(seed=0, n=300, family=GAUSS, setting="s1", rho=0.0, centered=True):
     va = AgentView(design=sim.X_a, column_names=sim.ownership.a_names, owner=Owner.A)
     vb = AgentView(design=sim.X_b, column_names=sim.ownership.b_names, owner=Owner.B)
     return sim, va, vb
+
+
+@pytest.fixture
+def kept(monkeypatch):
+    """Line-keeping recorders of the baseline sessions a test runs, in order; a
+    session itself counts its traffic but keeps no line."""
+    recorders = []
+
+    def keeping():
+        recorders.append(Recorder())
+        return recorders[-1]
+
+    monkeypatch.setattr(baselines, "Tally", keeping)
+    return recorders
 
 
 class TestFedSgd:
@@ -37,18 +55,20 @@ class TestFedSgd:
         assert sess.rounds_transmitted == 14  # two vector sends per round
         assert sess.bytes_transmitted > 0
 
-    def test_transmitted_gradient_matches_loss_grad(self):
+    def test_transmitted_gradient_matches_loss_grad(self, kept):
         sim, va, vb = fixture(seed=1, n=60)
         cfg = BaselineConfig(algorithm="fedsgd", step0=0.05, max_rounds=3)
         sess = train_baseline(va, sim.y, vb, GAUSS, cfg)
         offsets = {}
         grads = {}
-        for sender, line in sess.transcript:
+        [recorder] = kept
+        for sender, line in recorder.lines:
             msg = decode(line)
             if type(msg).__name__ == "Offset":
                 offsets[msg.round] = np.asarray(msg.vector)
             elif type(msg).__name__ == "GradShare":
                 grads[msg.round] = np.asarray(msg.vector)
+        assert sorted(grads) == [1, 2, 3]  # one GradShare per round
         for k in sorted(grads):
             beta_a, _ = sess.history[k - 1]
             nu = va.design @ beta_a + offsets[k]
@@ -105,7 +125,7 @@ class TestFedBcd:
 
 
 @pytest.mark.parametrize("algorithm", ["fedsgd", "fedbcd"])
-def test_full_batch_ignores_design_layout(algorithm):
+def test_full_batch_ignores_design_layout(algorithm, kept):
     # a matvec on an F-ordered design may round differently from one on a
     # C-ordered copy; the full batch must not let the layout reach a bit
     sim, _, _ = fixture(seed=9, n=300, family=LOGIT, setting="s2", rho=0.1)
@@ -120,9 +140,28 @@ def test_full_batch_ignores_design_layout(algorithm):
         assert va.design.flags.f_contiguous != va.design.flags.c_contiguous
         runs.append(train_baseline(va, sim.y, vb, LOGIT, cfg))
     f_run, c_run = runs
-    assert f_run.transcript == c_run.transcript
+    f_lines, c_lines = (recorder.lines for recorder in kept)
+    assert f_lines and f_lines == c_lines
     for (a1, b1), (a2, b2) in zip(f_run.history, c_run.history, strict=True):
         assert a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
+
+
+def test_session_memory_flat_in_rounds():
+    # a session counts its lines without keeping them, so its traced peak does
+    # not grow with the rounds it runs
+    sim, va, vb = fixture(seed=12, n=2000, family=LOGIT, setting="s2", rho=0.1)
+    peaks = []
+    for rounds in (5, 50):
+        cfg = BaselineConfig(algorithm="fedbcd", step0=0.1, decay="sqrt", max_rounds=rounds)
+        tracemalloc.start()
+        try:
+            sess = train_baseline(va, sim.y, vb, LOGIT, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sess.rounds == rounds and not sess.diverged
+        assert sess.transcript == ()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestComparative:

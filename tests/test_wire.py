@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import random
 import socket
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from aeal.errors import DomainError, ProtocolError, TransportFailure
 from aeal.messages import (_SCHEMAS, PROTOCOL_VERSION, GradShare, Handshake, Offset,
                            PredictContribution, ResponseShare, ScreenResult, SketchOffer,
                            Stop, decode, encode, format_float)
-from aeal.transport import Recorder, SocketChannel, connect, local_pair, serve_one
+from aeal.transport import Recorder, SocketChannel, Tally, connect, local_pair, serve_one
 
 ALL_MESSAGES = [
     Handshake(version=PROTOCOL_VERSION, n=10, family="logistic", lam=0.0),
@@ -66,6 +68,19 @@ class TestRoundTrip:
         ])
         for x in samples:
             assert float(format_float(x)) == x
+
+    def test_negative_zero_scalars_keep_their_sign(self):
+        fields = 0
+        for msg in ALL_MESSAGES:
+            for fld, tag in _SCHEMAS[type(msg).__name__].items():
+                if tag.startswith("float"):
+                    fields += 1
+                    back = decode(encode(dataclasses.replace(msg, **{fld: -0.0})))
+                    assert math.copysign(1.0, getattr(back, fld)) == -1.0, fld
+        assert fields >= 9
+        # only the sign of zero changes on the wire; +0.0 keeps its short form
+        assert encode(PredictContribution(nu=0.0, sigma=-0.0)) == \
+            '{"type":"PredictContribution","nu":0,"sigma":-0.0}'
 
 
 class TestStrictness:
@@ -174,6 +189,45 @@ class TestLocalTransport:
                 a.recv()
         finally:
             tr.RECV_TIMEOUT = old
+
+
+def exchange(a, b):
+    """Send every message of ALL_MESSAGES across the pair, alternating direction."""
+    for i, msg in enumerate(ALL_MESSAGES):
+        sender, receiver = (a, b) if i % 2 == 0 else (b, a)
+        sender.send(msg)
+        assert type(receiver.recv()) is type(msg)
+
+
+class TestSinks:
+    def assert_same_counts(self, tally, recorder):
+        assert not hasattr(tally, "lines")
+        assert len(recorder.lines) == len(ALL_MESSAGES)
+        assert tally.bytes_transmitted == recorder.bytes_transmitted == sum(
+            len(line) + 1 for _, line in recorder.lines)
+        assert tally.counts == recorder.counts == Counter(
+            type(m).__name__ for m in ALL_MESSAGES)
+        assert tally.vector_sends == recorder.vector_sends == 2
+        assert tally.offset_count() == recorder.offset_count() == 1
+
+    def test_local_pair(self):
+        tally, recorder = Tally(), Recorder()
+        for sink in (tally, recorder):
+            exchange(*local_pair(sink))
+        self.assert_same_counts(tally, recorder)
+
+    def test_socket_pair(self):
+        # each end records what it sends and what it receives: all the traffic
+        left, right = socket.socketpair()
+        tally, recorder = Tally(), Recorder()
+        a = SocketChannel(left, name="A", peer="B", recorder=tally)
+        b = SocketChannel(right, name="B", peer="A", recorder=recorder)
+        try:
+            exchange(a, b)
+        finally:
+            a.close()
+            b.close()
+        self.assert_same_counts(tally, recorder)
 
 
 class TestSocketTransport:
@@ -289,9 +343,9 @@ def same_message(a, b):
         return False
     for fld in dataclasses.fields(a):
         x, y = getattr(a, fld.name), getattr(b, fld.name)
-        if isinstance(x, np.ndarray):
-            if not (isinstance(y, np.ndarray) and x.shape == y.shape
-                    and x.tobytes() == y.tobytes()):
+        if isinstance(x, (float, np.ndarray)):  # bits, so -0.0 is not 0.0
+            if not (type(y) is type(x) and np.shape(x) == np.shape(y)
+                    and np.asarray(x).tobytes() == np.asarray(y).tobytes()):
                 return False
         elif type(x) is not type(y) or x != y:
             return False
