@@ -16,13 +16,14 @@ import numpy as np
 
 from . import baselines
 from .data import AgentView, Owner, load_agent_csv
-from .errors import (AealError, BadDimensions, DomainError, OneClassOnly, ProtocolError,
-                     RankDeficientAugmented, RankDeficientView, SingularCovarianceBlock,
-                     SingularHessian, SingularVariance, SolverFailure, TransportFailure)
+from .errors import (AealError, BadDimensions, DimensionMismatch, DomainError, OneClassOnly,
+                     ProtocolError, RankDeficientAugmented, RankDeficientView,
+                     SingularCovarianceBlock, SingularHessian, SingularVariance,
+                     SolverFailure, TransportFailure)
 from .losses import parse_family
-from .messages import (PredictContribution, ScreenResult, SketchOffer,
-                       format_float)
-from .protocol import StopCriterion, joint_interval, run_alice, run_bob
+from .messages import (PROTOCOL_VERSION, Handshake, PredictContribution, ScreenResult,
+                       SketchOffer, format_float)
+from .protocol import StopCriterion, _check_handshake, joint_interval, run_alice, run_bob
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SimData, SimDesign, gen_covariates, gen_response, map_T,
                        oracle_fit, simulate, spawn_rngs)
@@ -321,12 +322,23 @@ def _agent_train(args, fam, view, y, chan, tally):
                  "rounds_transmitted": tally.offset_count(),
                  "bytes_transmitted": tally.bytes_transmitted})
     if args.mode == "predict":
-        predict_side(args, fam, res, chan)
+        predict_side(args, fam, res, chan, _predict_view(args, fam, view, chan))
     return 0
 
 
-def _predict_alice(args, fam, res, chan):
-    _, view_new, _ = load_agent_csv(args.predict_data, args.id_column, Owner.A)
+def _predict_view(args, fam, view, chan):
+    """This side's predict file, checked against its training columns; the
+    handshake that follows checks that both sides predict as many rows."""
+    _, view_new, _ = load_agent_csv(args.predict_data, args.id_column, view.owner)
+    if view_new.column_names != view.column_names:
+        raise DimensionMismatch(f"predict columns {list(view_new.column_names)} differ "
+                                f"from the training columns {list(view.column_names)}")
+    chan.send(Handshake(version=PROTOCOL_VERSION, n=view_new.n, family=fam.name, lam=0.0))
+    _check_handshake(chan.recv(), view_new.n)
+    return view_new
+
+
+def _predict_alice(args, fam, res, chan, view_new):
     cov = res["cov_a"]
     for i in range(view_new.n):
         x_a = view_new.design[i]
@@ -340,8 +352,7 @@ def _predict_alice(args, fam, res, chan):
                      "lo": format_float(pred.lo), "hi": format_float(pred.hi)})
 
 
-def _predict_bob(args, fam, res, chan):
-    _, view_new, _ = load_agent_csv(args.predict_data, args.id_column, Owner.B)
+def _predict_bob(args, fam, res, chan, view_new):
     cov = res["cov_b"]
     for i in range(view_new.n):
         x_b = view_new.design[i]

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import GAUSSIAN, LOGCOSH, LOGISTIC, POISSON
-from .solver import SolverConfig, fit_offset
+from .solver import SolverConfig, fit_offset, weighted_gram
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def eta_bound(X_pooled, y, fam, beta):
     n = X_pooled.shape[0]
     nu = X_pooled @ np.asarray(beta, dtype=float)
     w = fam.hess(np.asarray(y, dtype=float), nu)
-    H = (X_pooled * w[:, None]).T @ X_pooled / n
+    H = weighted_gram(X_pooled, w) / n
     eig = np.linalg.eigvalsh(H)
     lmin, lmax = float(eig[0]), float(eig[-1])
     if lmin <= 0:

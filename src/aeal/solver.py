@@ -17,6 +17,9 @@ from .errors import SingularHessian
 _EPS = np.finfo(float).eps
 _ARMIJO = 1e-4    # sufficient-decrease fraction of the predicted descent
 _SHRINK = 0.5     # backtracking factor on the step length
+# weighted_gram's bytes per row block: the block and its weighted copy stay in a
+# core's 2 MiB L2, which one n x p copy overflows at n = 2e4 (memory-bound then)
+_GRAM_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,21 @@ def spd_inverse(M, floor=None):
         raise np.linalg.LinAlgError("numerically singular")
     L_inv = np.linalg.inv(L)
     return L_inv.T @ L_inv
+
+
+def weighted_gram(X, w):
+    """X' diag(w) X summed over equal row blocks, each weighted copy within
+    _GRAM_BLOCK_BYTES; rows that fit in one block give (X * w[:, None]).T @ X."""
+    n, p = X.shape
+    rows = _GRAM_BLOCK_BYTES // (X.itemsize * max(p, 1))
+    if n <= rows:
+        return (X * w[:, None]).T @ X
+    rows = -(-n // -(-n // rows))  # as many blocks as the budget needs, equal in size
+    G = np.zeros((p, p))
+    for s in range(0, n, rows):
+        Xs = X[s:s + rows]
+        G += (Xs * w[s:s + rows, None]).T @ Xs
+    return G
 
 
 def fit_offset(X, y, offset, fam, cfg=None, init=None):
@@ -93,7 +111,7 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
         if grad_inf <= cfg.tol or it == cfg.max_iter:
             break
         it += 1
-        H = (X * w[:, None]).T @ X / n
+        H = weighted_gram(X, w) / n
         if lam > 0:
             H = H + 2.0 * lam * np.eye(p)
         try:
@@ -133,6 +151,6 @@ def sandwich_pieces(X, y, offset, fam, beta):
     n = X.shape[0]
     offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
     _, g, w1 = fam.derivatives(y, X @ np.asarray(beta, dtype=float) + offset)
-    V1 = (X * w1[:, None]).T @ X / n
-    V2 = (X * (g * g)[:, None]).T @ X / n
+    V1 = weighted_gram(X, w1) / n
+    V2 = weighted_gram(X, g * g) / n
     return V1, V2

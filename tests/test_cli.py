@@ -423,3 +423,38 @@ class TestAgent:
         assert len(preds) == 80
         for p in preds[:5]:
             assert float(p["lo"]) <= float(p["point"]) <= float(p["hi"])
+
+    def run_predict_pair(self, path_a, path_b, predict_a, predict_b):
+        port = free_port()
+        bob = spawn_agent(["--role", "bob", "--listen", f"127.0.0.1:{port}",
+                           "--data", path_b, "--mode", "predict",
+                           "--predict-data", str(predict_b)])
+        wait_listening(port)
+        alice = spawn_agent(["--role", "alice", "--connect", f"127.0.0.1:{port}",
+                             "--data", path_a, "--mode", "predict",
+                             "--max-rounds", "10", "--predict-data", str(predict_a)])
+        a_out, a_err = alice.communicate(timeout=120)
+        _, b_err = bob.communicate(timeout=120)
+        return alice.returncode, a_out, a_err, bob.returncode, b_err
+
+    def test_predict_file_with_a_foreign_column_exits_1(self, owner_csvs):
+        # Alice's training CSV still carries y, a column her training view lacks
+        path_a, path_b = owner_csvs
+        a_code, a_out, a_err, b_code, _ = self.run_predict_pair(path_a, path_b, path_a, path_b)
+        assert a_code == 1, a_err
+        assert a_err.startswith("error:") and "Traceback" not in a_err
+        assert len(a_out.strip().split("\n")) == 1  # the training line, no prediction
+        assert b_code == 2
+
+    def test_predict_row_counts_differ_exits_2(self, owner_csvs, tmp_path):
+        path_a, path_b = owner_csvs
+        new_a = tmp_path / "new_a.csv"
+        with open(path_a) as src, open(new_a, "w") as dst:
+            for line in list(src)[:21]:  # the header and 20 of Bob's 80 rows
+                cells = line.rstrip("\n").split(",")
+                dst.write(",".join(cells[:1] + cells[2:]) + "\n")
+        a_code, a_out, a_err, b_code, b_err = self.run_predict_pair(path_a, path_b, new_a,
+                                                                    path_b)
+        assert a_code == 2 and "row count" in a_err, a_err
+        assert b_code == 2 and "row count" in b_err, b_err
+        assert len(a_out.strip().split("\n")) == 1

@@ -1,4 +1,6 @@
 import math
+import socket
+import threading
 import time
 
 import numpy as np
@@ -11,10 +13,11 @@ from aeal.errors import (DimensionMismatch, ProtocolError, SingularVariance,
 from aeal.losses import LossFamily
 from aeal.messages import PROTOCOL_VERSION, Handshake, Offset, decode
 from aeal.protocol import (StopCriterion, TrainSession, joint_loss, predict,
-                           replay, run_bob, train)
+                           replay, run_alice, run_bob, train)
 from aeal.simulate import SimDesign, eta_bound, map_T, oracle_fit, simulate
+from aeal.solver import _GRAM_BLOCK_BYTES
 from aeal.stats import normal_quantile
-from aeal.transport import local_pair
+from aeal.transport import Recorder, SocketChannel, Tally, local_pair
 
 GAUSS = LossFamily("gaussian")
 LOGIT = LossFamily("logistic")
@@ -406,3 +409,39 @@ class TestProtocolValidation:
         chan_a.send(Offset(round=1, vector=tuple(np.zeros(vb.n))))  # repeated round
         th.join(10)
         assert results and isinstance(results[0], ProtocolError)
+
+
+def test_socket_session_equals_in_process_above_one_gram_block():
+    # at n = 10 000 each side's 8 columns span two row blocks of the weighted
+    # Gram; the socket agents still reproduce the in-process session bit for bit
+    sim = simulate(SimDesign(setting="s2", n=10_000, rho=0.1, family=LOGIT),
+                   np.random.default_rng(13))
+    va, vb = views_from(sim)
+    assert min(va.design.nbytes, vb.design.nbytes) > _GRAM_BLOCK_BYTES
+    stop = StopCriterion.default(va.n)
+    sess = train(va, sim.y, vb, LOGIT, stop=stop)
+
+    left, right = socket.socketpair()
+    rec_a, tally_b = Recorder(), Tally()
+    chan_a = SocketChannel(left, name="A", peer="B", recorder=rec_a)
+    chan_b = SocketChannel(right, name="B", peer="A", recorder=tally_b)
+    bob = {}
+    worker = threading.Thread(target=lambda: bob.update(run_bob(vb, LOGIT, chan_b)),
+                              daemon=True)
+    worker.start()
+    try:
+        alice = run_alice(va, sim.y, LOGIT, chan_a, stop=stop)
+    finally:
+        worker.join(timeout=120.0)
+        chan_a.close()
+        chan_b.close()
+
+    assert alice["beta_a"].tobytes() == sess.beta_a.tobytes()
+    assert bob["beta_b"].tobytes() == sess.beta_b.tobytes()
+    assert alice["cov_a"].tobytes() == sess.cov_a.tobytes()
+    assert bob["cov_b"].tobytes() == sess.cov_b.tobytes()
+    assert alice["rounds"] == bob["rounds"] == sess.rounds
+    assert rec_a.lines == sess.transcript
+    assert (rec_a.bytes_transmitted == tally_b.bytes_transmitted
+            == sess.bytes_transmitted)
+    assert rec_a.offset_count() == tally_b.offset_count() == sess.rounds_transmitted

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aeal import screening
+from aeal import screening, solver
 from aeal.data import AgentView, Owner
 from aeal.errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock)
 from aeal.losses import LossFamily
@@ -370,3 +370,23 @@ class TestContext:
         wald_screen(view, y, full, GAUSS, context=context)
         assert len(inits) == 1
         assert inits[0].tobytes() == np.concatenate([context.fit_a.beta, [0.0, 0.0]]).tobytes()
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+def test_wald_screen_above_one_gram_block_matches_the_unblocked_product(monkeypatch, ridge):
+    # at n = 20 000 the augmented design (4 + 3 columns) spans three row
+    # blocks of the weighted Gram; one product over all rows is the reference
+    n = 20_000
+    X_a, X_b, y, rng = gaussian_fixture(seed=8, n=n, p_a=4, p_b=3)
+    assert n * (4 + 3) * 8 > solver._GRAM_BLOCK_BYTES
+    y = (rng.uniform(size=n) < 1 / (1 + np.exp(-0.3 * (X_a.sum(axis=1) + X_b[:, 0])))
+         ).astype(float)
+    sketch = make_sketch(X_b, 3, np.random.default_rng(9))
+    view = make_view(X_a)
+    got = wald_screen(view, y, sketch, LOGIT, ridge=ridge)
+    monkeypatch.setattr(solver, "weighted_gram", lambda X, w: (X * w[:, None]).T @ X)
+    want = wald_screen(view, y, sketch, LOGIT, ridge=ridge)
+    assert got.fit.iterations == want.fit.iterations > 0
+    assert np.max(np.abs(got.fit.beta - want.fit.beta)) <= 1e-12 * np.max(np.abs(want.fit.beta))
+    assert abs(got.decision.statistic - want.decision.statistic) <= (
+        1e-12 * want.decision.statistic)

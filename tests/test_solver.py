@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from aeal import solver
 from aeal.errors import SingularHessian
 from aeal.losses import LossFamily
-from aeal.solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse
+from aeal.solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse, weighted_gram
 
 GAUSS = LossFamily("gaussian")
 LOGIT = LossFamily("logistic")
@@ -254,3 +258,79 @@ class TestSandwich:
         g = fam.grad(y, nu)
         assert V1.tobytes() == ((X * fam.hess(y, nu)[:, None]).T @ X / 60).tobytes()
         assert V2.tobytes() == ((X * (g * g)[:, None]).T @ X / 60).tobytes()
+
+
+def unblocked_gram(X, w):
+    """The weighted Gram as one product over all rows."""
+    return (X * w[:, None]).T @ X
+
+
+def block_rows(p):
+    """The most rows weighted_gram takes in one block for p columns."""
+    return solver._GRAM_BLOCK_BYTES // (8 * max(p, 1))
+
+
+class TestWeightedGram:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n,p", [(1, 3), (50, 0), (300, 4), (5000, 13), (65536, 1)])
+    def test_one_block_is_the_plain_product(self, n, p, order):
+        assert n <= block_rows(p)
+        rng = np.random.default_rng(n + p)
+        X = np.asarray(rng.normal(size=(n, p)), order=order)
+        w = rng.uniform(size=n)
+        G = weighted_gram(X, w)
+        assert G.shape == (p, p)
+        assert G.tobytes() == unblocked_gram(X, w).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n,p", [(20001, 11), (65537, 1), (30000, 5)])
+    def test_several_blocks_match_an_exact_sum(self, n, p, order):
+        # 20001 rows make four blocks of 5001 rows and a last one of 4998
+        assert n > block_rows(p)
+        rng = np.random.default_rng(n + p)
+        X = np.asarray(rng.normal(size=(n, p)), order=order)
+        w = rng.uniform(size=n)
+        G = weighted_gram(X, w)
+        ref = np.array([[math.fsum(X[:, j] * w * X[:, k]) for k in range(p)]
+                        for j in range(p)])
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_fit_and_sandwich_peaks_stay_below_the_design(self):
+        # a full weighted copy of X, as the unblocked product makes, would
+        # already push either peak past X.nbytes
+        rng = np.random.default_rng(41)
+        n, p = 200_000, 11
+        X = np.asfortranarray(rng.normal(size=(n, p)) / np.sqrt(p))
+        y = (rng.uniform(size=n) < 1 / (1 + np.exp(-X @ np.ones(p)))).astype(float)
+        tracemalloc.start()
+        try:
+            fit = fit_offset(X, y, None, LOGIT)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sandwich_pieces(X, y, None, LOGIT, fit.beta)
+            sandwich_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        assert fit_peak < X.nbytes and sandwich_peak < X.nbytes
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("with_offset", [False, True])
+@pytest.mark.parametrize("fam", [LOGIT, LossFamily("poisson")], ids=lambda f: f.kind)
+def test_fit_above_one_block_matches_the_unblocked_product(monkeypatch, fam, with_offset,
+                                                           ridge):
+    rng = np.random.default_rng(43)
+    n, p = 20_000, 6
+    assert n > block_rows(p)
+    X = np.asfortranarray(rng.normal(size=(n, p)) * 0.4)
+    nu = X @ np.linspace(-0.5, 0.5, p)
+    y = ((rng.uniform(size=n) < 1 / (1 + np.exp(-nu))).astype(float) if fam is LOGIT
+         else rng.poisson(np.exp(nu)).astype(float))
+    offset = 0.3 * rng.normal(size=n) if with_offset else None
+    cfg = SolverConfig(ridge=ridge)
+    fit = fit_offset(X, y, offset, fam, cfg)
+    monkeypatch.setattr(solver, "weighted_gram", unblocked_gram)
+    ref = fit_offset(X, y, offset, fam, cfg)
+    assert fit.converged and fit.iterations == ref.iterations > 0
+    assert np.max(np.abs(fit.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
