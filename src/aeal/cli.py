@@ -16,7 +16,7 @@ import numpy as np
 
 from . import baselines
 from .data import AgentView, Owner, load_agent_csv
-from .errors import (AealError, BadDimensions, DimensionMismatch, DomainError, OneClassOnly,
+from .errors import (AealError, DimensionMismatch, DomainError, OneClassOnly,
                      ProtocolError, RankDeficientAugmented, RankDeficientView,
                      SingularCovarianceBlock, SingularHessian, SingularVariance,
                      SolverFailure, TransportFailure)
@@ -27,7 +27,7 @@ from .protocol import StopCriterion, _check_handshake, joint_interval, run_alice
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SimData, SimDesign, gen_covariates, gen_response, map_T,
                        oracle_fit, simulate, spawn_rngs)
-from .sketch import SketchPackage, make_sketch
+from .sketch import make_sketch
 from .stats import auc
 from .transport import Tally, connect, serve_one
 
@@ -228,6 +228,8 @@ def _print_json(obj):
 def cmd_agent(args):
     if bool(args.listen) == bool(args.connect):
         raise ProtocolError("pass exactly one of --listen or --connect")
+    if args.mode == "predict" and not args.predict_data:
+        raise AealError("--mode predict needs --predict-data")
     fam = parse_family(args.family)
     tally = Tally()  # the agent prints counts only, so it keeps no line
     role_owner = Owner.A if args.role == "alice" else Owner.B
@@ -250,32 +252,21 @@ def _agent_screen(args, fam, view, y, chan):
         if args.screen_rows and args.screen_rows < X_b.shape[0]:
             X_b = X_b[: args.screen_rows]  # leading rows of the sorted-id order
         t = min(args.t, X_b.shape[1])
-        sketch = make_sketch(X_b, t, rng, noise_scale=args.laplace_scale,
-                             epsilon=args.epsilon, c2=args.clip_bound)
-        chan.send(SketchOffer(projected=sketch.projected, t=sketch.t, noised=sketch.noised,
-                              epsilon=sketch.epsilon, c2=sketch.c2,
-                              rows_excluded=sketch.rows_excluded))
+        chan.send(make_sketch(X_b, t, rng, noise_scale=args.laplace_scale,
+                              epsilon=args.epsilon, c2=args.clip_bound))
         result = chan.recv()
         if not isinstance(result, ScreenResult):
             raise ProtocolError("expected a screening result")
         _print_json({"role": "bob", "mode": "screen", "reject": result.reject,
                      "p_value": format_float(result.p_value)})
         return 0
-    offer = chan.recv()
-    if not isinstance(offer, SketchOffer):
+    sketch = chan.recv()
+    if not isinstance(sketch, SketchOffer):
         raise ProtocolError("expected a sketch offer")
     # B sketched its leading rows; the screening functions drop the clipped ones
-    excluded = offer.rows_excluded
-    n_rows = len(offer.projected) + len(excluded)
+    n_rows = sketch.n + len(sketch.rows_excluded)
     if n_rows > view.n:
         raise ProtocolError("sketch carries more rows than this agent holds")
-    if len(set(excluded)) != len(excluded) or not all(0 <= i < n_rows for i in excluded):
-        raise ProtocolError("excluded sketch rows must be distinct rows of the sketch")
-    try:
-        sketch = SketchPackage(projected=offer.projected, t=offer.t, noised=offer.noised,
-                               epsilon=offer.epsilon, c2=offer.c2, rows_excluded=excluded)
-    except (BadDimensions, ValueError) as exc:  # e.g. not t columns, noised without epsilon
-        raise ProtocolError(f"malformed sketch offer: {exc}") from None
     view_rows = AgentView(design=view.design[:n_rows], column_names=view.column_names,
                           owner=view.owner)
     y_rows = np.asarray(y, dtype=float)[:n_rows]
@@ -285,8 +276,7 @@ def _agent_screen(args, fam, view, y, chan):
         report = wald_screen(view_rows, y_rows, sketch, fam, alpha=args.alpha,
                              ridge=args.ridge)
     d = report.decision
-    chan.send(ScreenResult(statistic=d.statistic, df=d.df, p_value=d.p_value,
-                           reject=d.reject, alpha=d.alpha))
+    chan.send(d)
     _print_json({"role": "alice", "mode": "screen", "statistic": format_float(d.statistic),
                  "df": d.df, "p_value": format_float(d.p_value), "reject": d.reject,
                  "alpha": format_float(d.alpha), "n_used": report.n_used,

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ProtocolError
+from .errors import AealError, DomainError, ProtocolError
+from .sketch import SketchOffer
+from .stats import ScreenResult
 
 PROTOCOL_VERSION = "aeal/2"
 
@@ -25,24 +27,9 @@ class Handshake:
     family: str
     lam: float
 
-
-@dataclass(frozen=True)
-class SketchOffer:
-    projected: np.ndarray   # n x t
-    t: int
-    noised: bool
-    epsilon: float      # None when not noised
-    c2: float
-    rows_excluded: tuple
-
-
-@dataclass(frozen=True)
-class ScreenResult:
-    statistic: float
-    df: int
-    p_value: float
-    reject: bool
-    alpha: float
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ValueError("ridge must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -62,6 +49,10 @@ class Offset:
 class PredictContribution:
     nu: float
     sigma: float
+
+    def __post_init__(self):
+        if self.sigma < 0:
+            raise ValueError("sigma must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -189,7 +180,8 @@ def _reject_constant(name):
 
 
 def decode(line):
-    """Parse one line into a message object, rejecting anything off-schema."""
+    """Parse one line into a message built by its class (sketch.SketchOffer and
+    stats.ScreenResult too), rejecting anything off-schema or against its invariants."""
     try:
         obj = json.loads(line, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:  # e.g. an int past 4300 digits
@@ -207,4 +199,7 @@ def decode(line):
     if missing:
         raise ProtocolError(f"missing fields {sorted(missing)} in {name}")
     kwargs = {fld: _take(tag, obj[fld], fld) for fld, tag in schema.items()}
-    return _CLASSES[name](**kwargs)
+    try:
+        return _CLASSES[name](**kwargs)
+    except (AealError, ValueError) as exc:
+        raise ProtocolError(f"malformed {name}: {exc}") from None

@@ -20,12 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DimensionMismatch, ProtocolError, SingularVariance,
-                     SolverFailure, TransportFailure)
+                     SolverFailure, TransportFailure, UnsupportedResponse)
 from .losses import parse_family
 from .messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare,
                        Stop, decode)
 from .sketch import mask_response, unmask_probability
-from .solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse
+from .solver import fit_offset, sandwich_pieces, spd_inverse
 from .stats import normal_quantile
 from .transport import Recorder, local_pair
 
@@ -84,8 +84,8 @@ class Prediction:
     alpha: float
 
 
-def _fit_or_fail(X, y, offset, fam, cfg, init, who):
-    res = fit_offset(X, y, offset, fam, cfg, init=init)
+def _fit_or_fail(X, y, offset, fam, ridge, init, who):
+    res = fit_offset(X, y, offset, fam, ridge, init=init)
     if not res.converged:
         raise SolverFailure(f"{who}'s local fit did not converge")
     return res
@@ -140,7 +140,6 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
     """
     X_a = view_a.design
     n = X_a.shape[0]
-    cfg = SolverConfig(ridge=ridge)
     stop = stop or StopCriterion.default(n)
 
     chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=ridge))
@@ -154,7 +153,7 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
     chan.send(ResponseShare(y=y_train, masked=masked, flip_prob=mask_flip_prob))
 
     peer = _PeerTracker(n)
-    fits = [_fit_or_fail(X_a, y_train, None, fam, cfg, None, "A")]
+    fits = [_fit_or_fail(X_a, y_train, None, fam, ridge, None, "A")]
     beta_a = fits[0].beta
     nu_a = X_a @ beta_a
     nu_b = np.zeros(n)
@@ -173,7 +172,7 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
         nu_b = peer.take(chan.recv())
         k += 1
 
-        fits.append(_fit_or_fail(X_a, y_train, nu_b, fam, cfg, beta_a, "A"))
+        fits.append(_fit_or_fail(X_a, y_train, nu_b, fam, ridge, beta_a, "A"))
         prev_beta_a, beta_a = beta_a, fits[-1].beta
         nu_a = X_a @ beta_a
 
@@ -213,7 +212,6 @@ def run_bob(view_b, fam, chan):
     fam = parse_family(hs.family) if fam is None else fam
     if fam.name != hs.family:
         raise ProtocolError("family mismatch between handshake and local config")
-    cfg = SolverConfig(ridge=hs.lam)
     chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=hs.lam))
 
     share = chan.recv()
@@ -221,7 +219,10 @@ def run_bob(view_b, fam, chan):
         raise ProtocolError("expected the response share")
     if len(share.y) != n:
         raise ProtocolError("response length does not match the session")
-    y_train = np.asarray(share.y, dtype=float)
+    try:
+        y_train = fam.validate_response(share.y)
+    except UnsupportedResponse as exc:
+        raise ProtocolError(f"response share: {exc}") from None
 
     peer = _PeerTracker(n)
     beta_b = np.zeros(X_b.shape[1])
@@ -230,7 +231,7 @@ def run_bob(view_b, fam, chan):
     msg = chan.recv()
     while not isinstance(msg, Stop):
         nu_a = peer.take(msg)
-        fits.append(_fit_or_fail(X_b, y_train, nu_a, fam, cfg, beta_b, "B"))
+        fits.append(_fit_or_fail(X_b, y_train, nu_a, fam, hs.lam, beta_b, "B"))
         beta_b = fits[-1].beta
         nu_b = X_b @ beta_b
         chan.send(Offset(round=len(fits), vector=nu_b))
@@ -365,12 +366,11 @@ def replay(session, view_a, view_b, fam):
         msg = decode(line)
         if isinstance(msg, Offset):
             (offsets_a if sender == "A" else offsets_b).append(msg.vector)
-    cfg = SolverConfig(ridge=session.ridge)
-    y = session.y_train
-    beta_a = fit_offset(view_a.design, y, None, fam, cfg).beta
+    ridge, y = session.ridge, session.y_train
+    beta_a = fit_offset(view_a.design, y, None, fam, ridge).beta
     for nu_b in offsets_b:
-        beta_a = fit_offset(view_a.design, y, nu_b, fam, cfg, init=beta_a).beta
+        beta_a = fit_offset(view_a.design, y, nu_b, fam, ridge, init=beta_a).beta
     beta_b = np.zeros(view_b.design.shape[1])
     for nu_a in offsets_a[:-1]:  # B never fits against A's final send
-        beta_b = fit_offset(view_b.design, y, nu_a, fam, cfg, init=beta_b).beta
+        beta_b = fit_offset(view_b.design, y, nu_a, fam, ridge, init=beta_b).beta
     return beta_a, beta_b

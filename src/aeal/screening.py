@@ -43,13 +43,13 @@ import numpy as np
 from .data import numerical_rank
 from .errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBlock,
                      SolverFailure)
-from .solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse
+from .solver import fit_offset, sandwich_pieces, spd_inverse
 from .stats import make_decision
 
 
 @dataclass
 class ScreenReport:
-    decision: object          # TestDecision; decision.df = max(1, r)
+    decision: object          # ScreenResult; decision.df = max(1, r)
     beta_u_t: np.ndarray      # t sketch coefficients if r = t, else r residual-basis ones
     v_hat_t: np.ndarray       # robust covariance block of beta_u_t, same coordinates
     fit: object               # FitResult of the model on (X_A | sqrt(n) U_r)
@@ -128,7 +128,7 @@ def _aligned(view_a, y, sketch, row_indices, context):
     return X_a, y, S, context
 
 
-def _screen_fit(X_a, y, S, fam, cfg, context):
+def _screen_fit(X_a, y, S, fam, ridge, context):
     """The fit both tests share, from (beta_A, 0) given a context: (fit, lam,
     to_sketch), with lam the robust covariance block of the last r coefficients
     and to_sketch their map to sketch coordinates if r = t (None otherwise)."""
@@ -142,7 +142,7 @@ def _screen_fit(X_a, y, S, fam, cfg, context):
     if n < p_a + t:
         raise RankDeficientAugmented("fewer rows than augmented columns")
     init = None if context is None else np.concatenate([context.fit_a.beta, np.zeros(r)])
-    fit = fit_offset(X, y, None, fam, cfg, init=init)
+    fit = fit_offset(X, y, None, fam, ridge, init=init)
     if not fit.converged:
         raise SolverFailure("augmented fit did not converge")
     V1, V2 = sandwich_pieces(X, y, None, fam, fit.beta)
@@ -172,7 +172,7 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None,
     context is screen_context(view_a, y, fam), shared across screens.
     """
     X_a, y, S, context = _aligned(view_a, y, sketch, row_indices, context)
-    fit, lam, to_sketch = _screen_fit(X_a, y, S, fam, SolverConfig(ridge=ridge), context)
+    fit, lam, to_sketch = _screen_fit(X_a, y, S, fam, ridge, context)
     gamma = fit.beta[X_a.shape[1]:]
     stat = 0.0 if gamma.size == 0 else float(
         len(y) * gamma @ _spd_inverse(lam, "tested covariance block") @ gamma)
@@ -194,6 +194,6 @@ def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None, context=Non
     context = context or _context(X_a, y, fam)
     if not context.fit_a.converged:
         raise SolverFailure("A-only screening fit did not converge")
-    fit_u, lam, to_sketch = _screen_fit(X_a, y, S, fam, SolverConfig(), context)
+    fit_u, lam, to_sketch = _screen_fit(X_a, y, S, fam, 0.0, context)
     stat = max(0.0, 2.0 * len(y) * (context.fit_a.final_loss - fit_u.final_loss))
     return _report(X_a, fit_u, lam, to_sketch, stat, alpha)

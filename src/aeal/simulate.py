@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import GAUSSIAN, LOGCOSH, LOGISTIC, POISSON
-from .solver import SolverConfig, fit_offset, weighted_gram
+from .solver import fit_offset, weighted_gram
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def simulate(design, rng, hypothesis="h1"):
 
 def oracle_fit(X_pooled, y, fam, ridge=0.0):
     """M-estimator on the (infeasible) pooled deduplicated design."""
-    return fit_offset(X_pooled, y, None, fam, SolverConfig(ridge=ridge))
+    return fit_offset(X_pooled, y, None, fam, ridge)
 
 
 def map_T(beta_a, beta_b, ownership):

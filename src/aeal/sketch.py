@@ -14,10 +14,9 @@ from .errors import BadDimensions, BadEpsilon, BadFlipProb
 
 
 @dataclass(frozen=True)
-class SketchPackage:
-    """Projected (optionally noised) covariates ready for transmission.
-
-    p_b is B-side bookkeeping and is never serialized.
+class SketchOffer:
+    """B's release and its wire message: projected (optionally noised) covariates,
+    less the rows_excluded that clipping dropped. p_b is never serialized.
     """
 
     projected: np.ndarray
@@ -39,10 +38,16 @@ class SketchPackage:
             raise BadDimensions("t cannot exceed the number of B's columns")
         if self.noised and (self.epsilon is None or self.c2 is None):
             raise ValueError("noised sketches must record epsilon and the clip bound")
+        excluded, rows = self.rows_excluded, self.n + len(self.rows_excluded)
+        if len(set(excluded)) != len(excluded) or not all(0 <= i < rows for i in excluded):
+            raise ValueError("excluded rows must be distinct rows of the sketched data")
 
     @property
     def n(self):
         return self.projected.shape[0]
+
+
+SketchPackage = SketchOffer
 
 
 @dataclass(frozen=True)
@@ -100,16 +105,16 @@ def laplace_noise(M, epsilon, c2, rng):
     The caller attests that every underlying row had l2 norm <= c2; under that
     bound the release is epsilon-LDP per row.
     """
-    if epsilon is None or epsilon <= 0:
-        raise BadEpsilon("epsilon must be positive")
-    if c2 is None or c2 <= 0:
-        raise BadEpsilon("clip bound must be positive")
     M = np.asarray(M, dtype=float)
     return M + laplace_matrix(M.shape, laplace_scale(epsilon, c2, M.shape[1]), rng)
 
 
 def laplace_scale(epsilon, c2, t):
     """The per-entry noise scale 2*t*c2/epsilon of the release mechanism."""
+    if epsilon is None or epsilon <= 0:
+        raise BadEpsilon("epsilon must be positive")
+    if c2 is None or c2 <= 0:
+        raise BadEpsilon("clip bound must be positive")
     return 2.0 * t * c2 / epsilon
 
 
@@ -118,34 +123,28 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
 
     Either pass epsilon (rows are clipped at c2, defaulting to the max row
     norm) for a privacy-calibrated release, or noise_scale to add Laplace
-    noise of a raw scale (the implied epsilon is recorded so the package
+    noise of a raw scale (the implied epsilon is recorded so the offer's
     invariant holds). noise_scale=0 with no epsilon produces a clean sketch.
     """
     X_b = np.asarray(X_b, dtype=float)
     p_b = X_b.shape[1]
     U = make_projection(p_b, t, rng)
-    excluded = ()
-    if epsilon is not None:
-        if c2 is None:
-            c2 = float(np.max(np.linalg.norm(X_b, axis=1)))
+    if epsilon is None and not noise_scale > 0.0:
+        return SketchOffer(projected=project(X_b, U), t=t, p_b=p_b)
+    if epsilon is None or c2 is None:  # a raw scale ignores c2: no row is clipped
+        c2 = float(np.max(np.linalg.norm(X_b, axis=1)))
+    if epsilon is None:
+        scale, epsilon, excluded = noise_scale, 2.0 * t * c2 / noise_scale, ()
+    else:
+        scale = laplace_scale(epsilon, c2, t)
         X_b, excluded = clip_rows(X_b, c2)
-        M = laplace_noise(project(X_b, U), epsilon, c2, rng)
-        return SketchPackage(projected=M, t=t, noised=True, epsilon=float(epsilon),
-                             c2=float(c2), rows_excluded=excluded, p_b=p_b)
     M = project(X_b, U)
-    if noise_scale > 0.0:
-        c2_eff = float(np.max(np.linalg.norm(X_b, axis=1)))
-        eps_eff = 2.0 * t * c2_eff / noise_scale
-        M = M + laplace_matrix(M.shape, noise_scale, rng)
-        return SketchPackage(projected=M, t=t, noised=True, epsilon=eps_eff,
-                             c2=c2_eff, rows_excluded=(), p_b=p_b)
-    return SketchPackage(projected=M, t=t, noised=False, p_b=p_b)
+    return SketchOffer(projected=M + laplace_matrix(M.shape, scale, rng), t=t, noised=True,
+                       epsilon=float(epsilon), c2=float(c2), rows_excluded=excluded, p_b=p_b)
 
 
 def mask_response(y, flip_prob, rng):
-    """Flip each 0/1 label independently with probability flip_prob."""
-    if not 0.0 < flip_prob < 0.5:
-        raise BadFlipProb("flip probability must lie strictly in (0, 0.5)")
+    """Flip each 0/1 label independently with probability flip_prob in (0, 0.5)."""
     y = np.asarray(y, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise BadFlipProb("masking applies to 0/1 responses only")

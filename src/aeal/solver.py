@@ -17,24 +17,11 @@ from .errors import SingularHessian
 _EPS = np.finfo(float).eps
 _ARMIJO = 1e-4    # sufficient-decrease fraction of the predicted descent
 _SHRINK = 0.5     # backtracking factor on the step length
+_TOL = 1e-9       # on the inf-norm of the penalized gradient
+_MAX_ITER = 100
 # weighted_gram's bytes per row block: the block and its weighted copy stay in a
 # core's 2 MiB L2, which one n x p copy overflows at n = 2e4 (memory-bound then)
 _GRAM_BLOCK_BYTES = 1 << 19
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-9          # on the inf-norm of the penalized gradient
-    max_iter: int = 100
-    ridge: float = 0.0
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
 
 
 @dataclass
@@ -72,16 +59,17 @@ def weighted_gram(X, w):
     return G
 
 
-def fit_offset(X, y, offset, fam, cfg=None, init=None):
-    """Minimize the offset objective by damped Newton; returns the unique
-    stationary point when the objective is strictly convex.
+def fit_offset(X, y, offset, fam, ridge=0.0, init=None):
+    """Minimize the offset objective with lam = ridge by damped Newton;
+    returns the unique stationary point when the objective is strictly convex.
 
     Requires X of full column rank or ridge > 0. A singular Newton system at
-    ridge = 0 raises SingularHessian. Running out of max_iter or a stalled
-    line search returns the last iterate; converged reports whether its
-    gradient is within tol.
+    ridge = 0 raises SingularHessian. Running out of _MAX_ITER steps or a
+    stalled line search returns the last iterate; converged reports whether
+    its gradient is within _TOL.
     """
-    cfg = cfg or SolverConfig()
+    if ridge < 0:
+        raise ValueError("ridge must be nonnegative")
     X = np.asarray(X, dtype=float)
     y = fam.validate_response(y)
     n, p = X.shape
@@ -90,14 +78,13 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
     offset = np.asarray(offset, dtype=float)
     if len(y) != n or len(offset) != n:
         raise ValueError("inconsistent lengths")
-    lam = cfg.ridge
 
     def evaluate(beta):
         # the objective at beta, and the loss derivatives its Newton step needs
         m, m1, m2 = fam.derivatives(y, X @ beta + offset)
         val = float(np.mean(m))
-        if lam > 0:
-            val += lam * float(beta @ beta)
+        if ridge > 0:
+            val += ridge * float(beta @ beta)
         return val, m1, m2
 
     beta = np.zeros(p) if init is None else np.array(init, dtype=float)
@@ -105,19 +92,19 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
     it = 0
     while True:
         g = X.T @ m1 / n
-        if lam > 0:
-            g = g + 2.0 * lam * beta
+        if ridge > 0:
+            g = g + 2.0 * ridge * beta
         grad_inf = float(np.max(np.abs(g))) if p else 0.0
-        if grad_inf <= cfg.tol or it == cfg.max_iter:
+        if grad_inf <= _TOL or it == _MAX_ITER:
             break
         it += 1
         H = weighted_gram(X, w) / n
-        if lam > 0:
-            H = H + 2.0 * lam * np.eye(p)
+        if ridge > 0:
+            H = H + 2.0 * ridge * np.eye(p)
         try:
             step = spd_inverse(H, 1e-14) @ g
         except np.linalg.LinAlgError:
-            if lam == 0:
+            if ridge == 0:
                 raise SingularHessian("Newton system singular; design may be rank deficient")
             raise
         slope = float(g @ step)  # descent amount predicted by the model
@@ -137,7 +124,7 @@ def fit_offset(X, y, offset, fam, cfg=None, init=None):
             break  # stalled at numerical precision; grad_inf is still beta's
 
     return FitResult(beta=beta, iterations=it, grad_norm_inf=grad_inf,
-                     converged=grad_inf <= cfg.tol, final_loss=obj)
+                     converged=grad_inf <= _TOL, final_loss=obj)
 
 
 def sandwich_pieces(X, y, offset, fam, beta):

@@ -17,14 +17,17 @@ _STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
-class TestDecision:
-    """Outcome of a chi-squared screening test."""
+class ScreenResult:
+    """Outcome of a chi-squared screening test: A's decision and its wire message."""
 
     statistic: float
     df: int
     p_value: float
     reject: bool
     alpha: float
+
+
+TestDecision = ScreenResult
 
 
 def chi2_sf(x, df):
@@ -130,5 +133,5 @@ def ks_uniform(p_values):
 def make_decision(statistic, df, alpha):
     """Bundle a chi-squared test outcome at significance level alpha."""
     p = chi2_sf(statistic, df)
-    return TestDecision(statistic=float(statistic), df=int(df), p_value=p,
+    return ScreenResult(statistic=float(statistic), df=int(df), p_value=p,
                         reject=bool(p < alpha), alpha=float(alpha))

@@ -25,7 +25,7 @@ import layers
 import tracer
 from aeal.data import AgentView, Owner
 from aeal.losses import LossFamily
-from aeal.sketch import SketchPackage
+from aeal.sketch import SketchPackage, make_sketch
 
 protocol = importlib.import_module("aeal.protocol")
 screening = importlib.import_module("aeal.screening")
@@ -57,6 +57,17 @@ baselines.tune_step(view, y, AgentView(design=S, column_names=("b0", "b1"), owne
 wire = t.counter("wire.bytes", {None})
 assert wire > 0 and wire == t.counter("reported.bytes", {None}), wire
 assert t.counter("wire.sends.GradShare", {None}) == 2 * 3
+
+# the benchmark counts a message's payload by its class name: the sketch that
+# make_sketch returns goes out as a SketchOffer of n * t doubles
+transport = importlib.import_module("aeal.transport")
+sketch = make_sketch(rng.normal(size=(300, 4)), 3, np.random.default_rng(1), noise_scale=0.5)
+doubles = t.counter("wire.payload_doubles", {None})
+line = transport.encode(sketch)
+assert t.counter("wire.payload_doubles", {None}) - doubles == 300 * 3
+assert t.counter("wire.sends.SketchOffer", {None}) == 1
+back = transport.decode(line)
+assert isinstance(back, SketchPackage) and back.projected.tobytes() == sketch.projected.tobytes()
 
 t.uninstall()
 assert protocol.run_alice is original

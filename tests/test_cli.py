@@ -4,6 +4,7 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 
 from aeal import protocol
 from aeal.cli import main
-from aeal.data import AgentView, Owner, from_arrays, write_owner_csvs
+from aeal.data import AgentView, Owner, from_arrays, load_agent_csv, write_owner_csvs
 from aeal.losses import parse_family
 from aeal.screening import wald_screen
 from aeal.simulate import SimDesign, simulate, spawn_rngs
 from aeal.sketch import make_sketch
+from aeal.transport import SocketChannel
 
 
 def read_output(path):
@@ -369,17 +371,18 @@ class TestAgent:
         assert float(a["statistic"]) == want.decision.statistic
 
     @pytest.mark.parametrize("bad", [
-        {"rows_excluded": (-1,)},
-        {"rows_excluded": (4, 4)},
+        {"rows_excluded": [-1]},
+        {"rows_excluded": [4, 4]},
         {"t": 3},
-        {"projected": np.zeros((39, 0)), "t": 0},
+        {"projected": {"shape": [39, 0], "data": ""}, "t": 0},
     ], ids=["negative-row", "repeated-row", "t-vs-columns", "zero-columns"])
     def test_malformed_sketch_offer_exits_2(self, owner_csvs, bad):
         from aeal.messages import SketchOffer, encode
 
         path_a, _ = owner_csvs
-        offer = {"projected": np.random.default_rng(5).normal(size=(39, 2)), "t": 2,
-                 "noised": False, "epsilon": None, "c2": None, "rows_excluded": ()}
+        # SketchOffer refuses to build these, so the peer writes the raw line
+        offer = json.loads(encode(SketchOffer(
+            projected=np.random.default_rng(5).normal(size=(39, 2)), t=2)))
         with socket.create_server(("127.0.0.1", 0)) as srv:
             srv.settimeout(30)
             alice = spawn_agent(["--role", "alice", "--connect",
@@ -387,7 +390,7 @@ class TestAgent:
                                  "--data", path_a, "--mode", "screen"])
             conn, _ = srv.accept()
             with conn:
-                conn.sendall((encode(SketchOffer(**offer | bad)) + "\n").encode())
+                conn.sendall((json.dumps(offer | bad) + "\n").encode())
                 _, a_err = alice.communicate(timeout=60)
         assert alice.returncode == 2, a_err
         assert "protocol error" in a_err
@@ -458,3 +461,106 @@ class TestAgent:
         assert a_code == 2 and "row count" in a_err, a_err
         assert b_code == 2 and "row count" in b_err, b_err
         assert len(a_out.strip().split("\n")) == 1
+
+    def test_predict_without_predict_data_fails_before_connecting(self, owner_csvs):
+        path_a, _ = owner_csvs
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            alice = spawn_agent(["--role", "alice", "--connect",
+                                 f"127.0.0.1:{srv.getsockname()[1]}",
+                                 "--data", path_a, "--mode", "predict"])
+            try:
+                _, a_err = alice.communicate(timeout=30)
+            finally:
+                alice.kill()
+            srv.setblocking(False)
+            with pytest.raises(BlockingIOError):  # no connection is waiting
+                srv.accept()
+        assert alice.returncode == 1
+        assert a_err.startswith("error:") and "--predict-data" in a_err
+        assert "Traceback" not in a_err
+
+
+def run_agent_with_peer(monkeypatch, capsys, argv, peer):
+    """Run ``aeal agent`` in this process over one end of a socket pair while
+    peer(sock) plays the other agent on the other end; returns the exit code
+    and standard error."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(30)
+    theirs.settimeout(30)
+    monkeypatch.setattr("aeal.cli._agent_channel",
+                        lambda args, tally: SocketChannel(ours, recorder=tally))
+    worker = threading.Thread(target=peer, args=(theirs,), daemon=True)
+    worker.start()
+    try:
+        code = main(["agent", "--connect", "127.0.0.1:1"] + argv)
+    finally:
+        ours.close()
+        worker.join(timeout=60)
+        theirs.close()
+    return code, capsys.readouterr().err
+
+
+def drain(sock):
+    """Read until the agent closes its end."""
+    while sock.recv(65536):
+        pass
+
+
+class TestPeerBreaksMessageRules:
+    """A value that decodes but breaks its message's rules ends the agent with a
+    protocol error, exit 2."""
+
+    def test_negative_ridge_in_handshake(self, owner_csvs, monkeypatch, capsys):
+        _, path_b = owner_csvs
+
+        def peer(sock):
+            sock.sendall((HANDSHAKE % ("80", "-1.0") + "\n").encode())
+            drain(sock)
+
+        code, err = run_agent_with_peer(monkeypatch, capsys, [
+            "--role", "bob", "--data", path_b, "--mode", "train"], peer)
+        assert code == 2, err
+        assert err.startswith("protocol error: malformed Handshake")
+
+    def test_response_outside_the_family_support(self, owner_csvs, monkeypatch, capsys):
+        from aeal.messages import Offset, ResponseShare, encode
+        _, path_b = owner_csvs
+
+        def peer(sock):
+            lines = [HANDSHAKE % ("80", "0"),
+                     encode(ResponseShare(y=np.full(80, 2.0), masked=False, flip_prob=None)),
+                     encode(Offset(round=0, vector=np.zeros(80)))]
+            sock.sendall("".join(line + "\n" for line in lines).encode())
+            drain(sock)
+
+        code, err = run_agent_with_peer(monkeypatch, capsys, [
+            "--role", "bob", "--data", path_b, "--mode", "train"], peer)
+        assert code == 2, err
+        assert err.startswith("protocol error: response share")
+
+    def test_negative_sigma_in_predict_contribution(self, owner_csvs, tmp_path,
+                                                    monkeypatch, capsys):
+        from aeal.messages import PROTOCOL_VERSION, Handshake
+        path_a, path_b = owner_csvs
+        new_a = tmp_path / "new_a.csv"
+        with open(path_a) as src, open(new_a, "w") as dst:
+            for line in src:  # covariates only: drop the response column
+                cells = line.rstrip("\n").split(",")
+                dst.write(",".join(cells[:1] + cells[2:]) + "\n")
+        _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
+
+        def peer(sock):
+            # an honest Bob through training and the predict handshake, then a
+            # contribution per row with a negative standard deviation
+            chan = SocketChannel(sock)
+            protocol.run_bob(view_b, parse_family("logistic"), chan)
+            chan.send(Handshake(version=PROTOCOL_VERSION, n=80, family="logistic", lam=0.0))
+            chan.recv()
+            sock.sendall(b'{"type":"PredictContribution","nu":0.5,"sigma":-1.0}\n' * 80)
+            drain(sock)
+
+        code, err = run_agent_with_peer(monkeypatch, capsys, [
+            "--role", "alice", "--data", path_a, "--mode", "predict", "--max-rounds", "5",
+            "--predict-data", str(new_a)], peer)
+        assert code == 2, err
+        assert err.startswith("protocol error: malformed PredictContribution")

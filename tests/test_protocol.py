@@ -235,10 +235,10 @@ class TestFailFast:
         monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 10.0)
         fit_or_fail = protocol._fit_or_fail
 
-        def failing(X, y, offset, fam, cfg, init, who):
+        def failing(X, y, offset, fam, ridge, init, who):
             if who == side and init is not None:
                 raise SolverFailure(f"{who}'s local fit did not converge")
-            return fit_or_fail(X, y, offset, fam, cfg, init, who)
+            return fit_or_fail(X, y, offset, fam, ridge, init, who)
 
         monkeypatch.setattr(protocol, "_fit_or_fail", failing)
         va, vb, y = orthogonal_fixture()

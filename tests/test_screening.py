@@ -258,7 +258,8 @@ class TestSubset:
 
     def test_excluded_rows_outside_view_rejected(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=23)
-        sketch = SketchPackage(projected=X_b[1:] @ make_projection(2, 2, rng), t=2,
+        # a sketch of all n rows that clipped one more: a valid sketch of n + 1 rows
+        sketch = SketchPackage(projected=X_b @ make_projection(2, 2, rng), t=2,
                                rows_excluded=(len(y),))
         with pytest.raises(ValueError):
             wald_screen(make_view(X_a), y, sketch, GAUSS)

@@ -111,6 +111,26 @@ class TestLaplace:
         assert hashlib.sha256(got.tobytes()).hexdigest() == (
             "c354a17b85572f01f4e3ab8d50c5c0035ff627bf7e6d52514a4812464d5bb774")
 
+    @pytest.mark.parametrize("kw, digest, epsilon, c2, excluded", [
+        ({}, "d50e9664509a3dbc4f3c1607fd9677f84f520543533e137ee77ccc516a9704f6",
+         None, None, 0),
+        ({"noise_scale": 0.5},
+         "912d62acb0a65eced1610af33aa4f080453ee8f0dd14c68e8e19736198cf262b",
+         44.913259840238744, 3.7427716533532287, 0),
+        ({"epsilon": 2.0},
+         "2dd2f24416bf8e64b2d95907e7e3066a3c161401df0f706f171bfb42ccb2610f",
+         2.0, 3.7427716533532287, 0),
+        ({"epsilon": 2.0, "c2": 2.2},
+         "3926dee3270ac0e846e65e73ea687b62561e9f7f4bb7b8cd3b71e8530a9fd387", 2.0, 2.2, 22),
+    ], ids=["clean", "noise-scale", "epsilon", "epsilon-c2"])
+    def test_release_paths_pinned(self, kw, digest, epsilon, c2, excluded):
+        # every release path keeps its draws and its recorded budget to the bit
+        X = np.random.default_rng(7).normal(size=(60, 5))
+        pkg = make_sketch(X, 3, np.random.default_rng(11), **kw)
+        assert hashlib.sha256(pkg.projected.tobytes()).hexdigest() == digest
+        assert (pkg.noised, pkg.epsilon, pkg.c2) == (bool(kw), epsilon, c2)
+        assert len(pkg.rows_excluded) == excluded and pkg.n + excluded == 60
+
 
 class TestPackage:
     def test_column_major_with_unchanged_wire_bytes(self):
@@ -129,6 +149,13 @@ class TestPackage:
     def test_noised_requires_metadata(self):
         with pytest.raises(ValueError):
             SketchPackage(projected=np.zeros((3, 1)), t=1, noised=True)
+
+    @pytest.mark.parametrize("excluded", [(5,), (-1,), (1, 1)])
+    def test_excluded_rows_are_distinct_rows_of_the_sketched_data(self, excluded):
+        # 3 released rows and len(excluded) clipped ones: indices lie in [0, 3 + len)
+        with pytest.raises(ValueError):
+            SketchPackage(projected=np.zeros((3, 1)), t=1, rows_excluded=excluded)
+        assert SketchPackage(projected=np.zeros((3, 1)), t=1, rows_excluded=(3, 0)).n == 3
 
     def test_t_within_p_b(self):
         with pytest.raises(BadDimensions):

@@ -7,19 +7,18 @@ import pytest
 from aeal import solver
 from aeal.errors import SingularHessian
 from aeal.losses import LossFamily
-from aeal.solver import SolverConfig, fit_offset, sandwich_pieces, spd_inverse, weighted_gram
+from aeal.solver import fit_offset, sandwich_pieces, spd_inverse, weighted_gram
 
 GAUSS = LossFamily("gaussian")
 LOGIT = LossFamily("logistic")
 FAMILIES = [GAUSS, LOGIT, LossFamily("poisson"), LossFamily("logcosh", alpha=0.3)]
 
 
-def reference_newton(X, y, offset, fam, cfg, init=None):
+def reference_newton(X, y, offset, fam, lam, init=None):
     """The Newton loop written with separate value, grad and hess calls, one
     objective evaluation per candidate and the gradient taken afresh at each
     accepted point: (beta, iterations, grad_inf, final_loss)."""
     n, p = X.shape
-    lam = cfg.ridge
 
     def objective(beta):
         val = float(np.mean(fam.value(y, X @ beta + offset)))
@@ -36,7 +35,7 @@ def reference_newton(X, y, offset, fam, cfg, init=None):
         if lam > 0:
             g = g + 2.0 * lam * beta
         grad_inf = float(np.max(np.abs(g)))
-        if grad_inf <= cfg.tol or it == cfg.max_iter:
+        if grad_inf <= solver._TOL or it == solver._MAX_ITER:
             break
         it += 1
         H = (X * fam.hess(y, nu)[:, None]).T @ X / n
@@ -130,10 +129,10 @@ class TestFitOffset:
         with pytest.raises(SingularHessian):
             fit_offset(X, y, None, GAUSS)
         # ridge regularizes the same problem
-        fit = fit_offset(X, y, None, GAUSS, SolverConfig(ridge=1e-3))
+        fit = fit_offset(X, y, None, GAUSS, ridge=1e-3)
         assert fit.converged
 
-    def test_monotone_objective_over_iterations(self):
+    def test_monotone_objective_over_iterations(self, monkeypatch):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(60, 3))
         y = (rng.uniform(size=60) < 0.3).astype(float)
@@ -142,9 +141,10 @@ class TestFitOffset:
             return float(np.mean(LOGIT.value(y, X @ beta)))
 
         vals = []
+        monkeypatch.setattr(solver, "_TOL", 1e-300)
         for j in range(1, 8):
-            cfg = SolverConfig(max_iter=j, tol=1e-300)
-            vals.append(objective(fit_offset(X, y, None, LOGIT, cfg).beta))
+            monkeypatch.setattr(solver, "_MAX_ITER", j)
+            vals.append(objective(fit_offset(X, y, None, LOGIT).beta))
         assert all(vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1))
 
     def test_gaussian_offset_equals_residualized(self):
@@ -164,17 +164,19 @@ class TestFitOffset:
         lam = 0.05
         n = 30
         want = np.linalg.solve(X.T @ X + 2 * n * lam * np.eye(4), X.T @ (y - o))
-        got = fit_offset(X, y, o, GAUSS, SolverConfig(ridge=lam)).beta
+        got = fit_offset(X, y, o, GAUSS, ridge=lam).beta
         assert np.max(np.abs(got - want)) <= 1e-10
 
-    def test_not_converged_flagged(self):
+    def test_not_converged_flagged(self, monkeypatch):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(200, 5))
         y = (rng.uniform(size=200) < 0.5).astype(float)
-        fit = fit_offset(X, y, None, LOGIT, SolverConfig(max_iter=1, tol=1e-14))
+        monkeypatch.setattr(solver, "_MAX_ITER", 1)
+        monkeypatch.setattr(solver, "_TOL", 1e-14)
+        fit = fit_offset(X, y, None, LOGIT)
         assert not fit.converged
 
-    def test_last_step_within_tol_reports_converged(self):
+    def test_last_step_within_tol_reports_converged(self, monkeypatch):
         # a Gaussian Newton step lands on the minimum: the one step max_iter
         # allows is counted, converged judges the returned beta, and the
         # reported loss and gradient are those of that beta
@@ -182,7 +184,8 @@ class TestFitOffset:
         X = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
         o = rng.normal(size=50)
-        fit = fit_offset(X, y, o, GAUSS, SolverConfig(max_iter=1))
+        monkeypatch.setattr(solver, "_MAX_ITER", 1)
+        fit = fit_offset(X, y, o, GAUSS)
         assert fit.converged and fit.iterations == 1
         nu = X @ fit.beta + o
         assert fit.final_loss == float(np.mean(GAUSS.value(y, nu)))
@@ -203,11 +206,10 @@ def test_one_evaluation_per_point_is_bitwise_the_reference_loop(fam, ridge):
          "poisson": rng.poisson(np.exp(nu)).astype(float),
          "logcosh": nu + rng.standard_t(3, size=n)}[fam.kind]
     offset = 0.3 * rng.normal(size=n)
-    cfg = SolverConfig(ridge=ridge)
     cases = [(np.zeros(n), None), (offset, None), (offset, rng.normal(size=4))]
     for off, init in cases:
-        fit = fit_offset(X, y, off, fam, cfg, init=init)
-        beta, it, grad_inf, obj = reference_newton(X, y, off, fam, cfg, init=init)
+        fit = fit_offset(X, y, off, fam, ridge, init=init)
+        beta, it, grad_inf, obj = reference_newton(X, y, off, fam, ridge, init=init)
         assert fit.beta.tobytes() == beta.tobytes()
         assert (fit.iterations, fit.grad_norm_inf, fit.final_loss) == (it, grad_inf, obj)
         assert fit.converged and it > 0
@@ -328,9 +330,8 @@ def test_fit_above_one_block_matches_the_unblocked_product(monkeypatch, fam, wit
     y = ((rng.uniform(size=n) < 1 / (1 + np.exp(-nu))).astype(float) if fam is LOGIT
          else rng.poisson(np.exp(nu)).astype(float))
     offset = 0.3 * rng.normal(size=n) if with_offset else None
-    cfg = SolverConfig(ridge=ridge)
-    fit = fit_offset(X, y, offset, fam, cfg)
+    fit = fit_offset(X, y, offset, fam, ridge)
     monkeypatch.setattr(solver, "weighted_gram", unblocked_gram)
-    ref = fit_offset(X, y, offset, fam, cfg)
+    ref = fit_offset(X, y, offset, fam, ridge)
     assert fit.converged and fit.iterations == ref.iterations > 0
     assert np.max(np.abs(fit.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))

@@ -19,7 +19,7 @@ from aeal.transport import Recorder, SocketChannel, Tally, connect, local_pair, 
 ALL_MESSAGES = [
     Handshake(version=PROTOCOL_VERSION, n=10, family="logistic", lam=0.0),
     SketchOffer(projected=((1.0, 2.0), (0.1, -0.25)), t=2, noised=True,
-                epsilon=0.5, c2=1.25, rows_excluded=(3, 7)),
+                epsilon=0.5, c2=1.25, rows_excluded=(3, 1)),
     SketchOffer(projected=((0.0,),), t=1, noised=False, epsilon=None, c2=None,
                 rows_excluded=()),
     ScreenResult(statistic=5.25, df=2, p_value=0.07243, reject=False, alpha=0.05),
@@ -124,6 +124,24 @@ class TestStrictness:
             "negative-shape", "matrix-as-array", "nan-scalar"])
     def test_bad_payload(self, line):
         with pytest.raises(ProtocolError):
+            decode(line)
+
+    @pytest.mark.parametrize("line", [
+        '{"type":"Handshake","version":"aeal/2","n":10,"family":"logistic","lam":-1}',
+        '{"type":"PredictContribution","nu":0.5,"sigma":-0.25}',
+        '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
+        '"t":2,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
+        '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
+        '"t":1,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[2]}',
+        '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
+        '"t":1,"noised":true,"epsilon":null,"c2":null,"rows_excluded":[]}',
+    ], ids=["negative-lam", "negative-sigma", "t-vs-columns", "excluded-row-outside",
+            "noised-without-epsilon"])
+    def test_class_invariants_hold_on_decode(self, line):
+        # decode builds each message through its class, so a peer's message
+        # obeys the same rules as one built locally
+        with pytest.raises(ProtocolError, match=r"^malformed (Handshake|PredictContribution|"
+                                                r"SketchOffer): "):
             decode(line)
 
 
