@@ -7,8 +7,7 @@ vectors. Baselines, synthetic-data generators, and a socket agent round out
 the toolkit.
 """
 
-from .baselines import (BaselineConfig, BaselineSession, default_step_grid,
-                        train_baseline, tune_step)
+from .baselines import BaselineSession, default_step_grid, train_baseline, tune_step
 from .data import (AgentView, AlignedDataset, Column, Owner, from_arrays,
                    load_aligned_csv, split_rows, write_owner_csvs)
 from .losses import LossFamily, parse_family

@@ -5,7 +5,7 @@ studies to CSV (every output starts with a comment line recording the full
 configuration and seed); agent runs one side of the two-process protocol
 over a TCP socket on user CSVs.
 
-Exit codes: 0 success, 2 protocol error, 3 numeric failure.
+Exit codes: 0 success, 1 input error, 2 protocol error, 3 numeric failure.
 """
 
 import argparse
@@ -152,9 +152,7 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
         return sign * metric(sess_b.beta_a, sess_b.beta_b)
 
     for algo in (baselines.FEDSGD, baselines.FEDBCD):
-        cfg = baselines.BaselineConfig(algorithm=algo, decay="sqrt", batch=None,
-                                       q_local=5, mu=0.1, max_rounds=rounds)
-        _, best = baselines.tune_step(view_a, sim.y, view_b, fam, cfg, tune_grid,
+        _, best = baselines.tune_step(view_a, sim.y, view_b, fam, algo, tune_grid,
                                       rounds, score_fn=score)
         curves[algo] = [metric(ba, bb) for ba, bb in best.history]
     return curves
@@ -227,7 +225,7 @@ def _print_json(obj):
 
 def cmd_agent(args):
     if bool(args.listen) == bool(args.connect):
-        raise ProtocolError("pass exactly one of --listen or --connect")
+        raise AealError("pass exactly one of --listen or --connect")
     if args.mode == "predict" and not args.predict_data:
         raise AealError("--mode predict needs --predict-data")
     fam = parse_family(args.family)
@@ -309,7 +307,7 @@ def _agent_train(args, fam, view, y, chan, tally):
     _print_json({"role": args.role, "mode": args.mode,
                  "beta": [format_float(v) for v in beta],
                  "rounds": res["rounds"], "stop_reason": res["stop_reason"],
-                 "rounds_transmitted": tally.offset_count(),
+                 "rounds_transmitted": tally.vector_sends,
                  "bytes_transmitted": tally.bytes_transmitted})
     if args.mode == "predict":
         predict_side(args, fam, res, chan, _predict_view(args, fam, view, chan))

@@ -295,7 +295,7 @@ def train(view_a, y, view_b, fam, stop=None, ridge=0.0,
         beta_a=alice["beta_a"], beta_b=bob["beta_b"],
         nu_a=alice["nu_a"], nu_b=bob["nu_b"],
         rounds=alice["rounds"], loss_log=loss_log,
-        rounds_transmitted=recorder.offset_count(),
+        rounds_transmitted=recorder.vector_sends,
         bytes_transmitted=recorder.bytes_transmitted,
         stop_reason=alice["stop_reason"], ridge=ridge,
         y_train=alice["y_train"], transcript=list(recorder.lines),

@@ -105,9 +105,9 @@ def _residual_design(X_a, S, gram_inv):
     return X, to_sketch
 
 
-def _aligned(view_a, y, sketch, row_indices, context):
-    """A's rows paired with the sketch's, and the context unless rows drop: rows
-    B clipped (rows_excluded) go first, then row_indices select among the rest."""
+def _aligned(view_a, y, sketch, context):
+    """A's rows paired with the sketch's, less the rows B clipped
+    (rows_excluded), and the context unless rows drop."""
     X_a = view_a.design
     y = np.asarray(y, dtype=float)
     if context is not None and (context.X_a is not X_a or not np.array_equal(context.y, y)):
@@ -119,13 +119,9 @@ def _aligned(view_a, y, sketch, row_indices, context):
         keep = np.ones(X_a.shape[0], dtype=bool)
         keep[excluded] = False
         X_a, y, context = X_a[keep], y[keep], None
-    S = sketch.projected
-    if row_indices is not None:
-        idx = np.asarray(row_indices, dtype=int)
-        X_a, y, S, context = X_a[idx], y[idx], S[idx], None
-    if X_a.shape[0] != S.shape[0]:
+    if X_a.shape[0] != sketch.n:
         raise ValueError("sketch rows do not match the view rows")
-    return X_a, y, S, context
+    return X_a, y, sketch.projected, context
 
 
 def _screen_fit(X_a, y, S, fam, ridge, context):
@@ -163,15 +159,14 @@ def _report(X_a, fit, lam, to_sketch, stat, alpha):
                         degenerate=to_sketch is None)
 
 
-def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None,
-                context=None):
+def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, context=None):
     """Robust Wald screening of the sketch block at significance level alpha.
 
     With ridge > 0 the augmented fit is penalized but the covariance pieces
     stay unpenalized. Noised sketches are treated identically to clean ones.
     context is screen_context(view_a, y, fam), shared across screens.
     """
-    X_a, y, S, context = _aligned(view_a, y, sketch, row_indices, context)
+    X_a, y, S, context = _aligned(view_a, y, sketch, context)
     fit, lam, to_sketch = _screen_fit(X_a, y, S, fam, ridge, context)
     gamma = fit.beta[X_a.shape[1]:]
     stat = 0.0 if gamma.size == 0 else float(
@@ -179,7 +174,7 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, row_indices=None,
     return _report(X_a, fit, lam, to_sketch, stat, alpha)
 
 
-def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None, context=None):
+def lrt_screen(view_a, y, sketch, fam, alpha=0.05, context=None):
     """Likelihood-ratio screening: 2n * (A-only loss - augmented loss).
 
     Valid only for likelihood-backed families; both fits are unpenalized. The
@@ -190,7 +185,7 @@ def lrt_screen(view_a, y, sketch, fam, alpha=0.05, row_indices=None, context=Non
     if sketch.p_b is not None and sketch.t >= sketch.p_b:
         warnings.warn("likelihood-ratio screening is designed for t < p_B",
                       stacklevel=2)
-    X_a, y, S, context = _aligned(view_a, y, sketch, row_indices, context)
+    X_a, y, S, context = _aligned(view_a, y, sketch, context)
     context = context or _context(X_a, y, fam)
     if not context.fit_a.converged:
         raise SolverFailure("A-only screening fit did not converge")

@@ -121,23 +121,26 @@ def laplace_scale(epsilon, c2, t):
 def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
     """Convenience constructor used by the simulation harness and the agent CLI.
 
-    Either pass epsilon (rows are clipped at c2, defaulting to the max row
-    norm) for a privacy-calibrated release, or noise_scale to add Laplace
-    noise of a raw scale (the implied epsilon is recorded so the offer's
-    invariant holds). noise_scale=0 with no epsilon produces a clean sketch.
+    Either pass epsilon for a privacy-calibrated release, or noise_scale to
+    add Laplace noise of a raw scale (the implied epsilon is recorded so the
+    offer's invariant holds). Either way rows are clipped at c2, which
+    defaults to the max row norm. noise_scale=0 with no epsilon produces a
+    clean sketch.
     """
     X_b = np.asarray(X_b, dtype=float)
     p_b = X_b.shape[1]
     U = make_projection(p_b, t, rng)
     if epsilon is None and not noise_scale > 0.0:
         return SketchOffer(projected=project(X_b, U), t=t, p_b=p_b)
-    if epsilon is None or c2 is None:  # a raw scale ignores c2: no row is clipped
-        c2 = float(np.max(np.linalg.norm(X_b, axis=1)))
+    if c2 is None:  # the max row norm clips no row
+        c2, excluded = float(np.max(np.linalg.norm(X_b, axis=1))), ()
+    else:
+        X_b, excluded = clip_rows(X_b, c2)
+    # scale * epsilon = 2 t c2, so one formula gives either from the other
     if epsilon is None:
-        scale, epsilon, excluded = noise_scale, 2.0 * t * c2 / noise_scale, ()
+        scale, epsilon = noise_scale, laplace_scale(noise_scale, c2, t)
     else:
         scale = laplace_scale(epsilon, c2, t)
-        X_b, excluded = clip_rows(X_b, c2)
     M = project(X_b, U)
     return SketchOffer(projected=M + laplace_matrix(M.shape, scale, rng), t=t, noised=True,
                        epsilon=float(epsilon), c2=float(c2), rows_excluded=excluded, p_b=p_b)

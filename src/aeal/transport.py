@@ -36,9 +36,6 @@ class Tally:
     def vector_sends(self):
         return self.counts["Offset"] + self.counts["GradShare"]
 
-    def offset_count(self):
-        return self.counts["Offset"]
-
 
 class Recorder(Tally):
     """A Tally that also keeps the ordered transcript of wire lines."""

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from aeal.baselines import BaselineConfig, default_step_grid, tune_step
+from aeal.baselines import default_step_grid, tune_step
 from aeal.data import AgentView, Owner, from_arrays, load_aligned_csv, write_owner_csvs
 from aeal.losses import LossFamily
 from aeal.messages import format_float
@@ -176,9 +176,7 @@ def _auc_curves_one_seed(rng):
     SESSIONS.append(sess)
     aeal_curve = [metric(a, b) for a, b in sess.history]
 
-    cfg = BaselineConfig(algorithm="fedbcd", decay="sqrt", batch=None, q_local=5,
-                         mu=0.1, max_rounds=50)
-    _, best = tune_step(va, sim.y, vb, LOGIT, cfg, default_step_grid(), 50,
+    _, best = tune_step(va, sim.y, vb, LOGIT, "fedbcd", default_step_grid(), 50,
                         score_fn=lambda s: -metric(s.beta_a, s.beta_b))
     bcd_curve = [metric(a, b) for a, b in best.history]
     return auc_oracle, aeal_curve, bcd_curve

@@ -1,11 +1,11 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from aeal import baselines
-from aeal.baselines import (BaselineConfig, default_step_grid, train_baseline,
-                            tune_step)
+from aeal.baselines import default_step_grid, train_baseline, tune_step
 from aeal.data import AgentView, Owner
 from aeal.losses import LossFamily
 from aeal.messages import decode
@@ -42,23 +42,20 @@ def kept(monkeypatch):
 class TestFedSgd:
     def test_zero_step_freezes_everything(self):
         sim, va, vb = fixture()
-        cfg = BaselineConfig(algorithm="fedsgd", step0=0.0, max_rounds=5)
-        sess = train_baseline(va, sim.y, vb, GAUSS, cfg)
+        sess = train_baseline(va, sim.y, vb, GAUSS, "fedsgd", 0.0, 5)
         assert np.all(sess.beta_a == 0.0) and np.all(sess.beta_b == 0.0)
         assert len(set(round(v, 15) for v in sess.loss_log)) == 1
 
     def test_round_accounting(self):
         sim, va, vb = fixture()
-        cfg = BaselineConfig(algorithm="fedsgd", step0=0.05, max_rounds=7)
-        sess = train_baseline(va, sim.y, vb, GAUSS, cfg)
+        sess = train_baseline(va, sim.y, vb, GAUSS, "fedsgd", 0.05, 7)
         assert sess.rounds == 7
         assert sess.rounds_transmitted == 14  # two vector sends per round
         assert sess.bytes_transmitted > 0
 
     def test_transmitted_gradient_matches_loss_grad(self, kept):
         sim, va, vb = fixture(seed=1, n=60)
-        cfg = BaselineConfig(algorithm="fedsgd", step0=0.05, max_rounds=3)
-        sess = train_baseline(va, sim.y, vb, GAUSS, cfg)
+        sess = train_baseline(va, sim.y, vb, GAUSS, "fedsgd", 0.05, 3)
         offsets = {}
         grads = {}
         [recorder] = kept
@@ -77,48 +74,36 @@ class TestFedSgd:
 
     def test_small_step_monotone_loss(self):
         sim, va, vb = fixture(seed=2)
-        cfg = BaselineConfig(algorithm="fedsgd", step0=0.02, decay="constant",
-                             max_rounds=40)
-        sess = train_baseline(va, sim.y, vb, GAUSS, cfg)
+        sess = train_baseline(va, sim.y, vb, GAUSS, "fedsgd", 0.02, 40)
         log = sess.loss_log
         assert all(log[i + 1] <= log[i] + 1e-12 for i in range(len(log) - 1))
 
-    def test_minibatch_runs(self):
-        sim, va, vb = fixture(seed=3)
-        cfg = BaselineConfig(algorithm="fedsgd", step0=0.05, batch=32, max_rounds=10)
-        sess = train_baseline(va, sim.y, vb, GAUSS, cfg, batch_seed=4)
-        assert sess.rounds == 10
-
 
 class TestFedBcd:
-    def test_reduces_to_fedsgd(self):
+    def test_reduces_to_fedsgd(self, monkeypatch):
         sim, va, vb = fixture(seed=5)
-        kw = dict(step0=0.05, decay="sqrt", batch=None, max_rounds=15)
-        sgd = train_baseline(va, sim.y, vb, GAUSS,
-                             BaselineConfig(algorithm="fedsgd", **kw),
-                             batch_seed=1)
-        bcd = train_baseline(va, sim.y, vb, GAUSS,
-                             BaselineConfig(algorithm="fedbcd", q_local=1, mu=0.0, **kw),
-                             batch_seed=1)
+        monkeypatch.setattr(baselines, "_Q_LOCAL", 1)
+        monkeypatch.setattr(baselines, "_MU", 0.0)
+        sgd = train_baseline(va, sim.y, vb, GAUSS, "fedsgd", 0.05, 15)
+        bcd = train_baseline(va, sim.y, vb, GAUSS, "fedbcd", 0.05, 15)
         for (a1, b1), (a2, b2) in zip(sgd.history, bcd.history):
             assert np.max(np.abs(a1 - a2)) <= 1e-12
             assert np.max(np.abs(b1 - b2)) <= 1e-12
 
-    def test_local_updates_make_progress(self):
+    def test_local_updates_make_progress(self, monkeypatch):
         sim, va, vb = fixture(seed=6)
-        cfg1 = BaselineConfig(algorithm="fedbcd", step0=0.05, q_local=1, mu=0.0,
-                              max_rounds=10)
-        cfg5 = BaselineConfig(algorithm="fedbcd", step0=0.05, q_local=5, mu=0.0,
-                              max_rounds=10)
-        s1 = train_baseline(va, sim.y, vb, GAUSS, cfg1)
-        s5 = train_baseline(va, sim.y, vb, GAUSS, cfg5)
+        monkeypatch.setattr(baselines, "_MU", 0.0)
+        monkeypatch.setattr(baselines, "_Q_LOCAL", 1)
+        s1 = train_baseline(va, sim.y, vb, GAUSS, "fedbcd", 0.05, 10)
+        monkeypatch.setattr(baselines, "_Q_LOCAL", 5)
+        s5 = train_baseline(va, sim.y, vb, GAUSS, "fedbcd", 0.05, 10)
         assert s5.loss_log[-1] < s1.loss_log[-1]
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, monkeypatch):
         sim, va, vb = fixture(seed=7, family=LOGIT)
-        cfg = BaselineConfig(algorithm="fedbcd", step0=500.0, q_local=25, mu=0.0,
-                             max_rounds=30)
-        sess = train_baseline(va, sim.y, vb, LOGIT, cfg)
+        monkeypatch.setattr(baselines, "_Q_LOCAL", 25)
+        monkeypatch.setattr(baselines, "_MU", 0.0)
+        sess = train_baseline(va, sim.y, vb, LOGIT, "fedbcd", 500.0, 30)
         assert sess.diverged
         assert sess.stop_reason == "Divergence"
         assert np.all(np.isfinite(sess.beta_a)) and np.all(np.isfinite(sess.beta_b))
@@ -129,8 +114,6 @@ def test_full_batch_ignores_design_layout(algorithm, kept):
     # a matvec on an F-ordered design may round differently from one on a
     # C-ordered copy; the full batch must not let the layout reach a bit
     sim, _, _ = fixture(seed=9, n=300, family=LOGIT, setting="s2", rho=0.1)
-    cfg = BaselineConfig(algorithm=algorithm, step0=0.5, decay="sqrt", batch=None,
-                         max_rounds=20)
     runs = []
     for order in (np.asfortranarray, np.ascontiguousarray):
         va = AgentView(design=order(sim.X_a), column_names=sim.ownership.a_names,
@@ -138,12 +121,34 @@ def test_full_batch_ignores_design_layout(algorithm, kept):
         vb = AgentView(design=order(sim.X_b), column_names=sim.ownership.b_names,
                        owner=Owner.B)
         assert va.design.flags.f_contiguous != va.design.flags.c_contiguous
-        runs.append(train_baseline(va, sim.y, vb, LOGIT, cfg))
+        runs.append(train_baseline(va, sim.y, vb, LOGIT, algorithm, 0.5, 20))
     f_run, c_run = runs
     f_lines, c_lines = (recorder.lines for recorder in kept)
     assert f_lines and f_lines == c_lines
     for (a1, b1), (a2, b2) in zip(f_run.history, c_run.history, strict=True):
         assert a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
+
+
+@pytest.mark.parametrize("algorithm, digest", [
+    ("fedsgd", "d708df8af2ece1e72fa1ab90425dbcd0ffd4930ca059d324d7a553675b5b09e2"),
+    ("fedbcd", "6eeb686f950dcca76f6fe2a03f2c25ee49645e6061e7552270fce4ca0a7b4a9b"),
+])
+def test_session_pinned(algorithm, digest):
+    # each round's predictors serve its loss and the next round's send and
+    # gradient; the iterates and the wire bill stay the same to the bit
+    sim, va, vb = fixture(seed=9, n=300, family=LOGIT, setting="s2", rho=0.1)
+    sess = train_baseline(va, sim.y, vb, LOGIT, algorithm, 0.5, 20)
+    history = b"".join(a.tobytes() + b.tobytes() for a, b in sess.history)
+    assert hashlib.sha256(history).hexdigest() == digest
+    assert (sess.rounds_transmitted, sess.bytes_transmitted) == (40, 129682)
+    assert sess.rounds == 20 and not sess.diverged
+
+
+@pytest.mark.parametrize("algorithm, step0", [("fedavg", 0.1), ("fedsgd", -0.1)])
+def test_bad_arguments_rejected(algorithm, step0):
+    sim, va, vb = fixture(n=60)
+    with pytest.raises(ValueError):
+        train_baseline(va, sim.y, vb, GAUSS, algorithm, step0, 3)
 
 
 def test_session_memory_flat_in_rounds():
@@ -152,10 +157,9 @@ def test_session_memory_flat_in_rounds():
     sim, va, vb = fixture(seed=12, n=2000, family=LOGIT, setting="s2", rho=0.1)
     peaks = []
     for rounds in (5, 50):
-        cfg = BaselineConfig(algorithm="fedbcd", step0=0.1, decay="sqrt", max_rounds=rounds)
         tracemalloc.start()
         try:
-            sess = train_baseline(va, sim.y, vb, LOGIT, cfg)
+            sess = train_baseline(va, sim.y, vb, LOGIT, "fedbcd", 0.1, rounds)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -175,8 +179,7 @@ class TestComparative:
                      stop=StopCriterion(offset_tol=None, coef_tol=None, max_rounds=10))
         aeal_gap = (sess.loss_log[-1] - oracle.final_loss)
 
-        cfg = BaselineConfig(algorithm="fedsgd", decay="sqrt", max_rounds=50)
-        _, best = tune_step(va, sim.y, vb, GAUSS, cfg, default_step_grid(),
+        _, best = tune_step(va, sim.y, vb, GAUSS, "fedsgd", default_step_grid(),
                             budget_rounds=50)
         sgd_gap = best.loss_log[-1] - oracle.final_loss
         assert 0 <= aeal_gap < sgd_gap
@@ -185,15 +188,13 @@ class TestComparative:
 class TestTuning:
     def test_single_candidate(self):
         sim, va, vb = fixture(seed=9)
-        cfg = BaselineConfig(algorithm="fedsgd", max_rounds=5)
-        result, sess = tune_step(va, sim.y, vb, GAUSS, cfg, [0.07], 5)
+        result, sess = tune_step(va, sim.y, vb, GAUSS, "fedsgd", [0.07], 5)
         assert result.best_step0 == 0.07
         assert result.total_vector_sends == sess.rounds_transmitted
 
     def test_never_selects_zero_when_progress_possible(self):
         sim, va, vb = fixture(seed=10)
-        cfg = BaselineConfig(algorithm="fedsgd", max_rounds=10)
-        result, _ = tune_step(va, sim.y, vb, GAUSS, cfg, [0.0, 0.05], 10)
+        result, _ = tune_step(va, sim.y, vb, GAUSS, "fedsgd", [0.0, 0.05], 10)
         assert result.best_step0 == 0.05
 
     def test_default_grid_shape(self):
@@ -206,6 +207,5 @@ class TestTuning:
 
     def test_tuning_bill_accounts_grid(self):
         sim, va, vb = fixture(seed=11)
-        cfg = BaselineConfig(algorithm="fedsgd", max_rounds=4)
-        result, _ = tune_step(va, sim.y, vb, GAUSS, cfg, [0.01, 0.1, 1.0], 4)
+        result, _ = tune_step(va, sim.y, vb, GAUSS, "fedsgd", [0.01, 0.1, 1.0], 4)
         assert result.total_vector_sends == 3 * 2 * 4

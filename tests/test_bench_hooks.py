@@ -51,9 +51,8 @@ assert {"solver.fit_offset", "solver.sandwich_pieces"} <= names, names
 # a short step tuning: the baseline sessions encode every line they count, and the
 # session hook reads the bytes they report and the transcript field they carry
 baselines = importlib.import_module("aeal.baselines")
-cfg = baselines.BaselineConfig(algorithm="fedbcd", decay="sqrt", max_rounds=3)
 baselines.tune_step(view, y, AgentView(design=S, column_names=("b0", "b1"), owner=Owner.B),
-                    LossFamily("gaussian"), cfg, [0.01, 0.1], 3)
+                    LossFamily("gaussian"), "fedbcd", [0.01, 0.1], 3)
 wire = t.counter("wire.bytes", {None})
 assert wire > 0 and wire == t.counter("reported.bytes", {None}), wire
 assert t.counter("wire.sends.GradShare", {None}) == 2 * 3

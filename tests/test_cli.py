@@ -479,6 +479,20 @@ class TestAgent:
         assert a_err.startswith("error:") and "--predict-data" in a_err
         assert "Traceback" not in a_err
 
+    @pytest.mark.parametrize("endpoints", [[], ["--listen", "127.0.0.1:0",
+                                                "--connect", "127.0.0.1:1"]],
+                             ids=["neither", "both"])
+    def test_endpoint_usage_mistake_is_not_a_protocol_error(self, owner_csvs, endpoints):
+        path_a, _ = owner_csvs
+        alice = spawn_agent(["--role", "alice", "--data", path_a] + endpoints)
+        try:
+            _, a_err = alice.communicate(timeout=30)
+        finally:
+            alice.kill()
+        assert alice.returncode == 1
+        assert a_err.startswith("error:") and "--listen or --connect" in a_err
+        assert "Traceback" not in a_err
+
 
 def run_agent_with_peer(monkeypatch, capsys, argv, peer):
     """Run ``aeal agent`` in this process over one end of a socket pair while

@@ -444,4 +444,6 @@ def test_socket_session_equals_in_process_above_one_gram_block():
     assert rec_a.lines == sess.transcript
     assert (rec_a.bytes_transmitted == tally_b.bytes_transmitted
             == sess.bytes_transmitted)
-    assert rec_a.offset_count() == tally_b.offset_count() == sess.rounds_transmitted
+    # an alternating session sends no GradShare: every vector send is an Offset
+    assert (rec_a.vector_sends == rec_a.counts["Offset"] == tally_b.vector_sends
+            == sess.rounds_transmitted)

@@ -19,6 +19,12 @@ def make_view(X, owner=Owner.A, prefix="a"):
                      owner=owner)
 
 
+def sliced(X_a, y, sketch, rows):
+    """A's view, response and B's sketch, all restricted to the same rows."""
+    return make_view(X_a[rows]), y[rows], SketchPackage(projected=sketch.projected[rows],
+                                                       t=sketch.t)
+
+
 def gaussian_fixture(seed=0, n=300, p_a=3, p_b=2, signal_b=0.0):
     rng = np.random.default_rng(seed)
     X_a = rng.normal(size=(n, p_a))
@@ -220,27 +226,26 @@ class TestSubset:
         X_a, X_b, y, rng = gaussian_fixture(seed=13)
         sketch = make_sketch(X_b, 2, rng)
         full = wald_screen(make_view(X_a), y, sketch, GAUSS)
-        sub = wald_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
-                          row_indices=np.arange(len(y)))
+        sub = wald_screen(*sliced(X_a, y, sketch, np.arange(len(y))), GAUSS)
         assert sub.decision.statistic == pytest.approx(full.decision.statistic, rel=1e-12)
         assert sub.n_used == full.n_used
 
     def test_underdetermined_subset(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=14)
         sketch = make_sketch(X_b, 2, rng)
-        with pytest.raises(RankDeficientAugmented):
-            wald_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
-                        row_indices=np.arange(4))  # fewer rows than columns
+        with pytest.raises(RankDeficientAugmented):  # fewer rows than columns
+            wald_screen(*sliced(X_a, y, sketch, np.arange(4)), GAUSS)
         X_a[:50, 0] = 0.0  # full rank overall, deficient on the first 50 rows
+        # B clipped every later row, so A's view is screened on the first 50 only
+        clipped = SketchPackage(projected=sketch.projected[:50], t=2,
+                                rows_excluded=tuple(range(50, len(y))))
         with pytest.raises(RankDeficientAugmented, match="A's view"):
-            wald_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
-                        row_indices=np.arange(50))
+            wald_screen(make_view(X_a), y, clipped, GAUSS)
 
     def test_lrt_on_subset(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=20, n=400, signal_b=0.3)
         sketch = make_sketch(X_b, 1, rng)
-        rep = lrt_screen(make_view(X_a), y, sketch, GAUSS, 0.05,
-                         row_indices=np.arange(200))
+        rep = lrt_screen(*sliced(X_a, y, sketch, np.arange(200)), GAUSS)
         assert rep.n_used == 200
         assert rep.decision.statistic >= 0.0
 
@@ -282,11 +287,9 @@ class TestSubset:
         beta = np.full(12, 0.8)
         nu = sim.X @ beta
         y = (rng.uniform(size=2000) < 1 / (1 + np.exp(-nu))).astype(float)
-        view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names,
-                           owner=Owner.A)
         sketch = make_sketch(sim.X_b, 3, rng)
         half = rng.choice(2000, size=1000, replace=False)
-        rep = wald_screen(view_a, y, sketch, LOGIT, 0.05, row_indices=half)
+        rep = wald_screen(*sliced(sim.X_a, y, sketch, half), LOGIT)
         assert rep.n_used == 1000
         assert rep.decision.reject
 
@@ -356,11 +359,16 @@ class TestContext:
         real = screening.fit_offset
         monkeypatch.setattr(screening, "fit_offset",
                             lambda *a, init=None: inits.append(init) or real(*a, init=init))
-        for sketch, rows in ((clipped, None), (full, np.arange(300))):
+        # B clipped every row after the 300th of the clean sketch
+        tail = SketchPackage(projected=full.projected[:300], t=2,
+                             rows_excluded=tuple(range(300, len(y))))
+        for sketch in (clipped, tail):
+            keep = np.setdiff1d(np.arange(len(y)), sketch.rows_excluded)
+            aligned = SketchPackage(projected=sketch.projected, t=2)
             for screen in (wald_screen, lrt_screen):
                 inits.clear()
-                got = screen(view, y, sketch, GAUSS, row_indices=rows, context=context)
-                want = screen(view, y, sketch, GAUSS, row_indices=rows)
+                got = screen(view, y, sketch, GAUSS, context=context)
+                want = screen(make_view(X_a[keep]), y[keep], aligned, GAUSS)
                 assert got.decision.statistic == want.decision.statistic
                 assert got.n_used < len(y)
                 # the context's A-only beta fits all 500 rows; it seeds no fit here

@@ -131,6 +131,17 @@ class TestLaplace:
         assert (pkg.noised, pkg.epsilon, pkg.c2) == (bool(kw), epsilon, c2)
         assert len(pkg.rows_excluded) == excluded and pkg.n + excluded == 60
 
+    def test_raw_scale_honours_clip_bound(self):
+        # a raw scale with a given bound clips at it and records the epsilon it
+        # implies: the release is the calibrated one at that epsilon
+        X = np.random.default_rng(0).normal(size=(50, 4))
+        pkg = make_sketch(X, 2, np.random.default_rng(1), noise_scale=0.5, c2=1.0)
+        _, excluded = clip_rows(X, 1.0)
+        assert excluded and pkg.rows_excluded == excluded and pkg.n + len(excluded) == 50
+        assert (pkg.c2, pkg.epsilon) == (1.0, 8.0)
+        calibrated = make_sketch(X, 2, np.random.default_rng(1), epsilon=8.0, c2=1.0)
+        assert pkg.projected.tobytes() == calibrated.projected.tobytes()
+
 
 class TestPackage:
     def test_column_major_with_unchanged_wire_bytes(self):

@@ -194,7 +194,7 @@ class TestLocalTransport:
         assert a.recv() == Stop(reason="MaxRounds")
         assert len(rec.lines) == 2
         assert rec.bytes_transmitted == sum(len(l.encode()) + 1 for _, l in rec.lines)
-        assert rec.offset_count() == 1
+        assert rec.counts == {"Offset": 1, "Stop": 1}
         assert rec.vector_sends == 1
 
     def test_timeout(self):
@@ -226,7 +226,6 @@ class TestSinks:
         assert tally.counts == recorder.counts == Counter(
             type(m).__name__ for m in ALL_MESSAGES)
         assert tally.vector_sends == recorder.vector_sends == 2
-        assert tally.offset_count() == recorder.offset_count() == 1
 
     def test_local_pair(self):
         tally, recorder = Tally(), Recorder()
