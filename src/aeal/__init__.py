@@ -8,8 +8,7 @@ the toolkit.
 """
 
 from .baselines import BaselineSession, default_step_grid, train_baseline, tune_step
-from .data import (AgentView, AlignedDataset, Column, Owner, from_arrays,
-                   load_aligned_csv, split_rows, write_owner_csvs)
+from .data import AgentView, Owner, load_agent_csv
 from .losses import LossFamily, parse_family
 from .messages import PROTOCOL_VERSION, decode, encode
 from .protocol import (Prediction, StopCriterion, TrainSession, joint_loss,

@@ -21,9 +21,8 @@ from .errors import (AealError, DimensionMismatch, DomainError, OneClassOnly,
                      SingularCovarianceBlock, SingularHessian, SingularVariance,
                      SolverFailure, TransportFailure)
 from .losses import parse_family
-from .messages import (PROTOCOL_VERSION, Handshake, PredictContribution, ScreenResult,
-                       SketchOffer, format_float)
-from .protocol import StopCriterion, _check_handshake, joint_interval, run_alice, run_bob
+from .messages import PredictContribution, ScreenResult, SketchOffer, format_float
+from .protocol import StopCriterion, joint_interval, open_session, run_alice, run_bob
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SimData, SimDesign, gen_covariates, gen_response, map_T,
                        oracle_fit, simulate, spawn_rngs)
@@ -244,6 +243,7 @@ def cmd_agent(args):
 
 
 def _agent_screen(args, fam, view, y, chan):
+    open_session(chan, view, fam.name, args.ridge if args.role == "alice" else None)
     if args.role == "bob":
         rng = np.random.default_rng(args.seed)
         X_b = view.design
@@ -316,13 +316,12 @@ def _agent_train(args, fam, view, y, chan, tally):
 
 def _predict_view(args, fam, view, chan):
     """This side's predict file, checked against its training columns; the
-    handshake that follows checks that both sides predict as many rows."""
+    handshake that follows checks that both sides predict the same row ids."""
     _, view_new, _ = load_agent_csv(args.predict_data, args.id_column, view.owner)
     if view_new.column_names != view.column_names:
         raise DimensionMismatch(f"predict columns {list(view_new.column_names)} differ "
                                 f"from the training columns {list(view.column_names)}")
-    chan.send(Handshake(version=PROTOCOL_VERSION, n=view_new.n, family=fam.name, lam=0.0))
-    _check_handshake(chan.recv(), view_new.n)
+    open_session(chan, view_new, fam.name, 0.0 if args.role == "alice" else None)
     return view_new
 
 

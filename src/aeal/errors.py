@@ -15,8 +15,8 @@ class DuplicateId(AealError):
     """The same identifier occurs twice within one file."""
 
 
-class EmptyIntersection(AealError):
-    """The two files share no identifiers."""
+class MalformedCsv(AealError):
+    """A CSV row has the wrong number of cells, or a cell is not a finite number."""
 
 
 class RankDeficientView(AealError):
@@ -26,10 +26,6 @@ class RankDeficientView(AealError):
         self.owner = owner
         self.column = column
         super().__init__(f"design of owner {owner} is rank deficient at column {column!r}")
-
-
-class SharedColumnMismatch(AealError):
-    """Same column name in both files but with differing values."""
 
 
 # -- loss families ------------------------------------------------------------

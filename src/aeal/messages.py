@@ -4,7 +4,7 @@ Vector and matrix payloads (a matrix with its shape) are base64 of their
 little-endian IEEE-754 binary64 bytes and decode to read-only float64 arrays
 of exactly those bytes; scalar floats carry 17 significant digits, also
 exact. Non-finite numbers (DomainError on encode), unknown message types and
-unknown or missing fields are rejected. The handshake pins "aeal/2".
+unknown or missing fields are rejected. The handshake pins "aeal/3".
 """
 
 import base64
@@ -17,7 +17,7 @@ from .errors import AealError, DomainError, ProtocolError
 from .sketch import SketchOffer
 from .stats import ScreenResult
 
-PROTOCOL_VERSION = "aeal/2"
+PROTOCOL_VERSION = "aeal/3"
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class Handshake:
     n: int
     family: str
     lam: float
+    id_digest: str = None   # SHA-256 of the sorted row ids; None for views from arrays
 
     def __post_init__(self):
         if self.lam < 0:
@@ -68,7 +69,8 @@ class GradShare:
 
 # field name -> wire type tag, per message type
 _SCHEMAS = {
-    "Handshake": {"version": "str", "n": "int", "family": "str", "lam": "float"},
+    "Handshake": {"version": "str", "n": "int", "family": "str", "lam": "float",
+                  "id_digest": "str?"},
     "SketchOffer": {"projected": "matrix", "t": "int", "noised": "bool",
                     "epsilon": "float?", "c2": "float?", "rows_excluded": "ints"},
     "ScreenResult": {"statistic": "float", "df": "int", "p_value": "float",
@@ -104,8 +106,8 @@ def _emit(tag, value, fld):
         _check_finite(value, fld)
         text = format_float(value)
         return "-0.0" if text == "-0" else text  # "-0" would parse as the integer 0
-    if tag == "float?":
-        return "null" if value is None else _emit("float", value, fld)
+    if tag in ("float?", "str?"):
+        return "null" if value is None else _emit(tag[:-1], value, fld)
     if tag in ("vector", "matrix"):
         arr = np.asarray(value, "<f8")
         _check_finite(arr, fld)
@@ -148,8 +150,8 @@ def _take(tag, value, fld):
         except OverflowError:
             pass
         bad("a finite number")
-    if tag == "float?":
-        return None if value is None else _take("float", value, fld)
+    if tag in ("float?", "str?"):
+        return None if value is None else _take(tag[:-1], value, fld)
     if tag == "vector":
         try:  # a non-string, bad base64 and a partial double all land here
             arr = np.frombuffer(base64.b64decode(value, validate=True), "<f8")

@@ -101,15 +101,38 @@ def _predictor_covariance(X, y, offset, fam, beta):
     return V1_inv @ V2 @ V1_inv / X.shape[0]
 
 
-def _check_handshake(msg, n):
-    """Validate the peer's handshake against this side's version and row count."""
+def _check_handshake(msg, view, family):
+    """Validate the peer's handshake against this side's version, row count,
+    loss family and row-id digest."""
     if not isinstance(msg, Handshake):
         raise ProtocolError("expected handshake")
     if msg.version != PROTOCOL_VERSION:
         raise ProtocolError(f"protocol version mismatch: {msg.version!r}")
-    if msg.n != n:
+    if msg.n != view.n:
         raise ProtocolError("peer row count differs")
+    if msg.family != family:
+        raise ProtocolError("family mismatch between handshake and local config")
+    if msg.id_digest != view.id_digest:
+        raise ProtocolError("peer row ids differ (digest of the sorted ids)")
     return msg
+
+
+def open_session(chan, view, family, lam=None):
+    """The exchange every session opens with. Alice passes her ridge and sends
+    first; Bob (lam None) echoes with her ridge, and her family if his is None,
+    before he checks hers, so that a mismatch stops both sides with a protocol
+    error. Returns the peer's handshake."""
+    def own(lam):
+        return Handshake(version=PROTOCOL_VERSION, n=view.n, family=family, lam=lam,
+                         id_digest=view.id_digest)
+    if lam is not None:
+        chan.send(own(lam))
+        return _check_handshake(chan.recv(), view, family)
+    msg = chan.recv()
+    if isinstance(msg, Handshake):
+        family = family or msg.family
+        chan.send(own(msg.lam))
+    return _check_handshake(msg, view, family)
 
 
 class _PeerTracker:
@@ -142,8 +165,7 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
     n = X_a.shape[0]
     stop = stop or StopCriterion.default(n)
 
-    chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=ridge))
-    _check_handshake(chan.recv(), n)
+    open_session(chan, view_a, fam.name, ridge)
 
     masked = mask_flip_prob is not None
     if masked:
@@ -208,11 +230,8 @@ def run_bob(view_b, fam, chan):
     X_b = view_b.design
     n = X_b.shape[0]
 
-    hs = _check_handshake(chan.recv(), n)
+    hs = open_session(chan, view_b, None if fam is None else fam.name)
     fam = parse_family(hs.family) if fam is None else fam
-    if fam.name != hs.family:
-        raise ProtocolError("family mismatch between handshake and local config")
-    chan.send(Handshake(version=PROTOCOL_VERSION, n=n, family=fam.name, lam=hs.lam))
 
     share = chan.recv()
     if not isinstance(share, ResponseShare):

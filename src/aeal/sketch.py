@@ -121,29 +121,35 @@ def laplace_scale(epsilon, c2, t):
 def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
     """Convenience constructor used by the simulation harness and the agent CLI.
 
-    Either pass epsilon for a privacy-calibrated release, or noise_scale to
-    add Laplace noise of a raw scale (the implied epsilon is recorded so the
-    offer's invariant holds). Either way rows are clipped at c2, which
-    defaults to the max row norm. noise_scale=0 with no epsilon produces a
-    clean sketch.
+    Rows with norm over c2 are dropped (rows_excluded) and c2 is recorded,
+    noised or not. Either pass epsilon for a privacy-calibrated release, or
+    noise_scale to add Laplace noise of a raw scale (the implied epsilon is
+    recorded so the offer's invariant holds); a noised release without c2
+    takes the max row norm, which clips no row. noise_scale=0 with no
+    epsilon produces a clean sketch.
     """
     X_b = np.asarray(X_b, dtype=float)
     p_b = X_b.shape[1]
     U = make_projection(p_b, t, rng)
-    if epsilon is None and not noise_scale > 0.0:
-        return SketchOffer(projected=project(X_b, U), t=t, p_b=p_b)
-    if c2 is None:  # the max row norm clips no row
-        c2, excluded = float(np.max(np.linalg.norm(X_b, axis=1))), ()
-    else:
+    noised = epsilon is not None or noise_scale > 0.0
+    excluded = ()
+    if c2 is not None:
+        if not c2 > 0:
+            raise BadEpsilon("clip bound must be positive")
+        c2 = float(c2)
         X_b, excluded = clip_rows(X_b, c2)
+    elif noised:  # the max row norm clips no row
+        c2 = float(np.max(np.linalg.norm(X_b, axis=1)))
+    M = project(X_b, U)
+    if not noised:
+        return SketchOffer(projected=M, t=t, c2=c2, rows_excluded=excluded, p_b=p_b)
     # scale * epsilon = 2 t c2, so one formula gives either from the other
     if epsilon is None:
         scale, epsilon = noise_scale, laplace_scale(noise_scale, c2, t)
     else:
         scale = laplace_scale(epsilon, c2, t)
-    M = project(X_b, U)
     return SketchOffer(projected=M + laplace_matrix(M.shape, scale, rng), t=t, noised=True,
-                       epsilon=float(epsilon), c2=float(c2), rows_excluded=excluded, p_b=p_b)
+                       epsilon=float(epsilon), c2=c2, rows_excluded=excluded, p_b=p_b)
 
 
 def mask_response(y, flip_prob, rng):

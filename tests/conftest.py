@@ -1,3 +1,4 @@
+import csv
 import os
 
 # pyproject's pythonpath puts src on this process's sys.path; the tests that
@@ -5,3 +6,20 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
+# one raw handshake line: n, lam and id_digest are spliced in as JSON literals
+HANDSHAKE = ('{"type":"Handshake","version":"aeal/3","n":%s,"family":"logistic",'
+             '"lam":%s,"id_digest":%s}')
+
+
+def write_agent_csv(path, ids, columns, y=None):
+    """Write one agent's file: an id column, a response column y when given,
+    then the named (name, values) columns. Values are written with repr, so
+    load_agent_csv reads them back bitwise."""
+    columns = ([("y", y)] if y is not None else []) + list(columns)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id"] + [name for name, _ in columns])
+        for i, rid in enumerate(ids):
+            w.writerow([rid] + [repr(float(values[i])) for _, values in columns])
+    return str(path)

@@ -14,9 +14,10 @@ import subprocess
 import sys
 
 import numpy as np
+from conftest import write_agent_csv
 
 from aeal.baselines import default_step_grid, tune_step
-from aeal.data import AgentView, Owner, from_arrays, load_aligned_csv, write_owner_csvs
+from aeal.data import AgentView, Owner, load_agent_csv
 from aeal.losses import LossFamily
 from aeal.messages import format_float
 from aeal.protocol import StopCriterion, predict, train
@@ -312,15 +313,13 @@ def test_criterion_13_transport_equivalence(tmp_path):
     """Socket agents reproduce the in-process session bitwise on the wire."""
     rng = np.random.default_rng(SEED + 9)
     n = 200
-    ds = from_arrays(
-        y=rng.normal(size=n),
-        a_columns=[("u1", rng.uniform(size=n)), ("u2", rng.uniform(size=n))],
-        b_columns=[("v1", rng.uniform(size=n)), ("v2", rng.uniform(size=n)),
-                   ("v3", rng.uniform(size=n))],
-        ids=[f"{i:05d}" for i in range(n)],
-    )
-    path_a, path_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_owner_csvs(ds, path_a, path_b)
+    ids = [f"{i:05d}" for i in range(n)]
+    y = rng.normal(size=n)
+    a_columns = [("u1", rng.uniform(size=n)), ("u2", rng.uniform(size=n))]
+    b_columns = [("v1", rng.uniform(size=n)), ("v2", rng.uniform(size=n)),
+                 ("v3", rng.uniform(size=n))]
+    path_a = write_agent_csv(tmp_path / "a.csv", ids, a_columns, y=y)
+    path_b = write_agent_csv(tmp_path / "b.csv", ids, b_columns)
 
     s = socket.socket()
     s.bind(("127.0.0.1", 0))
@@ -341,16 +340,20 @@ def test_criterion_13_transport_equivalence(tmp_path):
     assert bob.returncode == 0, b_err
     a, b = json.loads(a_out), json.loads(b_out)
 
-    reloaded = load_aligned_csv(path_a, path_b, id_column="id")
-    sess = train(reloaded.view(Owner.A), reloaded.y, reloaded.view(Owner.B), GAUSS,
+    # the reference runs on the agents' own rows, row order and id digest
+    _, view_a, y_a = load_agent_csv(path_a, "id", Owner.A, response_column="y")
+    _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
+    sess = train(view_a, y_a, view_b, GAUSS,
                  stop=StopCriterion(offset_tol=1e-8 * np.sqrt(n), coef_tol=1e-8,
                                     max_rounds=20))
     ok = (a["beta"] == [format_float(v) for v in sess.beta_a]
           and b["beta"] == [format_float(v) for v in sess.beta_b]
           and a["rounds"] == sess.rounds
-          and a["rounds_transmitted"] == sess.rounds_transmitted)
+          and a["rounds_transmitted"] == sess.rounds_transmitted
+          and a["bytes_transmitted"] == sess.bytes_transmitted == b["bytes_transmitted"])
     line = report("criterion 13 (transport equivalence)", ok,
                   f"socket rounds={a['rounds']} in-process rounds={sess.rounds}, "
+                  f"bytes={a['bytes_transmitted']}/{sess.bytes_transmitted}, "
                   f"coefficients bitwise equal={ok}")
     assert ok, line
 

@@ -9,10 +9,11 @@ import time
 
 import numpy as np
 import pytest
+from conftest import HANDSHAKE, write_agent_csv
 
 from aeal import protocol
 from aeal.cli import main
-from aeal.data import AgentView, Owner, from_arrays, load_agent_csv, write_owner_csvs
+from aeal.data import AgentView, Owner, load_agent_csv
 from aeal.losses import parse_family
 from aeal.screening import wald_screen
 from aeal.simulate import SimDesign, simulate, spawn_rngs
@@ -207,23 +208,45 @@ class TestConfigFile:
 def owner_csvs(tmp_path):
     rng = np.random.default_rng(21)
     n = 80
-    ds = from_arrays(
-        y=(rng.uniform(size=n) < 0.5).astype(float),
-        a_columns=[("u1", rng.uniform(size=n)), ("u2", rng.uniform(size=n))],
-        b_columns=[("v1", rng.uniform(size=n)), ("v2", rng.uniform(size=n))],
-        ids=[f"{i:04d}" for i in range(n)],  # sorted ids align both load paths
-    )
-    pa, pb = tmp_path / "alice.csv", tmp_path / "bob.csv"
-    write_owner_csvs(ds, pa, pb)
-    return str(pa), str(pb)
+    ids = [f"{i:04d}" for i in range(n)]
+    y = (rng.uniform(size=n) < 0.5).astype(float)
+    a_columns = [("u1", rng.uniform(size=n)), ("u2", rng.uniform(size=n))]
+    b_columns = [("v1", rng.uniform(size=n)), ("v2", rng.uniform(size=n))]
+    return (write_agent_csv(tmp_path / "alice.csv", ids, a_columns, y=y),
+            write_agent_csv(tmp_path / "bob.csv", ids, b_columns))
+
+
+def rewrite_rows(path, out, edit):
+    """Copy an agent file line by line through edit(line_number, cells)."""
+    with open(path) as src, open(out, "w") as dst:
+        for i, line in enumerate(src):
+            cells = edit(i, line.rstrip("\n").split(","))
+            if cells is not None:
+                dst.write(",".join(cells) + "\n")
+    return str(out)
+
+
+def covariates_only(path_a, out, rows=None):
+    """Alice's file less its response column (a predict file), and only its
+    first `rows` rows when given."""
+    return rewrite_rows(path_a, out, lambda i, cells: (
+        cells[:1] + cells[2:] if rows is None or i <= rows else None))
+
+
+def with_foreign_id(path, out):
+    """A copy of an agent file as long as the original whose first row
+    carries an id that no other file holds."""
+    return rewrite_rows(path, out, lambda i, cells: ["foreign"] + cells[1:] if i == 1 else cells)
+
+
+def digest_of(path):
+    """The id digest a peer pairing with this file sends, as a JSON literal."""
+    return json.dumps(load_agent_csv(path, "id", Owner.A)[1].id_digest)
 
 
 def spawn_agent(args):
     return subprocess.Popen([sys.executable, "-m", "aeal.cli", "agent"] + args,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-
-
-HANDSHAKE = '{"type":"Handshake","version":"aeal/2","n":%s,"family":"logistic","lam":%s}'
 
 
 def send_to_training_bob(path_b, data):
@@ -277,7 +300,6 @@ class TestAgent:
         assert a["iterations"] > 0
 
     def test_train_matches_in_process_bitwise(self, owner_csvs):
-        from aeal.data import Owner, load_aligned_csv
         from aeal.losses import parse_family
         from aeal.messages import format_float
         from aeal.protocol import StopCriterion, train
@@ -296,9 +318,10 @@ class TestAgent:
         a = json.loads(a_out)
         b = json.loads(b_out)
 
-        ds = load_aligned_csv(path_a, path_b, id_column="id")
-        sess = train(ds.view(Owner.A), ds.y, ds.view(Owner.B), parse_family("logistic"),
-                     stop=StopCriterion(offset_tol=1e-8 * np.sqrt(ds.n),
+        _, view_a, y = load_agent_csv(path_a, "id", Owner.A, response_column="y")
+        _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
+        sess = train(view_a, y, view_b, parse_family("logistic"),
+                     stop=StopCriterion(offset_tol=1e-8 * np.sqrt(view_a.n),
                                         coef_tol=1e-8, max_rounds=15))
         assert a["beta"] == [format_float(v) for v in sess.beta_a]
         assert b["beta"] == [format_float(v) for v in sess.beta_b]
@@ -309,15 +332,16 @@ class TestAgent:
 
     def test_version_mismatch_exits_2(self, owner_csvs):
         _, path_b = owner_csvs
-        code, _ = send_to_training_bob(path_b, b'{"type":"Handshake","version":"aeal/0",'
-                                               b'"n":80,"family":"logistic","lam":0}\n')
+        line = (HANDSHAKE % ("80", "0", digest_of(path_b))).replace("aeal/3", "aeal/0")
+        code, err = send_to_training_bob(path_b, line.encode() + b"\n")
         assert code == 2
+        assert "protocol version mismatch" in err
 
     @pytest.mark.parametrize("line", [
         '{"type":[1]}',
-        HANDSHAKE % ("80", "9" * 400),
-        HANDSHAKE % ("9" * 5000, "0"),
-        HANDSHAKE % ("80", "1e400"),
+        HANDSHAKE % ("80", "9" * 400, "null"),
+        HANDSHAKE % ("9" * 5000, "0", "null"),
+        HANDSHAKE % ("80", "1e400", "null"),
     ], ids=["type-list", "lam-400-digits", "n-5000-digits", "lam-1e400"])
     def test_undecodable_handshake_exits_2(self, owner_csvs, line):
         _, path_b = owner_csvs
@@ -381,6 +405,8 @@ class TestAgent:
 
         path_a, _ = owner_csvs
         # SketchOffer refuses to build these, so the peer writes the raw line
+        # after a handshake that passes Alice's check
+        echo = HANDSHAKE % ("80", "0", digest_of(path_a))
         offer = json.loads(encode(SketchOffer(
             projected=np.random.default_rng(5).normal(size=(39, 2)), t=2)))
         with socket.create_server(("127.0.0.1", 0)) as srv:
@@ -390,7 +416,7 @@ class TestAgent:
                                  "--data", path_a, "--mode", "screen"])
             conn, _ = srv.accept()
             with conn:
-                conn.sendall((json.dumps(offer | bad) + "\n").encode())
+                conn.sendall((echo + "\n" + json.dumps(offer | bad) + "\n").encode())
                 _, a_err = alice.communicate(timeout=60)
         assert alice.returncode == 2, a_err
         assert "protocol error" in a_err
@@ -405,11 +431,7 @@ class TestAgent:
     def test_predict_mode(self, owner_csvs, tmp_path):
         path_a, path_b = owner_csvs
         # prediction inputs carry covariates only (no response column)
-        new_a = tmp_path / "new_a.csv"
-        with open(path_a) as src, open(new_a, "w") as dst:
-            for line in src:
-                cells = line.rstrip("\n").split(",")
-                dst.write(",".join(cells[:1] + cells[2:]) + "\n")
+        new_a = covariates_only(path_a, tmp_path / "new_a.csv")
         port = free_port()
         bob = spawn_agent(["--role", "bob", "--listen", f"127.0.0.1:{port}",
                            "--data", path_b, "--mode", "predict",
@@ -451,16 +473,43 @@ class TestAgent:
 
     def test_predict_row_counts_differ_exits_2(self, owner_csvs, tmp_path):
         path_a, path_b = owner_csvs
-        new_a = tmp_path / "new_a.csv"
-        with open(path_a) as src, open(new_a, "w") as dst:
-            for line in list(src)[:21]:  # the header and 20 of Bob's 80 rows
-                cells = line.rstrip("\n").split(",")
-                dst.write(",".join(cells[:1] + cells[2:]) + "\n")
+        new_a = covariates_only(path_a, tmp_path / "new_a.csv", rows=20)  # of Bob's 80
         a_code, a_out, a_err, b_code, b_err = self.run_predict_pair(path_a, path_b, new_a,
                                                                     path_b)
         assert a_code == 2 and "row count" in a_err, a_err
         assert b_code == 2 and "row count" in b_err, b_err
         assert len(a_out.strip().split("\n")) == 1
+
+    def test_predict_row_ids_differ_exits_2(self, owner_csvs, tmp_path):
+        # the training files match; Bob's predict file is as long as Alice's
+        # but one of its ids is not hers
+        path_a, path_b = owner_csvs
+        new_a = covariates_only(path_a, tmp_path / "new_a.csv")
+        new_b = with_foreign_id(path_b, tmp_path / "new_b.csv")
+        a_code, a_out, a_err, b_code, b_err = self.run_predict_pair(path_a, path_b, new_a,
+                                                                    new_b)
+        for code, err in ((a_code, a_err), (b_code, b_err)):
+            assert code == 2 and err.startswith("protocol error:"), err
+            assert "row ids differ" in err
+        assert len(a_out.strip().split("\n")) == 1  # the training line, no prediction
+
+    @pytest.mark.parametrize("mode", ["screen", "train"])
+    def test_row_ids_differ_exits_2(self, owner_csvs, tmp_path, mode):
+        # as many rows on both sides, but one of Bob's ids is not Alice's
+        path_a, path_b = owner_csvs
+        foreign = with_foreign_id(path_b, tmp_path / "foreign.csv")
+        port = free_port()
+        bob = spawn_agent(["--role", "bob", "--listen", f"127.0.0.1:{port}",
+                           "--data", foreign, "--mode", mode])
+        wait_listening(port)
+        alice = spawn_agent(["--role", "alice", "--connect", f"127.0.0.1:{port}",
+                             "--data", path_a, "--mode", mode])
+        a_out, a_err = alice.communicate(timeout=60)
+        b_out, b_err = bob.communicate(timeout=60)
+        for agent, out, err in ((alice, a_out, a_err), (bob, b_out, b_err)):
+            assert agent.returncode == 2 and err.startswith("protocol error:"), err
+            assert "row ids differ" in err
+            assert out == ""  # no result
 
     def test_predict_without_predict_data_fails_before_connecting(self, owner_csvs):
         path_a, _ = owner_csvs
@@ -478,6 +527,25 @@ class TestAgent:
         assert alice.returncode == 1
         assert a_err.startswith("error:") and "--predict-data" in a_err
         assert "Traceback" not in a_err
+
+    @pytest.mark.parametrize("row, where", [
+        ("0001,np.float64(0.3),0.5", "line 3, column 'v1'"),
+        ("0001,nan,0.5", "line 3, column 'v1'"),
+        ("0001,0.5", "line 3: 2 cells"),
+    ], ids=["non-numeric", "nan", "short-row"])
+    def test_bad_csv_row_is_an_input_error(self, tmp_path, monkeypatch, capsys, row, where):
+        path = tmp_path / "bob.csv"
+        path.write_text(f"id,v1,v2\n0000,0.1,0.2\n{row}\n0002,0.3,0.9\n")
+
+        def no_connection(args, tally):
+            raise AssertionError("the agent connected with a bad file")
+
+        monkeypatch.setattr("aeal.cli._agent_channel", no_connection)
+        code = main(["agent", "--role", "bob", "--connect", "127.0.0.1:1",
+                     "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}, {where}")
 
     @pytest.mark.parametrize("endpoints", [[], ["--listen", "127.0.0.1:0",
                                                 "--connect", "127.0.0.1:1"]],
@@ -528,7 +596,7 @@ class TestPeerBreaksMessageRules:
         _, path_b = owner_csvs
 
         def peer(sock):
-            sock.sendall((HANDSHAKE % ("80", "-1.0") + "\n").encode())
+            sock.sendall((HANDSHAKE % ("80", "-1.0", "null") + "\n").encode())
             drain(sock)
 
         code, err = run_agent_with_peer(monkeypatch, capsys, [
@@ -541,7 +609,7 @@ class TestPeerBreaksMessageRules:
         _, path_b = owner_csvs
 
         def peer(sock):
-            lines = [HANDSHAKE % ("80", "0"),
+            lines = [HANDSHAKE % ("80", "0", digest_of(path_b)),
                      encode(ResponseShare(y=np.full(80, 2.0), masked=False, flip_prob=None)),
                      encode(Offset(round=0, vector=np.zeros(80)))]
             sock.sendall("".join(line + "\n" for line in lines).encode())
@@ -554,22 +622,17 @@ class TestPeerBreaksMessageRules:
 
     def test_negative_sigma_in_predict_contribution(self, owner_csvs, tmp_path,
                                                     monkeypatch, capsys):
-        from aeal.messages import PROTOCOL_VERSION, Handshake
         path_a, path_b = owner_csvs
-        new_a = tmp_path / "new_a.csv"
-        with open(path_a) as src, open(new_a, "w") as dst:
-            for line in src:  # covariates only: drop the response column
-                cells = line.rstrip("\n").split(",")
-                dst.write(",".join(cells[:1] + cells[2:]) + "\n")
+        new_a = covariates_only(path_a, tmp_path / "new_a.csv")
         _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
 
         def peer(sock):
-            # an honest Bob through training and the predict handshake, then a
+            # an honest Bob through training and the predict handshake (his
+            # predict file holds the ids of his training file), then a
             # contribution per row with a negative standard deviation
             chan = SocketChannel(sock)
             protocol.run_bob(view_b, parse_family("logistic"), chan)
-            chan.send(Handshake(version=PROTOCOL_VERSION, n=80, family="logistic", lam=0.0))
-            chan.recv()
+            protocol.open_session(chan, view_b, "logistic")
             sock.sendall(b'{"type":"PredictContribution","nu":0.5,"sigma":-1.0}\n' * 80)
             drain(sock)
 

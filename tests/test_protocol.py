@@ -410,6 +410,29 @@ class TestProtocolValidation:
         th.join(10)
         assert results and isinstance(results[0], ProtocolError)
 
+    @pytest.mark.parametrize("digests", [("a" * 64, "b" * 64), ("a" * 64, None)],
+                             ids=["different", "one-missing"])
+    def test_row_id_digests_must_match(self, digests):
+        # Bob echoes before he checks, so both sides stop on the mismatch
+        va, vb, y = orthogonal_fixture()
+        va = AgentView(va.design, va.column_names, Owner.A, id_digest=digests[0])
+        vb = AgentView(vb.design, vb.column_names, Owner.B, id_digest=digests[1])
+        chan_a, chan_b = local_pair()
+        bob_errors = []
+
+        def bob():
+            try:
+                run_bob(vb, GAUSS, chan_b)
+            except ProtocolError as exc:
+                bob_errors.append(str(exc))
+
+        th = threading.Thread(target=bob)
+        th.start()
+        with pytest.raises(ProtocolError, match="row ids differ"):
+            run_alice(va, y, GAUSS, chan_a)
+        th.join(10)
+        assert len(bob_errors) == 1 and "row ids differ" in bob_errors[0]
+
 
 def test_socket_session_equals_in_process_above_one_gram_block():
     # at n = 10 000 each side's 8 columns span two row blocks of the weighted

@@ -186,6 +186,16 @@ class TestPackage:
         assert pkg.rows_excluded == (5,)
         assert pkg.n == 5
 
+    def test_clean_sketch_honours_clip_bound(self):
+        # a clip bound without noise still drops the rows over it and records it
+        X = np.vstack([np.full((5, 2), 0.1), [[5.0, 5.0]], np.full((2, 2), 0.3)])
+        pkg = make_sketch(X, 2, np.random.default_rng(10), c2=1.0)
+        assert (pkg.noised, pkg.epsilon, pkg.c2, pkg.rows_excluded) == (False, None, 1.0, (5,))
+        U = make_projection(2, 2, np.random.default_rng(10))
+        assert pkg.projected.tobytes() == project(np.delete(X, 5, axis=0), U).tobytes()
+        with pytest.raises(BadEpsilon):
+            make_sketch(X, 2, np.random.default_rng(10), c2=0.0)
+
 
 class TestMasking:
     def test_tiny_flip_prob_is_identity(self):

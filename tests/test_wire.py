@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import HANDSHAKE
 
 from aeal.errors import DomainError, ProtocolError, TransportFailure
 from aeal.messages import (_SCHEMAS, PROTOCOL_VERSION, GradShare, Handshake, Offset,
@@ -46,6 +47,15 @@ class TestRoundTrip:
                 assert back.tobytes() == np.asarray(sent, "<f8").tobytes()
             else:
                 assert back == sent
+
+    def test_handshake_carries_the_id_digest(self):
+        digest = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
+        line = HANDSHAKE % ("3", "0.5", '"' + digest + '"')
+        assert decode(line).id_digest == digest
+        assert encode(decode(line)) == line
+        assert decode(HANDSHAKE % ("3", "0.5", "null")).id_digest is None
+        with pytest.raises(ProtocolError, match="id_digest"):
+            decode(HANDSHAKE % ("3", "0.5", "7"))
 
     def test_payloads_decode_read_only_float64(self):
         got = decode(encode(ALL_MESSAGES[1]))
@@ -127,7 +137,7 @@ class TestStrictness:
             decode(line)
 
     @pytest.mark.parametrize("line", [
-        '{"type":"Handshake","version":"aeal/2","n":10,"family":"logistic","lam":-1}',
+        HANDSHAKE % ("10", "-1", "null"),
         '{"type":"PredictContribution","nu":0.5,"sigma":-0.25}',
         '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
         '"t":2,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
@@ -288,12 +298,11 @@ class TestSocketTransport:
 
 # the JSON lines that once escaped decode as TypeError, ValueError or
 # OverflowError, or decoded to inf
-HANDSHAKE = '{"type":"Handshake","version":"aeal/2","n":%s,"family":"logistic","lam":%s}'
 TOTAL_DECODER_CASES = {
     "type-list": '{"type":[1]}',
     "type-object": '{"type":{"a":1}}',
-    "n-5000-digits": HANDSHAKE % ("9" * 5000, "0"),
-    "lam-400-digits": HANDSHAKE % ("80", "9" * 400),
+    "n-5000-digits": HANDSHAKE % ("9" * 5000, "0", "null"),
+    "lam-400-digits": HANDSHAKE % ("80", "9" * 400, "null"),
     "statistic-1e400": '{"type":"ScreenResult","statistic":1e400,"df":1,"p_value":0.5,'
                        '"reject":false,"alpha":0.05}',
     "deep-nesting": '{"type":"Stop","reason":' + "[" * 5000 + "]" * 5000 + "}",
