@@ -20,7 +20,6 @@ from .sketch import (MaskedResponse, SketchOffer, SketchPackage, clip_rows,
                      laplace_noise, make_projection, make_sketch, mask_response,
                      project, unmask_probability)
 from .solver import FitResult, fit_offset, sandwich_pieces
-from .stats import (ScreenResult, TestDecision, auc, chi2_sf, ks_uniform,
-                    normal_quantile)
+from .stats import ScreenResult, auc, chi2_sf, ks_uniform, normal_quantile
 
 __version__ = "0.1.0"

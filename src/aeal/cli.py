@@ -22,7 +22,8 @@ from .errors import (AealError, DimensionMismatch, DomainError, OneClassOnly,
                      SolverFailure, TransportFailure)
 from .losses import parse_family
 from .messages import PredictContribution, ScreenResult, SketchOffer, format_float
-from .protocol import StopCriterion, joint_interval, open_session, run_alice, run_bob
+from .protocol import (StopCriterion, contribution, joint_interval, open_session,
+                       run_alice, run_bob)
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SimData, SimDesign, gen_covariates, gen_response, map_T,
                        oracle_fit, simulate, spawn_rngs)
@@ -300,17 +301,30 @@ def _agent_train(args, fam, view, y, chan, tally):
         rng = np.random.default_rng(args.seed)
         res = run_alice(view, y, fam, chan, stop=stop, ridge=args.ridge,
                         mask_flip_prob=args.mask_flip, rng=rng)
-        beta, predict_side = res["beta_a"], _predict_alice
+        beta, cov = res["beta_a"], res["cov_a"]
     else:
         res = run_bob(view, fam, chan)
-        beta, predict_side = res["beta_b"], _predict_bob
+        beta, cov = res["beta_b"], res["cov_b"]
     _print_json({"role": args.role, "mode": args.mode,
                  "beta": [format_float(v) for v in beta],
                  "rounds": res["rounds"], "stop_reason": res["stop_reason"],
                  "rounds_transmitted": tally.vector_sends,
                  "bytes_transmitted": tally.bytes_transmitted})
-    if args.mode == "predict":
-        predict_side(args, fam, res, chan, _predict_view(args, fam, view, chan))
+    if args.mode == "predict":  # one contribution message carries all of Bob's rows
+        view_new = _predict_view(args, fam, view, chan)
+        nu, sigma = contribution(view_new.design, beta, cov)
+        if args.role == "bob":
+            chan.send(PredictContribution(nu=nu, sigma=sigma))
+            return 0
+        peer = chan.recv()
+        if not isinstance(peer, PredictContribution):
+            raise ProtocolError("expected a prediction contribution")
+        if len(peer.nu) != view_new.n:
+            raise ProtocolError("contribution row count differs from the predict file")
+        pred = joint_interval(nu + peer.nu, sigma, peer.sigma, fam, args.alpha)
+        for i in range(view_new.n):
+            _print_json({"row": i, **{k: format_float(getattr(pred, k)[i])
+                                      for k in ("nu", "point", "lo", "hi")}})
     return 0
 
 
@@ -323,28 +337,6 @@ def _predict_view(args, fam, view, chan):
                                 f"from the training columns {list(view.column_names)}")
     open_session(chan, view_new, fam.name, 0.0 if args.role == "alice" else None)
     return view_new
-
-
-def _predict_alice(args, fam, res, chan, view_new):
-    cov = res["cov_a"]
-    for i in range(view_new.n):
-        x_a = view_new.design[i]
-        contrib = chan.recv()
-        if not isinstance(contrib, PredictContribution):
-            raise ProtocolError("expected a prediction contribution")
-        nu = float(x_a @ res["beta_a"]) + contrib.nu
-        sigma_a = float(np.sqrt(max(0.0, x_a @ cov @ x_a)))
-        pred = joint_interval(nu, sigma_a, contrib.sigma, fam, args.alpha)
-        _print_json({"row": i, "nu": format_float(nu), "point": format_float(pred.point),
-                     "lo": format_float(pred.lo), "hi": format_float(pred.hi)})
-
-
-def _predict_bob(args, fam, res, chan, view_new):
-    cov = res["cov_b"]
-    for i in range(view_new.n):
-        x_b = view_new.design[i]
-        sigma = float(np.sqrt(max(0.0, x_b @ cov @ x_b))) if cov is not None else 0.0
-        chan.send(PredictContribution(nu=float(x_b @ res["beta_b"]), sigma=sigma))
 
 
 # -- parser -------------------------------------------------------------------

@@ -46,10 +46,6 @@ class AgentView:
     def n(self):
         return self.design.shape[0]
 
-    @property
-    def p(self):
-        return self.design.shape[1]
-
 
 def numerical_rank(sigma, scale=None):
     """Singular values reaching RANK_TOL * scale (default: the largest one)."""

@@ -4,7 +4,7 @@ Vector and matrix payloads (a matrix with its shape) are base64 of their
 little-endian IEEE-754 binary64 bytes and decode to read-only float64 arrays
 of exactly those bytes; scalar floats carry 17 significant digits, also
 exact. Non-finite numbers (DomainError on encode), unknown message types and
-unknown or missing fields are rejected. The handshake pins "aeal/3".
+unknown or missing fields are rejected. The handshake pins PROTOCOL_VERSION.
 """
 
 import base64
@@ -17,7 +17,7 @@ from .errors import AealError, DomainError, ProtocolError
 from .sketch import SketchOffer
 from .stats import ScreenResult
 
-PROTOCOL_VERSION = "aeal/3"
+PROTOCOL_VERSION = "aeal/4"
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,13 @@ class Offset:
 
 @dataclass(frozen=True)
 class PredictContribution:
-    nu: float
-    sigma: float
+    nu: np.ndarray       # one entry per predict row
+    sigma: np.ndarray
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if len(self.nu) != len(self.sigma):
+            raise ValueError("nu and sigma differ in length")
+        if np.any(np.asarray(self.sigma) < 0):
             raise ValueError("sigma must be nonnegative")
 
 
@@ -77,7 +79,7 @@ _SCHEMAS = {
                      "reject": "bool", "alpha": "float"},
     "ResponseShare": {"y": "vector", "masked": "bool", "flip_prob": "float?"},
     "Offset": {"round": "int", "vector": "vector"},
-    "PredictContribution": {"nu": "float", "sigma": "float"},
+    "PredictContribution": {"nu": "vector", "sigma": "vector"},
     "Stop": {"reason": "str"},
     "GradShare": {"round": "int", "vector": "vector"},
 }

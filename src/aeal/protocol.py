@@ -334,21 +334,29 @@ def joint_loss(session, view_a, view_b, y, fam):
     return val
 
 
+def contribution(x, beta, cov):
+    """One side's share of a prediction for one row or a matrix of rows:
+    (x' beta, sqrt(x' cov x)), with sigma zero for a side without columns
+    (cov None). A negative variance estimate raises SingularVariance."""
+    x = np.asarray(x, dtype=float)
+    nu = x @ beta
+    var = np.sum((x @ cov) * x, axis=-1) if cov is not None else np.zeros_like(nu)
+    if np.any(var < 0):
+        raise SingularVariance("negative variance estimate")
+    return nu, np.sqrt(var)
+
+
 def predict(x_a, x_b, session, fam, alpha=0.05, unmask=False):
-    """Joint point prediction with a conservative two-sided interval.
+    """Joint point prediction with a conservative two-sided interval, for one
+    row (scalar fields) or a matrix of rows (one vector per field).
 
     The interval is joint_interval's Bonferroni split across the two
     agents. For masked logistic sessions, unmask=True inverts the
     label-flip bias on the probability scale.
     """
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    nu = float(x_a @ session.beta_a + x_b @ session.beta_b)
-    var_a = float(x_a @ session.cov_a @ x_a)
-    var_b = float(x_b @ session.cov_b @ x_b) if session.cov_b is not None else 0.0
-    if var_a < 0 or var_b < 0:
-        raise SingularVariance("negative variance estimate")
-    pred = joint_interval(nu, math.sqrt(var_a), math.sqrt(var_b), fam, alpha)
+    nu_a, sigma_a = contribution(x_a, session.beta_a, session.cov_a)
+    nu_b, sigma_b = contribution(x_b, session.beta_b, session.cov_b)
+    pred = joint_interval(nu_a + nu_b, sigma_a, sigma_b, fam, alpha)
     if unmask:
         if session.mask_flip_prob is None:
             raise ValueError("session was not trained on a masked response")
@@ -361,12 +369,12 @@ def predict(x_a, x_b, session, fam, alpha=0.05, unmask=False):
 
 def joint_interval(nu, sigma_a, sigma_b, fam, alpha):
     """Bonferroni interval nu +/- z_{1-alpha/4} (sigma_A + sigma_B) on the
-    linear predictor; for GLM families the point and both endpoints are
-    mapped through the monotone inverse link."""
+    linear predictor, elementwise; for GLM families the point and both
+    endpoints are mapped through the monotone inverse link."""
     half = normal_quantile(1.0 - alpha / 4.0) * (sigma_a + sigma_b)
     nu_lo, nu_hi = nu - half, nu + half
-    if fam.is_glm:
-        point, lo, hi = (float(fam.inverse_link(v)) for v in (nu, nu_lo, nu_hi))
+    if fam.is_glm:  # [()] turns the link's 0-d array for one row into a scalar
+        point, lo, hi = (fam.inverse_link(v)[()] for v in (nu, nu_lo, nu_hi))
     else:
         point, lo, hi = nu, nu_lo, nu_hi
     return Prediction(nu=nu, nu_lo=nu_lo, nu_hi=nu_hi, point=point, lo=lo, hi=hi,

@@ -27,9 +27,6 @@ class ScreenResult:
     alpha: float
 
 
-TestDecision = ScreenResult
-
-
 def chi2_sf(x, df):
     """Upper-tail probability P(chi2_df > x) for an integer df.
 

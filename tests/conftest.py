@@ -1,6 +1,8 @@
 import csv
 import os
 
+from aeal.messages import PROTOCOL_VERSION
+
 # pyproject's pythonpath puts src on this process's sys.path; the tests that
 # start `python -m aeal.cli` agents need it on their PYTHONPATH as well
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -8,8 +10,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 # one raw handshake line: n, lam and id_digest are spliced in as JSON literals
-HANDSHAKE = ('{"type":"Handshake","version":"aeal/3","n":%s,"family":"logistic",'
-             '"lam":%s,"id_digest":%s}')
+HANDSHAKE = ('{"type":"Handshake","version":"' + PROTOCOL_VERSION + '","n":%s,'
+             '"family":"logistic","lam":%s,"id_digest":%s}')
 
 
 def write_agent_csv(path, ids, columns, y=None):

@@ -1,3 +1,4 @@
+import base64
 import csv
 import dataclasses
 import json
@@ -331,8 +332,11 @@ class TestAgent:
         assert a["bytes_transmitted"] == sess.bytes_transmitted == b["bytes_transmitted"]
 
     def test_version_mismatch_exits_2(self, owner_csvs):
+        from aeal.messages import Handshake, encode
         _, path_b = owner_csvs
-        line = (HANDSHAKE % ("80", "0", digest_of(path_b))).replace("aeal/3", "aeal/0")
+        _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
+        line = encode(Handshake(version="aeal/0", n=80, family="logistic", lam=0.0,
+                                id_digest=view_b.id_digest))
         code, err = send_to_training_bob(path_b, line.encode() + b"\n")
         assert code == 2
         assert "protocol version mismatch" in err
@@ -449,6 +453,56 @@ class TestAgent:
         for p in preds[:5]:
             assert float(p["lo"]) <= float(p["point"]) <= float(p["hi"])
 
+    def test_predict_rows_equal_library_predict_bitwise(self, owner_csvs, tmp_path,
+                                                         monkeypatch, capsys):
+        # Bob in his own process, Alice in this one, recording every line she
+        # sends and receives
+        from aeal.messages import format_float
+        from aeal.transport import Recorder
+
+        path_a, path_b = owner_csvs
+        new_a = covariates_only(path_a, tmp_path / "new_a.csv")
+        recorders = []
+
+        def recorder():
+            recorders.append(Recorder())
+            return recorders[-1]
+
+        monkeypatch.setattr("aeal.cli.Tally", recorder)
+        port = free_port()
+        bob = spawn_agent(["--role", "bob", "--listen", f"127.0.0.1:{port}",
+                           "--data", path_b, "--mode", "predict", "--predict-data", path_b])
+        wait_listening(port)
+        try:
+            code = main(["agent", "--role", "alice", "--connect", f"127.0.0.1:{port}",
+                         "--data", path_a, "--mode", "predict", "--max-rounds", "10",
+                         "--predict-data", str(new_a)])
+        finally:
+            _, b_err = bob.communicate(timeout=120)
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert bob.returncode == 0, b_err
+        rows = [json.loads(l) for l in out.splitlines()[1:]]
+
+        fam = parse_family("logistic")
+        _, view_a, y = load_agent_csv(path_a, "id", Owner.A, response_column="y")
+        _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
+        _, predict_a, _ = load_agent_csv(new_a, "id", Owner.A)
+        stop = dataclasses.replace(protocol.StopCriterion.default(view_a.n), max_rounds=10)
+        sess = protocol.train(view_a, y, view_b, fam, stop=stop)
+        pred = protocol.predict(predict_a.design, view_b.design, sess, fam)
+        assert [r["row"] for r in rows] == list(range(80))
+        for fld in ("nu", "point", "lo", "hi"):
+            assert [r[fld] for r in rows] == [format_float(v) for v in getattr(pred, fld)]
+
+        # Bob's predict phase is one line, whatever the row count: after his
+        # echo of the predict handshake he sends one contribution and stops
+        (lines,) = [rec.lines for rec in recorders]
+        bob_lines = [line for sender, line in lines if sender == "B"]
+        last_handshake = max(i for i, line in enumerate(bob_lines) if "Handshake" in line)
+        after = bob_lines[last_handshake + 1:]
+        assert len(after) == 1 and after[0].startswith('{"type":"PredictContribution"')
+
     def run_predict_pair(self, path_a, path_b, predict_a, predict_b):
         port = free_port()
         bob = spawn_agent(["--role", "bob", "--listen", f"127.0.0.1:{port}",
@@ -564,8 +618,8 @@ class TestAgent:
 
 def run_agent_with_peer(monkeypatch, capsys, argv, peer):
     """Run ``aeal agent`` in this process over one end of a socket pair while
-    peer(sock) plays the other agent on the other end; returns the exit code
-    and standard error."""
+    peer(sock) plays the other agent on the other end; returns the exit code,
+    standard output and standard error."""
     ours, theirs = socket.socketpair()
     ours.settimeout(30)
     theirs.settimeout(30)
@@ -579,7 +633,30 @@ def run_agent_with_peer(monkeypatch, capsys, argv, peer):
         ours.close()
         worker.join(timeout=60)
         theirs.close()
-    return code, capsys.readouterr().err
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def contribution_line(nu, sigma):
+    """A raw PredictContribution line, which may break the class's rules."""
+    def b64(values):
+        return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+    return '{"type":"PredictContribution","nu":"%s","sigma":"%s"}' % (b64(nu), b64(sigma))
+
+
+# what the peer sends in place of an honest contribution for Alice's 80 rows
+# (None: it closes the connection), and the reason Alice must give
+BAD_CONTRIBUTIONS = {
+    "negative-sigma": (contribution_line(np.zeros(80), np.r_[np.ones(79), -1.0]),
+                       "malformed PredictContribution: sigma must be nonnegative"),
+    "length-mismatch": (contribution_line(np.zeros(80), np.ones(79)),
+                        "malformed PredictContribution: nu and sigma differ in length"),
+    "fewer-rows": (contribution_line(np.zeros(79), np.ones(79)), "row count differs"),
+    "nan-payload": (contribution_line(np.r_[np.nan, np.zeros(79)], np.ones(80)),
+                    "field 'nu': expected finite numbers"),
+    "stop": ('{"type":"Stop","reason":"MaxRounds"}', "expected a prediction contribution"),
+    "closed": (None, "connection closed by peer"),
+}
 
 
 def drain(sock):
@@ -599,7 +676,7 @@ class TestPeerBreaksMessageRules:
             sock.sendall((HANDSHAKE % ("80", "-1.0", "null") + "\n").encode())
             drain(sock)
 
-        code, err = run_agent_with_peer(monkeypatch, capsys, [
+        code, _, err = run_agent_with_peer(monkeypatch, capsys, [
             "--role", "bob", "--data", path_b, "--mode", "train"], peer)
         assert code == 2, err
         assert err.startswith("protocol error: malformed Handshake")
@@ -615,29 +692,39 @@ class TestPeerBreaksMessageRules:
             sock.sendall("".join(line + "\n" for line in lines).encode())
             drain(sock)
 
-        code, err = run_agent_with_peer(monkeypatch, capsys, [
+        code, _, err = run_agent_with_peer(monkeypatch, capsys, [
             "--role", "bob", "--data", path_b, "--mode", "train"], peer)
         assert code == 2, err
         assert err.startswith("protocol error: response share")
 
-    def test_negative_sigma_in_predict_contribution(self, owner_csvs, tmp_path,
-                                                    monkeypatch, capsys):
+    @pytest.mark.parametrize("case", BAD_CONTRIBUTIONS, ids=list(BAD_CONTRIBUTIONS))
+    def test_bad_predict_contribution(self, owner_csvs, tmp_path, monkeypatch, capsys,
+                                      case):
+        line, reason = BAD_CONTRIBUTIONS[case]
         path_a, path_b = owner_csvs
         new_a = covariates_only(path_a, tmp_path / "new_a.csv")
         _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
 
         def peer(sock):
             # an honest Bob through training and the predict handshake (his
-            # predict file holds the ids of his training file), then a
-            # contribution per row with a negative standard deviation
+            # predict file holds the ids of his training file), then one
+            # contribution that breaks the rules, or none at all
             chan = SocketChannel(sock)
             protocol.run_bob(view_b, parse_family("logistic"), chan)
             protocol.open_session(chan, view_b, "logistic")
-            sock.sendall(b'{"type":"PredictContribution","nu":0.5,"sigma":-1.0}\n' * 80)
+            if line is None:
+                sock.shutdown(socket.SHUT_WR)
+            else:
+                sock.sendall((line + "\n").encode())
             drain(sock)
 
-        code, err = run_agent_with_peer(monkeypatch, capsys, [
+        start = time.monotonic()
+        code, out, err = run_agent_with_peer(monkeypatch, capsys, [
             "--role", "alice", "--data", path_a, "--mode", "predict", "--max-rounds", "5",
             "--predict-data", str(new_a)], peer)
         assert code == 2, err
-        assert err.startswith("protocol error: malformed PredictContribution")
+        assert err.startswith("protocol error: ") and reason in err, err
+        assert "Traceback" not in err
+        assert time.monotonic() - start < 10.0  # no wait for a receive timeout
+        # the training line only, no prediction row
+        assert [json.loads(l)["mode"] for l in out.splitlines()] == ["predict"]

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import pathlib
 import random
+import re
 import socket
 import threading
 import time
@@ -26,13 +28,13 @@ ALL_MESSAGES = [
     ScreenResult(statistic=5.25, df=2, p_value=0.07243, reject=False, alpha=0.05),
     ResponseShare(y=(0.0, 1.0, 1.0), masked=True, flip_prob=0.1),
     Offset(round=3, vector=(0.1, -2.5e-17, 3.0, -0.0, 5e-324)),
-    PredictContribution(nu=-1.5, sigma=0.25),
+    PredictContribution(nu=(-1.5, 0.5, 2.0), sigma=(0.25, -0.0, 1.0)),
     Stop(reason="CoefDelta"),
     GradShare(round=1, vector=np.array([1e300, -1e-300, -2.2250738585072014e-308])),
 ]
 
 # fields carried as base64 binary64; every other field is plain JSON
-PAYLOAD_FIELDS = {"projected", "y", "vector"}
+PAYLOAD_FIELDS = {"projected", "y", "vector", "nu", "sigma"}
 
 
 class TestRoundTrip:
@@ -56,6 +58,11 @@ class TestRoundTrip:
         assert decode(HANDSHAKE % ("3", "0.5", "null")).id_digest is None
         with pytest.raises(ProtocolError, match="id_digest"):
             decode(HANDSHAKE % ("3", "0.5", "7"))
+
+    def test_readme_wire_section_names_the_protocol_version(self):
+        readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text("utf-8")
+        wire = readme[readme.index("### Wire format"):readme.index("## Repository layout")]
+        assert set(re.findall(r"aeal/\d+", wire)) == {PROTOCOL_VERSION}
 
     def test_payloads_decode_read_only_float64(self):
         got = decode(encode(ALL_MESSAGES[1]))
@@ -87,10 +94,10 @@ class TestRoundTrip:
                     fields += 1
                     back = decode(encode(dataclasses.replace(msg, **{fld: -0.0})))
                     assert math.copysign(1.0, getattr(back, fld)) == -1.0, fld
-        assert fields >= 9
-        # only the sign of zero changes on the wire; +0.0 keeps its short form
-        assert encode(PredictContribution(nu=0.0, sigma=-0.0)) == \
-            '{"type":"PredictContribution","nu":0,"sigma":-0.0}'
+        assert fields >= 7
+        # in a payload, -0.0 differs from +0.0 in its sign bit alone
+        assert encode(PredictContribution(nu=(0.0,), sigma=(-0.0,))) == \
+            '{"type":"PredictContribution","nu":"AAAAAAAAAAA=","sigma":"AAAAAAAAAIA="}'
 
 
 class TestStrictness:
@@ -129,24 +136,29 @@ class TestStrictness:
         '"t":1,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
         '{"type":"SketchOffer","projected":[[1.0]],'
         '"t":1,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
-        '{"type":"PredictContribution","nu":NaN,"sigma":0.25}',
+        '{"type":"ScreenResult","statistic":NaN,"df":1,"p_value":0.5,"reject":false,'
+        '"alpha":0.05}',
+        '{"type":"PredictContribution","nu":"AAAAAAAA4D8AAAAAAAD4fw==",'
+        '"sigma":"AAAAAAAA4D8AAAAAAADQPw=="}',
     ], ids=["json-array", "bad-base64", "12-bytes", "nan-payload", "shape-vs-bytes",
-            "negative-shape", "matrix-as-array", "nan-scalar"])
+            "negative-shape", "matrix-as-array", "nan-scalar", "nan-contribution"])
     def test_bad_payload(self, line):
         with pytest.raises(ProtocolError):
             decode(line)
 
     @pytest.mark.parametrize("line", [
         HANDSHAKE % ("10", "-1", "null"),
-        '{"type":"PredictContribution","nu":0.5,"sigma":-0.25}',
+        '{"type":"PredictContribution","nu":"AAAAAAAA4D8=","sigma":"AAAAAAAA0L8="}',
+        '{"type":"PredictContribution","nu":"AAAAAAAA4D8AAAAAAADQPw==",'
+        '"sigma":"AAAAAAAA4D8="}',
         '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
         '"t":2,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
         '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
         '"t":1,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[2]}',
         '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
         '"t":1,"noised":true,"epsilon":null,"c2":null,"rows_excluded":[]}',
-    ], ids=["negative-lam", "negative-sigma", "t-vs-columns", "excluded-row-outside",
-            "noised-without-epsilon"])
+    ], ids=["negative-lam", "negative-sigma", "length-mismatch", "t-vs-columns",
+            "excluded-row-outside", "noised-without-epsilon"])
     def test_class_invariants_hold_on_decode(self, line):
         # decode builds each message through its class, so a peer's message
         # obeys the same rules as one built locally
@@ -164,7 +176,7 @@ class TestNonFinite:
         GradShare(round=2, vector=np.array([0.0, np.inf])),
         SketchOffer(projected=((1.0, 2.0), (-np.inf, 0.0)), t=2, noised=False,
                     epsilon=None, c2=None, rows_excluded=()),
-        PredictContribution(nu=float("nan"), sigma=0.0),
+        PredictContribution(nu=(0.5, float("nan")), sigma=(0.0, 0.0)),
     ], ids=lambda m: type(m).__name__)
     def test_encode_refuses(self, msg):
         with pytest.raises(DomainError):
@@ -328,7 +340,7 @@ class TestTotalDecoder:
                              for k, v in obj.items()]
                     with pytest.raises(ProtocolError, match=fld):
                         decode("{" + ",".join(parts) + "}")
-        assert fields >= 9
+        assert fields >= 7
 
 
 FUZZ_JUNK = ["[1]", "{}", '{"shape":[1,1],"data":"AAAAAAAA8D8="}', '{"shape":[0,2],"data":""}',
