@@ -17,9 +17,9 @@ from .screening import ScreenReport, lrt_screen, screen_context, wald_screen
 from .simulate import (SETTINGS, Ownership, SimDesign, eta_bound, gen_covariates,
                        gen_response, map_T, oracle_fit, simulate)
 from .sketch import (MaskedResponse, SketchOffer, SketchPackage, clip_rows,
-                     laplace_noise, make_projection, make_sketch, mask_response,
-                     project, unmask_probability)
+                     make_projection, make_sketch, mask_response, project,
+                     unmask_probability)
 from .solver import FitResult, fit_offset, sandwich_pieces
-from .stats import ScreenResult, auc, chi2_sf, ks_uniform, normal_quantile
+from .stats import ScreenResult, auc, chi2_sf, normal_quantile
 
 __version__ = "0.1.0"

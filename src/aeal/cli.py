@@ -16,10 +16,7 @@ import numpy as np
 
 from . import baselines
 from .data import AgentView, Owner, load_agent_csv
-from .errors import (AealError, DimensionMismatch, DomainError, OneClassOnly,
-                     ProtocolError, RankDeficientAugmented, RankDeficientView,
-                     SingularCovarianceBlock, SingularHessian, SingularVariance,
-                     SolverFailure, TransportFailure)
+from .errors import AealError, DimensionMismatch, ProtocolError
 from .losses import parse_family
 from .messages import PredictContribution, ScreenResult, SketchOffer, format_float
 from .protocol import (StopCriterion, contribution, joint_interval, open_session,
@@ -31,9 +28,7 @@ from .sketch import make_sketch
 from .stats import auc
 from .transport import Tally, connect, serve_one
 
-_NUMERIC_ERRORS = (SolverFailure, SingularHessian, SingularCovarianceBlock,
-                   RankDeficientAugmented, RankDeficientView, SingularVariance,
-                   OneClassOnly, DomainError, np.linalg.LinAlgError)
+_PREFIXES = {1: "error", 2: "protocol error", 3: "numeric failure"}  # by exit code
 
 
 def _write_csv(path, config, header, rows):
@@ -52,63 +47,65 @@ def _view(sim, owner):
     return AgentView(design=X, column_names=names, owner=owner)
 
 
-def _screen(view_a, context, sim, t, noise_scale, fam, args, rng):
-    # the sketch reads sim.X_b directly: screening needs no view of B
-    sketch = make_sketch(sim.X_b, t, rng, noise_scale=noise_scale)
+# -- the simulation studies: qq, power, robust-u, train-compare ----------------
+
+
+def _replications(args, designs):
+    """(setting, hypothesis, fam, sim, rng) for every replication of each design
+    in turn; generators are spawned afresh from the seed for each design."""
+    fam = parse_family(args.family)
+    for setting, hypothesis in designs:
+        design = SimDesign(setting=setting, n=args.n, rho=args.rho, family=fam)
+        for rng in spawn_rngs(args.seed, args.reps):
+            yield setting, hypothesis, fam, simulate(design, rng, hypothesis=hypothesis), rng
+
+
+def _screens(args, designs, cells):
+    """(setting, hypothesis, decisions) per replication: one decision per (t, noise)
+    cell in order, each on a sketch of sim.X_b drawn after the data from its rng."""
     screen = lrt_screen if args.test == "lrt" else wald_screen
-    return screen(view_a, sim.y, sketch, fam, alpha=args.alpha, context=context)
-
-
-# -- qq -------------------------------------------------------------------
+    for setting, hypothesis, fam, sim, rng in _replications(args, designs):
+        view_a = _view(sim, Owner.A)
+        context = screen_context(view_a, sim.y, fam)
+        yield setting, hypothesis, [
+            screen(view_a, sim.y, make_sketch(sim.X_b, t, rng, noise_scale=noise), fam,
+                   alpha=args.alpha, context=context).decision
+            for t, noise in cells]
 
 
 def cmd_qq(args):
-    fam = parse_family(args.family)
-    design = SimDesign(setting=args.setting, n=args.n, rho=args.rho, family=fam)
-    rngs = spawn_rngs(args.seed, args.reps)
-    rows = []
-    for rep, rng in enumerate(rngs):
-        sim = simulate(design, rng, hypothesis="h0")
-        view_a = _view(sim, Owner.A)
-        context = screen_context(view_a, sim.y, fam)
-        for t in range(1, args.t_max + 1):
-            report = _screen(view_a, context, sim, t, args.laplace_scale, fam, args, rng)
-            rows.append((rep, t, format_float(report.decision.p_value)))
+    cells = [(t, args.laplace_scale) for t in range(1, args.t_max + 1)]
+    screens = _screens(args, [(args.setting, "h0")], cells)
+    rows = [(rep, t, format_float(d.p_value)) for rep, (*_, decisions) in enumerate(screens)
+            for (t, _), d in zip(cells, decisions)]
     _write_csv(args.out, vars(args), ("replication", "t", "p_value"), rows)
     return 0
 
 
-# -- power ----------------------------------------------------------------
-
-
 def cmd_power(args):
-    fam = parse_family(args.family)
     settings = args.settings.split(",")
-    t_values = [int(v) for v in args.t_list.split(",")]
-    noises = [float(v) for v in args.noise_list.split(",")]
-    rows = []
-    for setting in settings:
-        design = SimDesign(setting=setting, n=args.n, rho=args.rho, family=fam)
-        rngs = spawn_rngs(args.seed, args.reps)
-        rejects = {(t, s): 0 for t in t_values for s in noises}
-        for rng in rngs:
-            sim = simulate(design, rng, hypothesis="h1")
-            view_a = _view(sim, Owner.A)
-            context = screen_context(view_a, sim.y, fam)
-            for t in t_values:
-                for noise in noises:
-                    report = _screen(view_a, context, sim, t, noise, fam, args, rng)
-                    rejects[(t, noise)] += int(report.decision.reject)
-        for t in t_values:
-            for noise in noises:
-                rows.append((setting, args.n, t, noise,
-                             format_float(rejects[(t, noise)] / args.reps)))
+    cells = [(int(t), float(noise)) for t in args.t_list.split(",")
+             for noise in args.noise_list.split(",")]
+    rejects = np.zeros((len(settings), len(cells)))  # per setting and cell
+    for k, (*_, decisions) in enumerate(_screens(args, [(s, "h1") for s in settings], cells)):
+        rejects[k // args.reps] += [d.reject for d in decisions]
+    rows = [(setting, args.n, t, noise, format_float(count / args.reps))
+            for setting, counts in zip(settings, rejects.tolist())
+            for (t, noise), count in zip(cells, counts)]
     _write_csv(args.out, vars(args),
                ("setting", "n", "t", "noise_scale", "reject_rate"), rows)
     return 0
 
 
-# -- train-compare ---------------------------------------------------------
+def cmd_robust_u(args):
+    scenarios = ["h0", "h1"] if args.scenario == "both" else [args.scenario]
+    matches = dict.fromkeys(scenarios, 0)
+    for _, scenario, decisions in _screens(args, [(args.setting, h) for h in scenarios],
+                                           [(args.t, args.noise)] * args.u_count):
+        matches[scenario] += len({d.reject for d in decisions}) <= 1  # all agree
+    rows = [(scenario, args.noise, m) for scenario, m in matches.items()]
+    _write_csv(args.out, vars(args), ("scenario", "noise", "matches_out_of_reps"), rows)
+    return 0
 
 
 def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
@@ -159,49 +156,18 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
 
 
 def cmd_train_compare(args):
-    fam = parse_family(args.family)
-    design = SimDesign(setting=args.setting, n=args.n, rho=args.rho, family=fam)
-    rngs = spawn_rngs(args.seed, args.reps)
     grid = baselines.default_step_grid(count=args.grid_size)
     sums = {}
-    for rng in rngs:
-        sim = simulate(design, rng, hypothesis="h1")
+    for _, _, fam, sim, rng in _replications(args, [(args.setting, "h1")]):
         curves = _metric_curves(sim, fam, args.rounds, args.eval_size, rng, grid,
                                 rho=args.rho)
         for method, curve in curves.items():
             acc = sums.setdefault(method, np.zeros(args.rounds + 1))
             acc[:len(curve)] += np.asarray(curve)
             acc[len(curve):] += curve[-1]  # hold the last value if stopped early
-    rows = []
-    for method in sorted(sums):
-        for rnd, val in enumerate(sums[method] / args.reps):
-            rows.append((method, rnd, format_float(val)))
+    rows = [(method, rnd, format_float(val)) for method in sorted(sums)
+            for rnd, val in enumerate(sums[method] / args.reps)]
     _write_csv(args.out, vars(args), ("method", "round", "metric"), rows)
-    return 0
-
-
-# -- robust-u ---------------------------------------------------------------
-
-
-def cmd_robust_u(args):
-    fam = parse_family(args.family)
-    design = SimDesign(setting=args.setting, n=args.n, rho=args.rho, family=fam)
-    scenarios = ["h0", "h1"] if args.scenario == "both" else [args.scenario]
-    rows = []
-    for scenario in scenarios:
-        rngs = spawn_rngs(args.seed, args.reps)
-        matches = 0
-        for rng in rngs:
-            sim = simulate(design, rng, hypothesis=scenario)
-            view_a = _view(sim, Owner.A)
-            context = screen_context(view_a, sim.y, fam)
-            decisions = []
-            for _ in range(args.u_count):
-                report = _screen(view_a, context, sim, args.t, args.noise, fam, args, rng)
-                decisions.append(report.decision.reject)
-            matches += int(all(decisions) or not any(decisions))
-        rows.append((scenario, args.noise, matches))
-    _write_csv(args.out, vars(args), ("scenario", "noise", "matches_out_of_reps"), rows)
     return 0
 
 
@@ -305,17 +271,15 @@ def _agent_train(args, fam, view, y, chan, tally):
     else:
         res = run_bob(view, fam, chan)
         beta, cov = res["beta_b"], res["cov_b"]
-    _print_json({"role": args.role, "mode": args.mode,
-                 "beta": [format_float(v) for v in beta],
-                 "rounds": res["rounds"], "stop_reason": res["stop_reason"],
-                 "rounds_transmitted": tally.vector_sends,
-                 "bytes_transmitted": tally.bytes_transmitted})
-    if args.mode == "predict":  # one contribution message carries all of Bob's rows
-        view_new = _predict_view(args, fam, view, chan)
-        nu, sigma = contribution(view_new.design, beta, cov)
-        if args.role == "bob":
-            chan.send(PredictContribution(nu=nu, sigma=sigma))
-            return 0
+    _print_traffic(args, tally, beta=[format_float(v) for v in beta],
+                   rounds=res["rounds"], stop_reason=res["stop_reason"])
+    if args.mode != "predict":
+        return 0
+    view_new = _predict_view(args, fam, view, chan)
+    nu, sigma = contribution(view_new.design, beta, cov)
+    if args.role == "bob":  # one contribution message carries all of Bob's rows
+        chan.send(PredictContribution(nu=nu, sigma=sigma))
+    else:
         peer = chan.recv()
         if not isinstance(peer, PredictContribution):
             raise ProtocolError("expected a prediction contribution")
@@ -325,7 +289,14 @@ def _agent_train(args, fam, view, y, chan, tally):
         for i in range(view_new.n):
             _print_json({"row": i, **{k: format_float(getattr(pred, k)[i])
                                       for k in ("nu", "point", "lo", "hi")}})
+    _print_traffic(args, tally)  # the whole session's traffic, predict phase included
     return 0
+
+
+def _print_traffic(args, tally, **fields):
+    _print_json({"role": args.role, "mode": args.mode, **fields,
+                 "rounds_transmitted": tally.vector_sends,
+                 "bytes_transmitted": tally.bytes_transmitted})
 
 
 def _predict_view(args, fam, view, chan):
@@ -436,15 +407,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProtocolError, TransportFailure) as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except AealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (AealError, np.linalg.LinAlgError) as exc:
+        code = getattr(exc, "exit_code", 3)  # LinAlgError is a numeric failure
+        print(f"{_PREFIXES[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

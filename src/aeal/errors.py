@@ -2,7 +2,15 @@
 
 
 class AealError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; the CLI exits with exit_code."""
+
+    exit_code = 1  # an input error
+
+
+class NumericFailure(AealError):
+    """Base class of the failures of a computation on well-formed input."""
+
+    exit_code = 3
 
 
 # -- dataset ingestion / views ------------------------------------------------
@@ -19,7 +27,7 @@ class MalformedCsv(AealError):
     """A CSV row has the wrong number of cells, or a cell is not a finite number."""
 
 
-class RankDeficientView(AealError):
+class RankDeficientView(NumericFailure):
     """An owner's design matrix is numerically rank deficient."""
 
     def __init__(self, owner, column):
@@ -40,11 +48,11 @@ class NotAGlm(AealError):
 
 # -- solver -------------------------------------------------------------------
 
-class SingularHessian(AealError):
+class SingularHessian(NumericFailure):
     """Newton system singular with no ridge term; signals rank deficiency."""
 
 
-class SolverFailure(AealError):
+class SolverFailure(NumericFailure):
     """An inner minimization did not converge."""
 
 
@@ -64,21 +72,21 @@ class BadFlipProb(AealError):
 
 # -- screening ----------------------------------------------------------------
 
-class RankDeficientAugmented(AealError):
+class RankDeficientAugmented(NumericFailure):
     """Augmented screening design is rank deficient."""
 
 
-class SingularCovarianceBlock(AealError):
+class SingularCovarianceBlock(NumericFailure):
     """The tested covariance block is not positive definite."""
 
 
 # -- statistics ---------------------------------------------------------------
 
-class DomainError(AealError):
+class DomainError(NumericFailure):
     """Argument outside a function's mathematical domain."""
 
 
-class OneClassOnly(AealError):
+class OneClassOnly(NumericFailure):
     """AUC needs both classes present."""
 
 
@@ -91,10 +99,14 @@ class DimensionMismatch(AealError):
 class TransportFailure(AealError):
     """The channel failed mid-session."""
 
+    exit_code = 2
+
 
 class ProtocolError(AealError):
     """Malformed, unexpected, or version-incompatible message."""
 
+    exit_code = 2
 
-class SingularVariance(AealError):
+
+class SingularVariance(NumericFailure):
     """Per-agent sandwich variance could not be formed."""

@@ -99,16 +99,6 @@ def laplace_matrix(shape, scale, rng):
     return -scale * np.sign(h) * np.log1p(-2.0 * np.abs(h))
 
 
-def laplace_noise(M, epsilon, c2, rng):
-    """Add iid Laplace(0, 2*t*c2/epsilon) noise to every entry of an n x t sketch.
-
-    The caller attests that every underlying row had l2 norm <= c2; under that
-    bound the release is epsilon-LDP per row.
-    """
-    M = np.asarray(M, dtype=float)
-    return M + laplace_matrix(M.shape, laplace_scale(epsilon, c2, M.shape[1]), rng)
-
-
 def laplace_scale(epsilon, c2, t):
     """The per-entry noise scale 2*t*c2/epsilon of the release mechanism."""
     if epsilon is None or epsilon <= 0:

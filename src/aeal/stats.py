@@ -89,44 +89,6 @@ def auc(scores, labels):
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _kolmogorov_sf(lam):
-    """Asymptotic Kolmogorov survival function Q(lam) = 2 sum (-1)^(j-1) exp(-2 j^2 lam^2).
-
-    The alternating series converges slowly for small lam, so below lam = 1
-    the dual (theta-function) form of the CDF, 1 - Q = sqrt(2 pi)/lam
-    sum exp(-(2j-1)^2 pi^2 / (8 lam^2)), is used. Either way four terms
-    leave a tail below 1e-20.
-    """
-    if lam <= 0:
-        return 1.0
-    if lam < 1.0:
-        q = 1.0 - math.sqrt(2.0 * math.pi) / lam * sum(
-            math.exp(-((2 * j - 1) * math.pi / lam) ** 2 / 8.0) for j in range(1, 5))
-    else:
-        q = 2.0 * sum((-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-                      for j in range(1, 5))
-    return min(1.0, max(0.0, q))
-
-
-def ks_uniform(p_values):
-    """Kolmogorov-Smirnov distance of a sample to Uniform(0,1) with asymptotic p-value.
-
-    Returns (distance, p_value). Uses Stephens' finite-sample adjustment of
-    the Kolmogorov asymptotic law.
-    """
-    u = np.sort(np.asarray(p_values, dtype=float))
-    m = len(u)
-    if m == 0:
-        raise DomainError("empty sample")
-    i = np.arange(1, m + 1)
-    d_plus = np.max(i / m - u)
-    d_minus = np.max(u - (i - 1) / m)
-    d = float(max(d_plus, d_minus))
-    sqrt_m = math.sqrt(m)
-    lam = (sqrt_m + 0.12 + 0.11 / sqrt_m) * d
-    return d, _kolmogorov_sf(lam)
-
-
 def make_decision(statistic, df, alpha):
     """Bundle a chi-squared test outcome at significance level alpha."""
     p = chi2_sf(statistic, df)

@@ -68,6 +68,20 @@ assert t.counter("wire.sends.SketchOffer", {None}) == 1
 back = transport.decode(line)
 assert isinstance(back, SketchPackage) and back.projected.tobytes() == sketch.projected.tobytes()
 
+# the power command looks its screens, sketches and simulations up through the
+# cli module per unit: 2 settings x 2 replications, each screened on 2 t x 2 noise
+import collections, os, tempfile
+cli = importlib.import_module("aeal.cli")
+before = collections.Counter(span[1] for span in t.spans)
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["power", "--settings", "s1,s2", "--t-list", "1,2", "--noise-list",
+                     "0,0.5", "--reps", "2", "--n", "300", "--seed", "3",
+                     "--out", os.path.join(tmp, "power.csv")]) == 0
+added = collections.Counter(span[1] for span in t.spans) - before
+got = [added[name] for name in ("screening.wald_screen", "sketch.make_sketch",
+                                "simulate.simulate")]
+assert got == [16, 16, 4], added
+
 t.uninstall()
 assert protocol.run_alice is original
 """

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from conftest import HANDSHAKE, write_agent_csv
 
-from aeal import protocol
+from aeal import errors, protocol
 from aeal.cli import main
 from aeal.data import AgentView, Owner, load_agent_csv
 from aeal.losses import parse_family
-from aeal.screening import wald_screen
+from aeal.messages import format_float
+from aeal.screening import lrt_screen, screen_context, wald_screen
 from aeal.simulate import SimDesign, simulate, spawn_rngs
 from aeal.sketch import make_sketch
 from aeal.transport import SocketChannel
@@ -29,6 +30,41 @@ def read_output(path):
         config = json.loads(comment[2:])
         rows = list(csv.DictReader(fh))
     return config, rows
+
+
+def body(path):
+    """A command's CSV less its configuration line (whose out path differs)."""
+    return path.read_text().split("\n", 1)[1]
+
+
+def replay(designs, cells, n, seed, reps, test="wald"):
+    """The screening commands' rng stream replayed through the library: per
+    (setting, hypothesis) design, one generator per replication draws the data,
+    then one sketch per (t, noise) cell, all screened with one context. Yields
+    each replication's decisions."""
+    fam = parse_family("logistic")
+    screen = lrt_screen if test == "lrt" else wald_screen
+    for setting, hypothesis in designs:
+        design = SimDesign(setting=setting, n=n, rho=0.1, family=fam)
+        for rng in spawn_rngs(seed, reps):
+            sim = simulate(design, rng, hypothesis=hypothesis)
+            view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names,
+                               owner=Owner.A)
+            context = screen_context(view_a, sim.y, fam)
+            yield [screen(view_a, sim.y, make_sketch(sim.X_b, t, rng, noise_scale=noise),
+                          fam, alpha=0.05, context=context).decision for t, noise in cells]
+
+
+def replay_power(settings, cells, n, seed, reps, test="wald"):
+    """The power CSV body the replay gives."""
+    decisions = list(replay([(s, "h1") for s in settings], cells, n, seed, reps, test))
+    lines = ["setting,n,t,noise_scale,reject_rate"]
+    for i, setting in enumerate(settings):
+        block = decisions[i * reps:(i + 1) * reps]
+        for j, (t, noise) in enumerate(cells):
+            rejects = sum(int(rep[j].reject) for rep in block)
+            lines.append(f"{setting},{n},{t},{noise},{format_float(rejects / reps)}")
+    return "\n".join(lines) + "\n"
 
 
 def free_port():
@@ -58,6 +94,17 @@ class TestQq:
             outs.append(out.read_text().split("\n", 1)[1])  # skip config (out path differs)
         assert outs[0] == outs[1]
 
+    def test_p_values_match_library_screens(self, tmp_path):
+        out = tmp_path / "qq.csv"
+        assert main(["qq", "--reps", "3", "--t-max", "3", "--n", "400", "--seed", "9",
+                     "--out", str(out)]) == 0
+        cells = [(t, 0.5) for t in (1, 2, 3)]
+        want = ["replication,t,p_value"] + [
+            f"{rep},{t},{format_float(d.p_value)}"
+            for rep, decisions in enumerate(replay([("s2", "h0")], cells, 400, 9, 3))
+            for (t, _), d in zip(cells, decisions)]
+        assert body(out) == "\n".join(want) + "\n"
+
 
 class TestPower:
     def test_rates_in_unit_interval(self, tmp_path):
@@ -80,31 +127,23 @@ class TestPower:
         assert rates[0.5] <= rates[0.0]
 
     def test_rates_match_library_screens(self, tmp_path):
-        # replays the command's rng stream: one simulation per replication,
-        # then one sketch per (t, noise) cell drawn from the same generator
         out = tmp_path / "pw.csv"
         assert main(["power", "--reps", "2", "--settings", "s1,s2", "--t-list", "1,3",
                      "--noise-list", "0,2", "--n", "1000", "--seed", "1",
                      "--out", str(out)]) == 0
-        _, rows = read_output(out)
-        fam = parse_family("logistic")
-        counts = {}
-        for setting in ("s1", "s2"):
-            design = SimDesign(setting=setting, n=1000, rho=0.1, family=fam)
-            for rng in spawn_rngs(1, 2):
-                sim = simulate(design, rng, hypothesis="h1")
-                view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names,
-                                   owner=Owner.A)
-                for t in (1, 3):
-                    for noise in (0.0, 2.0):
-                        sketch = make_sketch(sim.X_b, t, rng, noise_scale=noise)
-                        report = wald_screen(view_a, sim.y, sketch, fam, alpha=0.05)
-                        key = (setting, t, noise)
-                        counts[key] = counts.get(key, 0) + int(report.decision.reject)
-        got = {(r["setting"], int(r["t"]), float(r["noise_scale"])):
-               round(float(r["reject_rate"]) * 2) for r in rows}
-        assert got == counts
-        assert len(set(counts.values())) > 1  # the grid does not reject uniformly
+        cells = [(t, noise) for t in (1, 3) for noise in (0.0, 2.0)]
+        want = replay_power(["s1", "s2"], cells, 1000, 1, 2)
+        assert body(out) == want
+        rates = {line.rsplit(",", 1)[1] for line in want.splitlines()[1:]}
+        assert len(rates) > 1  # the grid does not reject uniformly
+
+    def test_lrt_rates_match_library_screens(self, tmp_path):
+        out = tmp_path / "pw.csv"
+        assert main(["power", "--test", "lrt", "--reps", "2", "--settings", "s1,s2",
+                     "--t-list", "1,2", "--noise-list", "0,0.1", "--n", "500",
+                     "--seed", "5", "--out", str(out)]) == 0
+        cells = [(t, noise) for t in (1, 2) for noise in (0.0, 0.1)]
+        assert body(out) == replay_power(["s1", "s2"], cells, 500, 5, 2, test="lrt")
 
     def test_near_collinear_sketch_completes(self, tmp_path):
         # seed 2828282983 draws an s2 replication whose clean t = 4 sketch is
@@ -185,6 +224,17 @@ class TestRobustU:
         assert all(int(r["matches_out_of_reps"]) == 6 for r in rows)
         assert {r["scenario"] for r in rows} == {"h0", "h1"}
 
+    def test_matches_library_screens(self, tmp_path):
+        out = tmp_path / "ru.csv"
+        assert main(["robust-u", "--reps", "3", "--n", "500", "--seed", "3",
+                     "--out", str(out)]) == 0
+        want = ["scenario,noise,matches_out_of_reps"]
+        for scenario in ("h0", "h1"):
+            reps = replay([("s2", scenario)], [(1, 0.1)] * 6, 500, 3, 3)
+            agree = sum(len({d.reject for d in decisions}) == 1 for decisions in reps)
+            want.append(f"{scenario},0.1,{agree}")
+        assert body(out) == "\n".join(want) + "\n"
+
 
 class TestConfigFile:
     def test_json_presets_apply(self, tmp_path):
@@ -203,6 +253,33 @@ class TestConfigFile:
                      "--n", "300", "--seed", "1", "--out", str(out)]) == 0
         _, rows = read_output(out)
         assert len(rows) == 2
+
+
+# the exit code and standard-error prefix README gives each kind of failure
+PROTOCOL_FAILURES = {errors.ProtocolError, errors.TransportFailure}
+NUMERIC_FAILURES = {errors.NumericFailure, errors.SolverFailure, errors.SingularHessian,
+                    errors.SingularCovarianceBlock, errors.RankDeficientAugmented,
+                    errors.RankDeficientView, errors.SingularVariance, errors.OneClassOnly,
+                    errors.DomainError, np.linalg.LinAlgError}
+FAILURE_TYPES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.AealError)]
+
+
+@pytest.mark.parametrize("cls", FAILURE_TYPES + [np.linalg.LinAlgError],
+                         ids=lambda cls: cls.__name__)
+def test_failure_exit_code_and_prefix(tmp_path, monkeypatch, capsys, cls):
+    exc = cls.__new__(cls)
+    Exception.__init__(exc, "boom")  # RankDeficientView's own arguments are not needed
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr("aeal.cli.cmd_qq", fail)
+    code = main(["qq", "--out", str(tmp_path / "qq.csv")])
+    want, prefix = ((2, "protocol error") if cls in PROTOCOL_FAILURES else
+                    (3, "numeric failure") if cls in NUMERIC_FAILURES else (1, "error"))
+    assert code == want
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 @pytest.fixture
@@ -447,17 +524,14 @@ class TestAgent:
         a_out, a_err = alice.communicate(timeout=120)
         bob.communicate(timeout=120)
         assert alice.returncode == 0, a_err
-        lines = a_out.strip().split("\n")
-        preds = [json.loads(l) for l in lines[1:]]
+        preds = [p for p in map(json.loads, a_out.splitlines()) if "row" in p]
         assert len(preds) == 80
         for p in preds[:5]:
             assert float(p["lo"]) <= float(p["point"]) <= float(p["hi"])
 
-    def test_predict_rows_equal_library_predict_bitwise(self, owner_csvs, tmp_path,
-                                                         monkeypatch, capsys):
-        # Bob in his own process, Alice in this one, recording every line she
-        # sends and receives
-        from aeal.messages import format_float
+    def predict_with_recorded_alice(self, owner_csvs, tmp_path, monkeypatch, capsys):
+        """Bob in his own process, Alice in this one with a Recorder in place of
+        her Tally; returns Alice's output lines, her recorder and Bob's output."""
         from aeal.transport import Recorder
 
         path_a, path_b = owner_csvs
@@ -478,16 +552,24 @@ class TestAgent:
                          "--data", path_a, "--mode", "predict", "--max-rounds", "10",
                          "--predict-data", str(new_a)])
         finally:
-            _, b_err = bob.communicate(timeout=120)
+            b_out, b_err = bob.communicate(timeout=120)
         out, err = capsys.readouterr()
         assert code == 0, err
         assert bob.returncode == 0, b_err
-        rows = [json.loads(l) for l in out.splitlines()[1:]]
+        (rec,) = recorders
+        return [json.loads(l) for l in out.splitlines()], rec, b_out
 
+    def test_predict_rows_equal_library_predict_bitwise(self, owner_csvs, tmp_path,
+                                                         monkeypatch, capsys):
+        lines, rec, _ = self.predict_with_recorded_alice(owner_csvs, tmp_path,
+                                                         monkeypatch, capsys)
+        rows = [line for line in lines if "row" in line]
+
+        path_a, path_b = owner_csvs
         fam = parse_family("logistic")
         _, view_a, y = load_agent_csv(path_a, "id", Owner.A, response_column="y")
         _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
-        _, predict_a, _ = load_agent_csv(new_a, "id", Owner.A)
+        _, predict_a, _ = load_agent_csv(tmp_path / "new_a.csv", "id", Owner.A)
         stop = dataclasses.replace(protocol.StopCriterion.default(view_a.n), max_rounds=10)
         sess = protocol.train(view_a, y, view_b, fam, stop=stop)
         pred = protocol.predict(predict_a.design, view_b.design, sess, fam)
@@ -497,11 +579,25 @@ class TestAgent:
 
         # Bob's predict phase is one line, whatever the row count: after his
         # echo of the predict handshake he sends one contribution and stops
-        (lines,) = [rec.lines for rec in recorders]
-        bob_lines = [line for sender, line in lines if sender == "B"]
+        bob_lines = [line for sender, line in rec.lines if sender == "B"]
         last_handshake = max(i for i, line in enumerate(bob_lines) if "Handshake" in line)
         after = bob_lines[last_handshake + 1:]
         assert len(after) == 1 and after[0].startswith('{"type":"PredictContribution"')
+
+    def test_predict_totals_count_the_whole_session(self, owner_csvs, tmp_path,
+                                                    monkeypatch, capsys):
+        # the training line counts the training phase; each agent's last line
+        # counts every line it sent and received, the predict phase included
+        lines, rec, b_out = self.predict_with_recorded_alice(owner_csvs, tmp_path,
+                                                             monkeypatch, capsys)
+        offsets = sum(line.startswith('{"type":"Offset"') for _, line in rec.lines)
+        totals = {"role": "alice", "mode": "predict", "rounds_transmitted": offsets,
+                  "bytes_transmitted": sum(len(line) + 1 for _, line in rec.lines)}
+        assert lines[-1] == totals
+        assert lines[0]["bytes_transmitted"] < totals["bytes_transmitted"]
+        bob_lines = [json.loads(l) for l in b_out.splitlines()]
+        assert len(bob_lines) == 2
+        assert bob_lines[-1] == totals | {"role": "bob"}
 
     def run_predict_pair(self, path_a, path_b, predict_a, predict_b):
         port = free_port()

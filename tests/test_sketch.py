@@ -6,8 +6,8 @@ import pytest
 from aeal.errors import BadDimensions, BadEpsilon, BadFlipProb
 from aeal.messages import SketchOffer, decode, encode
 from aeal.sketch import (MaskedResponse, SketchPackage, clip_rows, laplace_matrix,
-                         laplace_noise, laplace_scale, make_projection, make_sketch,
-                         mask_response, project, unmask_probability)
+                         laplace_scale, make_projection, make_sketch, mask_response,
+                         project, unmask_probability)
 
 
 class TestProjection:
@@ -86,14 +86,13 @@ class TestLaplace:
 
     def test_huge_epsilon_vanishing_noise(self):
         rng = np.random.default_rng(6)
-        M = rng.normal(size=(50, 2))
-        noisy = laplace_noise(M, epsilon=1e9, c2=1.0, rng=rng)
-        assert np.max(np.abs(noisy - M)) < 1e-6
+        noise = make_sketch(np.zeros((50, 2)), 2, rng, epsilon=1e9, c2=1.0).projected
+        assert np.max(np.abs(noise)) < 1e-6
 
     def test_moments_at_b4(self):
         rng = np.random.default_rng(7)
         M = np.zeros((500_000, 2))  # 1e6 entries
-        draws = laplace_noise(M, epsilon=1.0, c2=1.0, rng=rng)
+        draws = make_sketch(M, 2, rng, epsilon=1.0, c2=1.0).projected
         b = 4.0
         assert abs(draws.mean()) <= 0.01 * b
         assert 1.9 * b * b <= draws.var() <= 2.1 * b * b
@@ -101,9 +100,9 @@ class TestLaplace:
     def test_bad_epsilon(self):
         rng = np.random.default_rng(8)
         with pytest.raises(BadEpsilon):
-            laplace_noise(np.zeros((2, 2)), epsilon=0.0, c2=1.0, rng=rng)
+            make_sketch(np.zeros((2, 2)), 2, rng, epsilon=0.0, c2=1.0)
         with pytest.raises(BadEpsilon):
-            laplace_noise(np.zeros((2, 2)), epsilon=1.0, c2=-1.0, rng=rng)
+            make_sketch(np.zeros((2, 2)), 2, rng, epsilon=1.0, c2=-1.0)
 
     def test_seeded_draws_pinned(self):
         # the seeded draws are pinned: how u - 0.5 is formed must not move a bit

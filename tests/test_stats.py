@@ -6,8 +6,7 @@ import scipy.special
 import scipy.stats
 
 from aeal.errors import DomainError, OneClassOnly
-from aeal.stats import (_kolmogorov_sf, auc, chi2_sf, ks_uniform, make_decision,
-                        normal_quantile)
+from aeal.stats import auc, chi2_sf, make_decision, normal_quantile
 
 
 def bisect_inverse(func, target, lo, hi, iters=200):
@@ -154,34 +153,6 @@ class TestAuc:
         diff = tied[labels == 1][:, None] - tied[labels == 0][None, :]
         assert np.sum(diff == 0) == 1
         assert auc(tied, labels) == (np.sum(diff > 0) + 0.5) / diff.size
-
-
-class TestKsUniform:
-    def test_centered_grid(self):
-        for m in (4, 25, 100, 10_000):
-            u = (np.arange(1, m + 1) - 0.5) / m
-            d, p = ks_uniform(u)
-            assert d == pytest.approx(1.0 / (2 * m), abs=1e-14)
-            assert p == pytest.approx(1.0, abs=1e-6)
-
-    def test_kolmogorov_tail_against_scipy(self):
-        for lam in np.concatenate([np.linspace(0.001, 3.0, 600), [0.01, 0.05, 1.0]]):
-            assert _kolmogorov_sf(float(lam)) == pytest.approx(
-                float(scipy.special.kolmogorov(lam)), abs=1e-12)
-
-    def test_point_mass(self):
-        d, p = ks_uniform([0.5] * 40)
-        assert d == pytest.approx(0.5)
-        assert p < 1e-6
-
-    def test_calibration_monte_carlo(self):
-        # seeded uniforms should rarely trip the 0.01 threshold
-        ok = 0
-        for seed in range(100):
-            u = np.random.default_rng(seed).uniform(size=1000)
-            _, p = ks_uniform(u)
-            ok += int(p > 0.01)
-        assert ok >= 99
 
 
 def test_make_decision_consistency():
