@@ -16,8 +16,7 @@ from .protocol import (Prediction, StopCriterion, TrainSession, joint_loss,
 from .screening import ScreenReport, lrt_screen, screen_context, wald_screen
 from .simulate import (SETTINGS, Ownership, SimDesign, eta_bound, gen_covariates,
                        gen_response, map_T, oracle_fit, simulate)
-from .sketch import (MaskedResponse, SketchOffer, SketchPackage, clip_rows,
-                     make_projection, make_sketch, mask_response, project,
+from .sketch import (SketchOffer, SketchPackage, make_sketch, mask_response,
                      unmask_probability)
 from .solver import FitResult, fit_offset, sandwich_pieces
 from .stats import ScreenResult, auc, chi2_sf, normal_quantile

@@ -22,8 +22,8 @@ from .messages import PredictContribution, ScreenResult, SketchOffer, format_flo
 from .protocol import (StopCriterion, contribution, joint_interval, open_session,
                        run_alice, run_bob)
 from .screening import lrt_screen, screen_context, wald_screen
-from .simulate import (SimData, SimDesign, gen_covariates, gen_response, map_T,
-                       oracle_fit, simulate, spawn_rngs)
+from .simulate import (SETTINGS, SimData, SimDesign, gen_covariates, gen_response,
+                       map_T, oracle_fit, simulate, spawn_rngs)
 from .sketch import make_sketch
 from .stats import auc
 from .transport import Tally, connect, serve_one
@@ -54,6 +54,11 @@ def _replications(args, designs):
     """(setting, hypothesis, fam, sim, rng) for every replication of each design
     in turn; generators are spawned afresh from the seed for each design."""
     fam = parse_family(args.family)
+    unknown = sorted({setting for setting, _ in designs} - SETTINGS.keys())
+    if unknown:
+        raise AealError(f"unknown settings {unknown}; known: {sorted(SETTINGS)}")
+    if args.reps < 1 or args.n < 1:
+        raise AealError("--reps and --n must be at least 1")
     for setting, hypothesis in designs:
         design = SimDesign(setting=setting, n=args.n, rho=args.rho, family=fam)
         for rng in spawn_rngs(args.seed, args.reps):
@@ -156,6 +161,8 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
 
 
 def cmd_train_compare(args):
+    if args.grid_size < 1 or args.rounds < 0:
+        raise AealError("--grid-size must be at least 1 and --rounds at least 0")
     grid = baselines.default_step_grid(count=args.grid_size)
     sums = {}
     for _, _, fam, sim, rng in _replications(args, [(args.setting, "h1")]):
@@ -194,6 +201,8 @@ def cmd_agent(args):
         raise AealError("pass exactly one of --listen or --connect")
     if args.mode == "predict" and not args.predict_data:
         raise AealError("--mode predict needs --predict-data")
+    if args.screen_rows < 0:
+        raise AealError("--screen-rows must be at least 0")
     fam = parse_family(args.family)
     tally = Tally()  # the agent prints counts only, so it keeps no line
     role_owner = Owner.A if args.role == "alice" else Owner.B
@@ -389,9 +398,13 @@ def build_parser(presets=None):
     p.add_argument("--predict-data")
     p.set_defaults(func=cmd_agent)
 
-    for p in sub.choices.values():
-        dests = {a.dest for a in p._actions}
-        p.set_defaults(**{k: v for k, v in (presets or {}).items() if k in dests})
+    presets = presets or {}
+    dests = {p: {a.dest for a in p._actions} for p in sub.choices.values()}
+    unknown = sorted(presets.keys() - set().union(*dests.values()))
+    if unknown:
+        raise AealError(f"--config keys {unknown} match no flag of any subcommand")
+    for p, names in dests.items():
+        p.set_defaults(**{k: v for k, v in presets.items() if k in names})
     return parser
 
 
@@ -403,9 +416,8 @@ def main(argv=None):
     if known.config:
         with open(known.config, encoding="utf-8") as fh:
             presets = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
-    parser = build_parser(presets)
-    args = parser.parse_args(argv)
     try:
+        args = build_parser(presets).parse_args(argv)
         return args.func(args)
     except (AealError, np.linalg.LinAlgError) as exc:
         code = getattr(exc, "exit_code", 3)  # LinAlgError is a numeric failure

@@ -46,6 +46,10 @@ class NotAGlm(AealError):
     """Operation requires a likelihood-backed family."""
 
 
+class UnknownFamily(AealError, ValueError):
+    """A loss-family name or sharpness that parse_family cannot build."""
+
+
 # -- solver -------------------------------------------------------------------
 
 class SingularHessian(NumericFailure):

@@ -9,7 +9,7 @@ log-cosh loss. All derivatives are with respect to nu.
 
 import numpy as np
 
-from .errors import NotAGlm, UnsupportedResponse
+from .errors import NotAGlm, UnknownFamily, UnsupportedResponse
 
 GAUSSIAN = "gaussian"
 LOGISTIC = "logistic"
@@ -37,9 +37,9 @@ class LossFamily:
 
     def __init__(self, kind, alpha=0.3):
         if kind not in (_GLM_KINDS + (LOGCOSH,)):
-            raise ValueError(f"unknown loss family {kind!r}")
-        if kind == LOGCOSH and alpha <= 0:
-            raise ValueError("logcosh sharpness must be positive")
+            raise UnknownFamily(f"unknown loss family {kind!r}")
+        if kind == LOGCOSH and not alpha > 0:
+            raise UnknownFamily("logcosh sharpness must be positive")
         self.kind = kind
         self.alpha = float(alpha)
 
@@ -135,9 +135,11 @@ class LossFamily:
 def parse_family(name):
     """Build a LossFamily from its config string: gaussian|logistic|poisson|logcosh:<alpha>."""
     name = name.strip().lower()
-    if name.startswith("logcosh"):
-        if ":" in name:
-            _, alpha = name.split(":", 1)
-            return LossFamily(LOGCOSH, alpha=float(alpha))
-        return LossFamily(LOGCOSH)
-    return LossFamily(name)
+    kind, colon, alpha = name.partition(":")
+    if kind != LOGCOSH or not colon:
+        return LossFamily(name)
+    try:
+        alpha = float(alpha)
+    except ValueError:
+        raise UnknownFamily(f"logcosh sharpness {alpha!r} is not a number") from None
+    return LossFamily(LOGCOSH, alpha=alpha)

@@ -168,10 +168,7 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
     open_session(chan, view_a, fam.name, ridge)
 
     masked = mask_flip_prob is not None
-    if masked:
-        y_train = mask_response(y, mask_flip_prob, rng).y_prime
-    else:
-        y_train = np.asarray(y, dtype=float)
+    y_train = mask_response(y, mask_flip_prob, rng) if masked else np.asarray(y, dtype=float)
     chan.send(ResponseShare(y=y_train, masked=masked, flip_prob=mask_flip_prob))
 
     peer = _PeerTracker(n)

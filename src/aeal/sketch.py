@@ -1,5 +1,5 @@
-"""B-side release mechanisms: random projections, clipping, Laplace noising,
-and randomized-response masking of binary labels.
+"""B-side release mechanisms: the sketch release (random projection,
+clipping, Laplace noising) and randomized-response masking of binary labels.
 
 The projection matrix stays local to B (only the projected data is ever
 transmitted); the Laplace scale 2 * t * c2 / epsilon gives epsilon-local
@@ -50,105 +50,63 @@ class SketchOffer:
 SketchPackage = SketchOffer
 
 
-@dataclass(frozen=True)
-class MaskedResponse:
-    y_prime: np.ndarray
-    flip_prob: float
-
-    def __post_init__(self):
-        arr = np.array(self.y_prime, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "y_prime", arr)
-        if not 0.0 < self.flip_prob < 0.5:
-            raise BadFlipProb("flip probability must lie strictly in (0, 0.5)")
-
-    @property
-    def implied_epsilon(self):
-        """Smallest epsilon for which the flip satisfies epsilon-LDP: p' >= 1/(1+e^eps)."""
-        return float(np.log((1.0 - self.flip_prob) / self.flip_prob))
-
-
-def make_projection(p_b, t, rng):
-    """Draw a p_b x t matrix whose columns are independent uniform unit vectors
-    (standard normal draws normalized to unit l2 norm)."""
-    if not 1 <= t <= p_b:
-        raise BadDimensions(f"need 1 <= t <= p_b, got t={t}, p_b={p_b}")
-    U = rng.standard_normal((p_b, t))
-    U /= np.linalg.norm(U, axis=0, keepdims=True)
-    return U
-
-
-def project(X_b, U):
-    """Sketch X_b through the projection matrix."""
-    X_b = np.asarray(X_b, dtype=float)
-    return X_b @ np.asarray(U, dtype=float)
-
-
-def clip_rows(X_b, c2):
-    """Keep rows with l2 norm <= c2 (boundary inclusive); report the rest."""
-    X_b = np.asarray(X_b, dtype=float)
-    norms = np.linalg.norm(X_b, axis=1)
-    keep = norms <= c2
-    excluded = tuple(int(i) for i in np.nonzero(~keep)[0])
-    return X_b[keep], excluded
-
-
-def laplace_matrix(shape, scale, rng):
-    """Inverse-CDF Laplace(0, scale) draws; exact and reproducible under seeding."""
-    h = rng.uniform(size=shape) - 0.5
-    return -scale * np.sign(h) * np.log1p(-2.0 * np.abs(h))
-
-
-def laplace_scale(epsilon, c2, t):
-    """The per-entry noise scale 2*t*c2/epsilon of the release mechanism."""
-    if epsilon is None or epsilon <= 0:
-        raise BadEpsilon("epsilon must be positive")
-    if c2 is None or c2 <= 0:
-        raise BadEpsilon("clip bound must be positive")
-    return 2.0 * t * c2 / epsilon
-
-
 def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
-    """Convenience constructor used by the simulation harness and the agent CLI.
+    """B's one release: X_b through a p_b x t projection U drawn from rng.
 
     Rows with norm over c2 are dropped (rows_excluded) and c2 is recorded,
     noised or not. Either pass epsilon for a privacy-calibrated release, or
     noise_scale to add Laplace noise of a raw scale (the implied epsilon is
     recorded so the offer's invariant holds); a noised release without c2
     takes the max row norm, which clips no row. noise_scale=0 with no
-    epsilon produces a clean sketch.
+    epsilon produces a clean sketch. Every input is checked before any draw.
     """
     X_b = np.asarray(X_b, dtype=float)
     p_b = X_b.shape[1]
-    U = make_projection(p_b, t, rng)
+    if not 1 <= t <= p_b:
+        raise BadDimensions(f"need 1 <= t <= p_b, got t={t}, p_b={p_b}")
+    if not 0.0 <= noise_scale < np.inf:  # NaN fails too
+        raise BadEpsilon(f"noise scale must be finite and nonnegative, got {noise_scale}")
+    if epsilon is not None and not epsilon > 0:
+        raise BadEpsilon("epsilon must be positive")
     noised = epsilon is not None or noise_scale > 0.0
-    excluded = ()
-    if c2 is not None:
-        if not c2 > 0:
-            raise BadEpsilon("clip bound must be positive")
-        c2 = float(c2)
-        X_b, excluded = clip_rows(X_b, c2)
-    elif noised:  # the max row norm clips no row
+    clip = c2 is not None
+    if not clip and noised:  # the max row norm clips no row
         c2 = float(np.max(np.linalg.norm(X_b, axis=1)))
-    M = project(X_b, U)
+    if c2 is not None and not c2 > 0:
+        raise BadEpsilon("clip bound must be positive")
+    # U's columns are independent uniform unit vectors; U never leaves B
+    U = rng.standard_normal((p_b, t))
+    U /= np.linalg.norm(U, axis=0, keepdims=True)
+    excluded = ()
+    if clip:  # keep rows with norm <= c2, boundary inclusive
+        c2 = float(c2)
+        keep = np.linalg.norm(X_b, axis=1) <= c2
+        excluded = tuple(int(i) for i in np.nonzero(~keep)[0])
+        X_b = X_b[keep]
+    M = X_b @ U
     if not noised:
         return SketchOffer(projected=M, t=t, c2=c2, rows_excluded=excluded, p_b=p_b)
     # scale * epsilon = 2 t c2, so one formula gives either from the other
     if epsilon is None:
-        scale, epsilon = noise_scale, laplace_scale(noise_scale, c2, t)
+        scale, epsilon = noise_scale, 2.0 * t * c2 / noise_scale
     else:
-        scale = laplace_scale(epsilon, c2, t)
-    return SketchOffer(projected=M + laplace_matrix(M.shape, scale, rng), t=t, noised=True,
-                       epsilon=float(epsilon), c2=c2, rows_excluded=excluded, p_b=p_b)
+        scale = 2.0 * t * c2 / epsilon
+    h = rng.uniform(size=M.shape) - 0.5  # inverse-CDF Laplace(0, scale) draws
+    M += -scale * np.sign(h) * np.log1p(-2.0 * np.abs(h))  # in place: no n x t sum
+    return SketchOffer(projected=M, t=t, noised=True, epsilon=float(epsilon),
+                       c2=c2, rows_excluded=excluded, p_b=p_b)
 
 
 def mask_response(y, flip_prob, rng):
-    """Flip each 0/1 label independently with probability flip_prob in (0, 0.5)."""
+    """Flip each 0/1 label independently with probability flip_prob in (0, 0.5)
+    and return the flipped labels."""
+    if not 0.0 < flip_prob < 0.5:
+        raise BadFlipProb("flip probability must lie strictly in (0, 0.5)")
     y = np.asarray(y, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise BadFlipProb("masking applies to 0/1 responses only")
     flips = rng.uniform(size=len(y)) < flip_prob
-    return MaskedResponse(y_prime=np.where(flips, 1.0 - y, y), flip_prob=float(flip_prob))
+    return np.where(flips, 1.0 - y, y)
 
 
 def unmask_probability(p_hat_prime, flip_prob):

@@ -25,7 +25,7 @@ from aeal.protocol import StopCriterion, predict, train
 from aeal.screening import wald_screen
 from aeal.simulate import (SimDesign, eta_bound, gen_covariates, map_T,
                            oracle_fit, simulate, spawn_rngs)
-from aeal.sketch import make_projection, make_sketch, project, SketchPackage
+from aeal.sketch import make_sketch
 from aeal.solver import fit_offset, sandwich_pieces
 from aeal.stats import auc
 
@@ -97,8 +97,7 @@ def test_criterion_03_wald_equivalence_at_full_t():
     X_a = rng.normal(size=(n, p_a))
     X_b = rng.normal(size=(n, p_b))
     y = X_a @ rng.normal(size=p_a) + 0.2 * X_b.sum(axis=1) + rng.normal(size=n)
-    U = make_projection(p_b, p_b, rng)
-    sketch = SketchPackage(projected=project(X_b, U), t=p_b)
+    sketch = make_sketch(X_b, p_b, rng)
     view_a = AgentView(design=X_a, column_names=tuple(f"a{j}" for j in range(p_a)),
                        owner=Owner.A)
     got = wald_screen(view_a, y, sketch, GAUSS).decision.statistic

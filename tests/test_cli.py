@@ -16,7 +16,7 @@ from aeal import errors, protocol
 from aeal.cli import main
 from aeal.data import AgentView, Owner, load_agent_csv
 from aeal.losses import parse_family
-from aeal.messages import format_float
+from aeal.messages import Offset, SketchOffer, encode, format_float
 from aeal.screening import lrt_screen, screen_context, wald_screen
 from aeal.simulate import SimDesign, simulate, spawn_rngs
 from aeal.sketch import make_sketch
@@ -254,6 +254,22 @@ class TestConfigFile:
         _, rows = read_output(out)
         assert len(rows) == 2
 
+    def test_misspelt_key_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rep": 3}))
+        out = tmp_path / "qq.csv"
+        assert main(["--config", str(cfg), "qq", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --config keys ['rep']")
+        assert not out.exists()
+
+    def test_keys_of_another_subcommand_are_allowed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": 1, "t-max": 1, "n": 300, "rounds": 3,
+                                   "screen-rows": 5}))
+        out = tmp_path / "qq.csv"
+        assert main(["--config", str(cfg), "qq", "--out", str(out)]) == 0
+        assert len(read_output(out)[1]) == 1
+
 
 # the exit code and standard-error prefix README gives each kind of failure
 PROTOCOL_FAILURES = {errors.ProtocolError, errors.TransportFailure}
@@ -280,6 +296,42 @@ def test_failure_exit_code_and_prefix(tmp_path, monkeypatch, capsys, cls):
                     (3, "numeric failure") if cls in NUMERIC_FAILURES else (1, "error"))
     assert code == want
     assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+SMALL = ["--n", "200", "--reps", "1"]
+# flags that must end in an input error with no CSV written; a negative or NaN
+# noise scale would otherwise screen a clean sketch under its name
+BAD_FLAGS = {
+    "qq-reps-0": ["qq", "--n", "200", "--reps", "0"],
+    "power-reps-0": ["power", "--settings", "s1", "--t-list", "1", "--noise-list", "0",
+                     "--n", "200", "--reps", "0"],
+    "robust-u-reps-negative": ["robust-u", "--n", "200", "--reps", "-1"],
+    "train-compare-reps-negative": ["train-compare", "--n", "200", "--reps", "-1"],
+    "qq-n-0": ["qq", "--n", "0", "--reps", "1"],
+    "power-negative-noise": ["power", "--settings", "s1", "--t-list", "1",
+                             "--noise-list=-0.5,0"] + SMALL,
+    "qq-nan-laplace-scale": ["qq", "--t-max", "1", "--laplace-scale", "nan"] + SMALL,
+    "power-unknown-setting": ["power", "--settings", "s1,s9", "--t-list", "1",
+                              "--noise-list", "0"] + SMALL,
+    "qq-unknown-family": ["qq", "--family", "student-t"] + SMALL,
+    "robust-u-bad-logcosh": ["robust-u", "--family", "logcosh:wide"] + SMALL,
+    "train-compare-grid-size-0": ["train-compare", "--grid-size", "0"] + SMALL,
+    "train-compare-rounds-negative": ["train-compare", "--rounds", "-1"] + SMALL,
+    "agent-unknown-family": ["agent", "--role", "bob", "--connect", "127.0.0.1:1",
+                             "--data", "absent.csv", "--family", "student-t"],
+    "agent-screen-rows-negative": ["agent", "--role", "bob", "--connect", "127.0.0.1:1",
+                                   "--data", "absent.csv", "--screen-rows", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=list(BAD_FLAGS))
+def test_bad_flag_is_an_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    argv = argv if argv[0] == "agent" else argv + ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -824,3 +876,57 @@ class TestPeerBreaksMessageRules:
         assert time.monotonic() - start < 10.0  # no wait for a receive timeout
         # the training line only, no prediction row
         assert [json.loads(l)["mode"] for l in out.splitlines()] == ["predict"]
+
+
+def screen_step_peer(role, path_a, path_b, line):
+    """A peer for the screen mode that follows the protocol up to the sketch
+    offer and then breaks it: as Bob it sends line where his offer belongs; as
+    Alice it answers the offer with line, or closes when line is None."""
+    def peer(sock):
+        chan = SocketChannel(sock)
+        if role == "alice":
+            _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
+            protocol.open_session(chan, view_b, "logistic")
+        else:
+            _, view_a, _ = load_agent_csv(path_a, "id", Owner.A, response_column="y")
+            protocol.open_session(chan, view_a, "logistic", 0.0)
+            chan.recv()  # the agent's sketch offer
+        if line is None:
+            sock.shutdown(socket.SHUT_WR)
+        else:
+            sock.sendall((line + "\n").encode())
+        drain(sock)
+    return peer
+
+
+def offer_line(rows):
+    projected = np.random.default_rng(5).normal(size=(rows, 2))
+    return encode(SketchOffer(projected=projected, t=2, noised=False, epsilon=None,
+                              c2=None, rows_excluded=()))
+
+
+# the role under test, what its peer sends at the screen step (None: it
+# closes), and the reason the agent must give
+BAD_SCREEN_STEPS = {
+    "alice-offset-for-offer": ("alice", encode(Offset(round=0, vector=np.zeros(80))),
+                               "expected a sketch offer"),
+    "alice-offer-of-81-rows": ("alice", offer_line(81), "sketch carries more rows"),
+    "bob-stop-for-result": ("bob", '{"type":"Stop","reason":"MaxRounds"}',
+                            "expected a screening result"),
+    "bob-closed-after-offer": ("bob", None, "connection closed by peer"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCREEN_STEPS, ids=list(BAD_SCREEN_STEPS))
+def test_bad_screen_step_exits_2(owner_csvs, monkeypatch, capsys, case):
+    role, line, reason = BAD_SCREEN_STEPS[case]
+    path_a, path_b = owner_csvs
+    start = time.monotonic()
+    code, out, err = run_agent_with_peer(monkeypatch, capsys, [
+        "--role", role, "--data", path_a if role == "alice" else path_b, "--mode", "screen"],
+        screen_step_peer(role, path_a, path_b, line))
+    assert code == 2, err
+    assert err.startswith("protocol error: ") and reason in err, err
+    assert "Traceback" not in err
+    assert time.monotonic() - start < 10.0  # no wait for a receive timeout
+    assert out == ""  # no result line

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aeal.errors import NotAGlm, UnsupportedResponse
+from aeal.errors import NotAGlm, UnknownFamily, UnsupportedResponse
 from aeal.losses import LossFamily, _sigmoid, parse_family
 
 FAMILIES = [
@@ -170,3 +170,6 @@ def test_parse_family_roundtrip():
     assert parse_family("logcosh").alpha == 0.3
     with pytest.raises(ValueError):
         parse_family("student-t")
+    for name in ("student-t", "logcoshx", "logcosh:wide", "logcosh:-1", "logcosh:nan"):
+        with pytest.raises(UnknownFamily):  # an input error as well as a ValueError
+            parse_family(name)

@@ -7,7 +7,7 @@ from aeal.errors import (NotAGlm, RankDeficientAugmented, SingularCovarianceBloc
 from aeal.losses import LossFamily
 from aeal.screening import lrt_screen, screen_context, wald_screen
 from aeal.simulate import SimDesign, simulate, spawn_rngs
-from aeal.sketch import SketchPackage, make_projection, make_sketch, project
+from aeal.sketch import SketchPackage, make_sketch
 from aeal.solver import fit_offset, sandwich_pieces
 
 GAUSS = LossFamily("gaussian")
@@ -51,8 +51,7 @@ class TestWald:
         # test after an invertible reparameterization of the tested block
         X_a, X_b, y, rng = gaussian_fixture(seed=3, signal_b=0.2)
         t = X_b.shape[1]
-        U = make_projection(t, t, rng)
-        sketch = SketchPackage(projected=project(X_b, U), t=t)
+        sketch = make_sketch(X_b, t, rng)
         got = wald_screen(make_view(X_a), y, sketch, GAUSS).decision.statistic
         want = direct_wald(np.hstack([X_a, X_b]), y, GAUSS, t)
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
@@ -81,8 +80,7 @@ class TestWald:
         # a ridge screen penalizes the residual-basis coordinates, which do not
         # depend on the sketch's scale or on an orthogonal rotation of it
         X_a, X_b, y, rng = gaussian_fixture(seed=5, signal_b=0.1)
-        U = make_projection(2, 2, rng)
-        S = project(X_b, U)
+        S = make_sketch(X_b, 2, rng).projected
         O = np.linalg.qr(rng.normal(size=(2, 2)))[0]
         for ridge in (0.0, 1e-2):
             base = wald_screen(make_view(X_a), y, SketchPackage(projected=S, t=2), GAUSS,
@@ -201,10 +199,10 @@ class TestLrt:
 
     def test_monotone_in_t_for_nested_prefixes(self):
         X_a, X_b, y, _ = gaussian_fixture(seed=10, p_b=4, signal_b=0.15)
-        U = make_projection(4, 3, np.random.default_rng(99))
+        U = make_sketch(np.eye(4), 3, np.random.default_rng(99)).projected  # U itself
         stats = []
         for t in (1, 2, 3):
-            sketch = SketchPackage(projected=project(X_b, U[:, :t]), t=t)
+            sketch = SketchPackage(projected=X_b @ U[:, :t], t=t)
             stats.append(lrt_screen(make_view(X_a), y, sketch, GAUSS).decision.statistic)
         assert stats[0] <= stats[1] + 1e-9 and stats[1] <= stats[2] + 1e-9
 
@@ -264,7 +262,7 @@ class TestSubset:
     def test_excluded_rows_outside_view_rejected(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=23)
         # a sketch of all n rows that clipped one more: a valid sketch of n + 1 rows
-        sketch = SketchPackage(projected=X_b @ make_projection(2, 2, rng), t=2,
+        sketch = SketchPackage(projected=make_sketch(X_b, 2, rng).projected, t=2,
                                rows_excluded=(len(y),))
         with pytest.raises(ValueError):
             wald_screen(make_view(X_a), y, sketch, GAUSS)

@@ -5,55 +5,67 @@ import pytest
 
 from aeal.errors import BadDimensions, BadEpsilon, BadFlipProb
 from aeal.messages import SketchOffer, decode, encode
-from aeal.sketch import (MaskedResponse, SketchPackage, clip_rows, laplace_matrix,
-                         laplace_scale, make_projection, make_sketch, mask_response,
-                         project, unmask_probability)
+from aeal.sketch import SketchPackage, make_sketch, mask_response, unmask_probability
+
+
+def projection(p_b, t, rng):
+    """The projection U a clean sketch draws from rng: the sketch of the identity."""
+    return make_sketch(np.eye(p_b), t, rng).projected
 
 
 class TestProjection:
+    @pytest.mark.parametrize("p_b, t", [(1, 1), (2, 1), (4, 2), (5, 5), (8, 3)])
+    def test_identity_sketch_is_the_projection(self, p_b, t):
+        # unit normal columns, bit for bit: the identity adds no rounding
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            U = rng.standard_normal((p_b, t))
+            U /= np.linalg.norm(U, axis=0, keepdims=True)
+            assert projection(p_b, t, np.random.default_rng(seed)).tobytes() == U.tobytes()
+
     def test_unit_columns(self):
-        U = make_projection(8, 3, np.random.default_rng(0))
+        U = projection(8, 3, np.random.default_rng(0))
         assert np.max(np.abs(np.linalg.norm(U, axis=0) - 1.0)) <= 1e-12
 
     def test_scalar_case(self):
-        U = make_projection(1, 1, np.random.default_rng(1))
+        U = projection(1, 1, np.random.default_rng(1))
         assert abs(abs(U[0, 0]) - 1.0) <= 1e-15
 
     def test_full_rank_monte_carlo(self):
         # continuous law makes rank deficiency a measure-zero event
         for seed in range(10_000):
-            U = make_projection(5, 5, np.random.default_rng(seed))
+            U = projection(5, 5, np.random.default_rng(seed))
             assert np.linalg.matrix_rank(U) == 5
 
     def test_distinct_seeds_distinct_matrices(self):
-        mats = [make_projection(4, 2, np.random.default_rng(s)) for s in range(100)]
+        mats = [projection(4, 2, np.random.default_rng(s)) for s in range(100)]
         flat = {m.tobytes() for m in mats}
         assert len(flat) == 100
 
     def test_bad_dimensions(self):
         rng = np.random.default_rng(0)
         with pytest.raises(BadDimensions):
-            make_projection(3, 4, rng)
+            make_sketch(np.zeros((2, 3)), 4, rng)
         with pytest.raises(BadDimensions):
-            make_projection(3, 0, rng)
+            make_sketch(np.zeros((2, 3)), 0, rng)
 
 
 class TestProject:
     def test_basis_direction(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(5, 3))
-        U = np.array([[1.0], [0.0], [0.0]])
-        assert np.array_equal(project(X, U)[:, 0], X[:, 0])
+        # the sketch of a basis row e_k is row k of U
+        X = np.eye(3)[[2, 0, 0, 1]]
+        got = make_sketch(X, 2, np.random.default_rng(2)).projected
+        assert np.array_equal(got, projection(3, 2, np.random.default_rng(2))[[2, 0, 0, 1]])
 
     def test_zero_matrix(self):
-        U = make_projection(3, 2, np.random.default_rng(3))
-        assert np.all(project(np.zeros((4, 3)), U) == 0.0)
+        assert np.all(make_sketch(np.zeros((4, 3)), 2, np.random.default_rng(3)).projected
+                      == 0.0)
 
     def test_matches_naive_triple_loop(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(6, 3))
-        U = rng.normal(size=(3, 2))
-        got = project(X, U)
+        got = make_sketch(X, 2, np.random.default_rng(5)).projected
+        U = projection(3, 2, np.random.default_rng(5))
         want = np.zeros((6, 2))
         for i in range(6):
             for j in range(2):
@@ -65,24 +77,25 @@ class TestProject:
 class TestClip:
     def test_identity_when_within(self):
         X = np.eye(3) * 0.5
-        kept, excluded = clip_rows(X, 1.0)
-        assert np.array_equal(kept, X) and excluded == ()
+        pkg = make_sketch(X, 3, np.random.default_rng(0), c2=1.0)
+        assert pkg.rows_excluded == ()
+        assert np.array_equal(pkg.projected, X @ projection(3, 3, np.random.default_rng(0)))
 
     def test_boundary_inclusive(self):
-        X = np.array([[1.0, 0.0]])
-        kept, excluded = clip_rows(X, 1.0)
-        assert kept.shape[0] == 1 and excluded == ()
+        pkg = make_sketch(np.array([[1.0, 0.0]]), 1, np.random.default_rng(0), c2=1.0)
+        assert pkg.n == 1 and pkg.rows_excluded == ()
 
     def test_excludes_large_rows(self):
-        X = np.diag([0.5, 1.5, 0.9])
-        kept, excluded = clip_rows(X, 1.0)
-        assert excluded == (1,)
-        assert kept.shape == (2, 3)
+        pkg = make_sketch(np.diag([0.5, 1.5, 0.9]), 2, np.random.default_rng(0), c2=1.0)
+        assert pkg.rows_excluded == (1,)
+        assert pkg.projected.shape == (2, 2)
 
 
 class TestLaplace:
     def test_scale_formula(self):
-        assert laplace_scale(epsilon=1.0, c2=1.0, t=2) == 4.0
+        # scale = 2 t c2 / epsilon: scale 4 at t = 2 and c2 = 1 records epsilon 1
+        pkg = make_sketch(np.eye(2), 2, np.random.default_rng(0), noise_scale=4.0, c2=1.0)
+        assert pkg.epsilon == 1.0
 
     def test_huge_epsilon_vanishing_noise(self):
         rng = np.random.default_rng(6)
@@ -103,12 +116,14 @@ class TestLaplace:
             make_sketch(np.zeros((2, 2)), 2, rng, epsilon=0.0, c2=1.0)
         with pytest.raises(BadEpsilon):
             make_sketch(np.zeros((2, 2)), 2, rng, epsilon=1.0, c2=-1.0)
+        with pytest.raises(BadEpsilon):  # the max row norm of zero rows is no bound
+            make_sketch(np.zeros((2, 2)), 2, rng, noise_scale=0.5)
 
-    def test_seeded_draws_pinned(self):
-        # the seeded draws are pinned: how u - 0.5 is formed must not move a bit
-        got = laplace_matrix((40, 3), 0.7, np.random.default_rng(5))
-        assert hashlib.sha256(got.tobytes()).hexdigest() == (
-            "c354a17b85572f01f4e3ab8d50c5c0035ff627bf7e6d52514a4812464d5bb774")
+    @pytest.mark.parametrize("scale", [-0.5, np.nan, np.inf])
+    def test_bad_noise_scale(self, scale):
+        # a scale that is not a finite number >= 0 releases nothing, not a clean sketch
+        with pytest.raises(BadEpsilon, match="noise scale"):
+            make_sketch(np.ones((4, 3)), 2, np.random.default_rng(8), noise_scale=scale)
 
     @pytest.mark.parametrize("kw, digest, epsilon, c2, excluded", [
         ({}, "d50e9664509a3dbc4f3c1607fd9677f84f520543533e137ee77ccc516a9704f6",
@@ -135,7 +150,7 @@ class TestLaplace:
         # implies: the release is the calibrated one at that epsilon
         X = np.random.default_rng(0).normal(size=(50, 4))
         pkg = make_sketch(X, 2, np.random.default_rng(1), noise_scale=0.5, c2=1.0)
-        _, excluded = clip_rows(X, 1.0)
+        excluded = tuple(np.nonzero(np.linalg.norm(X, axis=1) > 1.0)[0])
         assert excluded and pkg.rows_excluded == excluded and pkg.n + len(excluded) == 50
         assert (pkg.c2, pkg.epsilon) == (1.0, 8.0)
         calibrated = make_sketch(X, 2, np.random.default_rng(1), epsilon=8.0, c2=1.0)
@@ -176,7 +191,7 @@ class TestPackage:
         X = rng.uniform(size=(20, 4))
         pkg = make_sketch(X, 2, rng, noise_scale=0.5)
         assert pkg.noised and pkg.epsilon is not None and pkg.c2 is not None
-        assert laplace_scale(pkg.epsilon, pkg.c2, pkg.t) == pytest.approx(0.5)
+        assert 2.0 * pkg.t * pkg.c2 / pkg.epsilon == pytest.approx(0.5)
 
     def test_make_sketch_epsilon_clips(self):
         rng = np.random.default_rng(10)
@@ -190,8 +205,8 @@ class TestPackage:
         X = np.vstack([np.full((5, 2), 0.1), [[5.0, 5.0]], np.full((2, 2), 0.3)])
         pkg = make_sketch(X, 2, np.random.default_rng(10), c2=1.0)
         assert (pkg.noised, pkg.epsilon, pkg.c2, pkg.rows_excluded) == (False, None, 1.0, (5,))
-        U = make_projection(2, 2, np.random.default_rng(10))
-        assert pkg.projected.tobytes() == project(np.delete(X, 5, axis=0), U).tobytes()
+        U = projection(2, 2, np.random.default_rng(10))
+        assert pkg.projected.tobytes() == (np.delete(X, 5, axis=0) @ U).tobytes()
         with pytest.raises(BadEpsilon):
             make_sketch(X, 2, np.random.default_rng(10), c2=0.0)
 
@@ -200,8 +215,7 @@ class TestMasking:
     def test_tiny_flip_prob_is_identity(self):
         rng = np.random.default_rng(11)
         y = (rng.uniform(size=10_000) < 0.5).astype(float)
-        masked = mask_response(y, 1e-12, np.random.default_rng(12))
-        assert np.array_equal(masked.y_prime, y)
+        assert np.array_equal(mask_response(y, 1e-12, np.random.default_rng(12)), y)
 
     def test_unmask_fixed_point(self):
         for p in (0.05, 0.2, 0.45):
@@ -215,8 +229,7 @@ class TestMasking:
     def test_statistical_consistency(self):
         rng = np.random.default_rng(13)
         y = (rng.uniform(size=100_000) < 0.7).astype(float)
-        masked = mask_response(y, 0.25, rng)
-        est = unmask_probability(float(masked.y_prime.mean()), 0.25)
+        est = unmask_probability(float(mask_response(y, 0.25, rng).mean()), 0.25)
         assert abs(est - 0.7) <= 0.02
 
     def test_bad_flip_prob(self):
@@ -226,8 +239,3 @@ class TestMasking:
                 mask_response(np.array([0.0, 1.0]), p, rng)
             with pytest.raises(BadFlipProb):
                 unmask_probability(0.3, p)
-
-    def test_implied_epsilon(self):
-        m = MaskedResponse(y_prime=np.array([0.0, 1.0]), flip_prob=0.25)
-        # p' >= 1/(1+e^eps) at equality
-        assert 1.0 / (1.0 + np.exp(m.implied_epsilon)) == pytest.approx(0.25)
