@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .messages import GradShare, Offset
-from .transport import Tally, local_pair
+from .transport import Tally
 
 FEDSGD = "fedsgd"
 FEDBCD = "fedbcd"
@@ -49,7 +49,6 @@ def train_baseline(view_a, y, view_b, fam, algorithm, step0, max_rounds):
     y = np.ascontiguousarray(fam.validate_response(y))
     n = len(y)
     tally = Tally()
-    chan_a, chan_b = local_pair(tally)
     q_steps, mu = (_Q_LOCAL, _MU) if algorithm == FEDBCD else (1, 0.0)
 
     beta_a = np.zeros(X_a.shape[1])
@@ -66,20 +65,18 @@ def train_baseline(view_a, y, view_b, fam, algorithm, step0, max_rounds):
     for k in range(1, max_rounds + 1):
         lr = step0 / np.sqrt(1.0 + k)
 
-        # B -> A: predictor; A -> B: per-row gradient at the sync point
-        chan_b.send(Offset(round=k, vector=nu_b))
-        nu_b_stale = chan_a.recv().vector
-        grad_rows = fam.grad(y, nu_a + nu_b_stale)
-        chan_a.send(GradShare(round=k, vector=grad_rows))
-        grad_stale = chan_b.recv().vector
+        # B -> A: predictor; A -> B: per-row gradient at the sync point (counted only)
+        tally.count("B", Offset(round=k, vector=nu_b))
+        grad_rows = fam.grad(y, nu_a + nu_b)
+        tally.count("A", GradShare(round=k, vector=grad_rows))
 
         sync_a, sync_b = beta_a.copy(), beta_b.copy()
         for j in range(q_steps):
             # the first step starts at the sync point, where grad_rows was taken
-            g_rows = grad_rows if j == 0 else fam.grad(y, X_a @ beta_a + nu_b_stale)
+            g_rows = grad_rows if j == 0 else fam.grad(y, X_a @ beta_a + nu_b)
             g_a = X_a.T @ g_rows / n + 2.0 * mu * (beta_a - sync_a)
             beta_a = beta_a - lr * g_a
-        g_b_stale = X_b.T @ grad_stale / n  # the same at every local step
+        g_b_stale = X_b.T @ grad_rows / n  # the same at every local step
         for _ in range(q_steps):
             g_b = g_b_stale + 2.0 * mu * (beta_b - sync_b)
             beta_b = beta_b - lr * g_b

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 protocol error, 3 numeric failure.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import AealError, DimensionMismatch, ProtocolError
 from .losses import parse_family
 from .messages import PredictContribution, ScreenResult, SketchOffer, format_float
 from .protocol import (StopCriterion, contribution, joint_interval, open_session,
-                       run_alice, run_bob)
+                       run_alice, run_bob, unmask_prediction)
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SETTINGS, SimData, SimDesign, gen_covariates, gen_response,
                        map_T, oracle_fit, simulate, spawn_rngs)
@@ -68,6 +69,10 @@ def _replications(args, designs):
 def _screens(args, designs, cells):
     """(setting, hypothesis, decisions) per replication: one decision per (t, noise)
     cell in order, each on a sketch of sim.X_b drawn after the data from its rng."""
+    if not cells:
+        raise AealError("the screen grid is empty: no (t, noise) cell to screen")
+    if min(t for t, _ in cells) < 1:
+        raise AealError("every sketch needs t >= 1 columns")
     screen = lrt_screen if args.test == "lrt" else wald_screen
     for setting, hypothesis, fam, sim, rng in _replications(args, designs):
         view_a = _view(sim, Owner.A)
@@ -204,6 +209,8 @@ def cmd_agent(args):
     if args.screen_rows < 0:
         raise AealError("--screen-rows must be at least 0")
     fam = parse_family(args.family)
+    if args.mode == "predict" and args.mask_flip is not None and fam.kind != "logistic":
+        raise AealError("--mask-flip predictions unmask logistic probabilities only")
     tally = Tally()  # the agent prints counts only, so it keeps no line
     role_owner = Owner.A if args.role == "alice" else Owner.B
     response = args.response_column if args.role == "alice" else None
@@ -259,20 +266,9 @@ def _agent_screen(args, fam, view, y, chan):
     return 0
 
 
-def _resolve_tol(value, auto):
-    """CLI stop tolerances: negative = library default, 0 = disabled."""
-    if value is None or value < 0:
-        return auto
-    return value if value > 0 else None
-
-
 def _agent_train(args, fam, view, y, chan, tally):
     if args.role == "alice":
-        default = StopCriterion.default(view.n)
-        stop = StopCriterion(
-            offset_tol=_resolve_tol(args.offset_tol, default.offset_tol),
-            coef_tol=_resolve_tol(args.coef_tol, default.coef_tol),
-            max_rounds=args.max_rounds)
+        stop = replace(StopCriterion.default(view.n), max_rounds=args.max_rounds)
         rng = np.random.default_rng(args.seed)
         res = run_alice(view, y, fam, chan, stop=stop, ridge=args.ridge,
                         mask_flip_prob=args.mask_flip, rng=rng)
@@ -295,6 +291,8 @@ def _agent_train(args, fam, view, y, chan, tally):
         if len(peer.nu) != view_new.n:
             raise ProtocolError("contribution row count differs from the predict file")
         pred = joint_interval(nu + peer.nu, sigma, peer.sigma, fam, args.alpha)
+        if args.mask_flip is not None:  # Alice trained on flipped labels
+            pred = unmask_prediction(pred, args.mask_flip)
         for i in range(view_new.n):
             _print_json({"row": i, **{k: format_float(getattr(pred, k)[i])
                                       for k in ("nu", "point", "lo", "hi")}})
@@ -333,8 +331,27 @@ def _add_common(p):
     p.add_argument("--out", required=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage mistake as an input error instead of exiting with 2."""
+
+    def error(self, message):
+        raise AealError(f"{self.prog}: {message}")
+
+
+def _read_presets(path):
+    """The --config file's flag presets: one JSON object, keys spelt as flags."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            presets = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise AealError(f"--config {path}: {exc}") from None
+    if not isinstance(presets, dict):
+        raise AealError(f"--config {path} holds no JSON object")
+    return {k.replace("-", "_"): v for k, v in presets.items()}
+
+
 def build_parser(presets=None):
-    parser = argparse.ArgumentParser(prog="aeal")
+    parser = _Parser(prog="aeal")
     parser.add_argument("--config", help="JSON file whose keys preset any flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -391,10 +408,6 @@ def build_parser(presets=None):
     p.add_argument("--mask-flip", type=float)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--max-rounds", type=int, default=200)
-    p.add_argument("--offset-tol", type=float, default=-1.0,
-                   help="negative = default 1e-8*sqrt(n), 0 = disabled")
-    p.add_argument("--coef-tol", type=float, default=-1.0,
-                   help="negative = default 1e-8, 0 = disabled")
     p.add_argument("--predict-data")
     p.set_defaults(func=cmd_agent)
 
@@ -409,14 +422,11 @@ def build_parser(presets=None):
 
 
 def main(argv=None):
-    boot = argparse.ArgumentParser(add_help=False)
+    boot = _Parser(prog="aeal", add_help=False)
     boot.add_argument("--config")
-    known, _ = boot.parse_known_args(argv)
-    presets = None
-    if known.config:
-        with open(known.config, encoding="utf-8") as fh:
-            presets = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
     try:
+        known, _ = boot.parse_known_args(argv)
+        presets = _read_presets(known.config) if known.config else None
         args = build_parser(presets).parse_args(argv)
         return args.func(args)
     except (AealError, np.linalg.LinAlgError) as exc:

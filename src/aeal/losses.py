@@ -22,7 +22,7 @@ _GLM_KINDS = (GAUSSIAN, LOGISTIC, POISSON)
 def _sigmoid(v):
     # 1/(1+e^-v) for v >= 0, e^v/(1+e^v) below: the two-branch form's exact operations
     e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0, e)
+    out = np.maximum(e, v >= 0)
     e += 1.0
     out /= e
     return out[()]  # a scalar for a scalar input
@@ -109,7 +109,7 @@ class LossFamily:
             return 0.5 * r ** 2, r, np.ones_like(nu)
         if self.kind == LOGISTIC:
             e = np.exp(-np.abs(nu))
-            s = np.where(nu >= 0, 1.0, e)
+            s = np.maximum(e, nu >= 0)
             s /= e + 1.0
             return np.maximum(nu, 0.0) + np.log1p(e) - y * nu, s - y, s * (1.0 - s)
         if self.kind == POISSON:

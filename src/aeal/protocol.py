@@ -357,11 +357,15 @@ def predict(x_a, x_b, session, fam, alpha=0.05, unmask=False):
     if unmask:
         if session.mask_flip_prob is None:
             raise ValueError("session was not trained on a masked response")
-        p = session.mask_flip_prob
-        pred = replace(pred, point=unmask_probability(pred.point, p),
-                       lo=unmask_probability(pred.lo, p),
-                       hi=unmask_probability(pred.hi, p))
+        pred = unmask_prediction(pred, session.mask_flip_prob)
     return pred
+
+
+def unmask_prediction(pred, flip_prob):
+    """pred with its point and both endpoints mapped from the probability of
+    a label flipped with flip_prob back to that of the true label."""
+    return replace(pred, **{k: unmask_probability(getattr(pred, k), flip_prob)
+                            for k in ("point", "lo", "hi")})
 
 
 def joint_interval(nu, sigma_a, sigma_b, fam, alpha):

@@ -1,10 +1,10 @@
 """Channels carrying wire messages between the two agents.
 
-Both the in-process and the socket channel serialize every message to its
-wire line for its sink (a Tally counts the lines; a Recorder also keeps
-them), so the numeric state either agent observes is identical across
-transports. The in-process pair runs the agents on two threads in lockstep;
-the protocol is strictly alternating, so scheduling cannot affect results.
+Every sent line is encoded and counted by Tally.count, whichever channel
+carries it (a Recorder also keeps the lines), so the numeric state either
+agent observes is identical across transports. The in-process pair runs the
+agents on two threads in lockstep; the protocol is strictly alternating, so
+scheduling cannot affect results.
 """
 
 import queue
@@ -26,6 +26,12 @@ class Tally:
         self._lock = threading.Lock()
         self.bytes_transmitted = 0
         self.counts = Counter()      # message type name -> lines recorded
+
+    def count(self, sender, msg):
+        """Encode msg (refusing non-finite values), record its line as sender's, return it."""
+        line = encode(msg)
+        self.record(sender, msg, line)
+        return line
 
     def record(self, sender, msg, line):
         with self._lock:
@@ -59,16 +65,14 @@ class LocalChannel:
     parses the line back.
     """
 
-    def __init__(self, name, outbox, inbox, recorder):
+    def __init__(self, name, outbox, inbox, tally):
         self.name = name
         self._outbox = outbox
         self._inbox = inbox
-        self._recorder = recorder
+        self._tally = tally
 
     def send(self, msg):
-        line = encode(msg)
-        if self._recorder is not None:
-            self._recorder.record(self.name, msg, line)
+        self._tally.count(self.name, msg)
         self._outbox.put(msg)
 
     def recv(self):
@@ -85,11 +89,12 @@ class LocalChannel:
 
 
 def local_pair(recorder=None):
-    """Connected (alice_channel, bob_channel) endpoints sharing a Tally or Recorder."""
+    """Connected (alice_channel, bob_channel) endpoints sharing one Tally or Recorder."""
+    tally = Tally() if recorder is None else recorder
     a_to_b = queue.Queue()
     b_to_a = queue.Queue()
-    return (LocalChannel("A", a_to_b, b_to_a, recorder),
-            LocalChannel("B", b_to_a, a_to_b, recorder))
+    return (LocalChannel("A", a_to_b, b_to_a, tally),
+            LocalChannel("B", b_to_a, a_to_b, tally))
 
 
 class SocketChannel:
@@ -104,12 +109,10 @@ class SocketChannel:
         self.peer = peer
         self._sock = sock
         self._file = sock.makefile("rwb")
-        self._recorder = recorder
+        self._tally = Tally() if recorder is None else recorder
 
     def send(self, msg):
-        line = encode(msg)
-        if self._recorder is not None:
-            self._recorder.record(self.name, msg, line)
+        line = self._tally.count(self.name, msg)
         try:
             self._file.write(line.encode("ascii") + b"\n")
             self._file.flush()
@@ -123,13 +126,12 @@ class SocketChannel:
             raise TransportFailure(f"recv failed: {exc}") from None
         if not raw:
             raise TransportFailure("connection closed by peer")
-        try:  # the wire is ASCII, so the recorder's len(line) + 1 is the bytes read
+        try:  # the wire is ASCII, so the tally's len(line) + 1 is the bytes read
             line = raw.decode("ascii").rstrip("\n")
         except UnicodeDecodeError:
             raise ProtocolError("non-ASCII bytes on the wire") from None
         msg = decode(line)
-        if self._recorder is not None:
-            self._recorder.record(self.peer, msg, line)
+        self._tally.record(self.peer, msg, line)
         return msg
 
     def close(self):

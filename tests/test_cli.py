@@ -334,6 +334,67 @@ def test_bad_flag_is_an_input_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# an empty or impossible screen grid: refused before any replication is drawn
+EMPTY_GRIDS = {
+    "qq-t-max-0": ["qq", "--t-max", "0"] + SMALL,
+    "robust-u-u-count-0": ["robust-u", "--u-count", "0"] + SMALL,
+    "power-t-list-0": ["power", "--settings", "s1", "--t-list", "0",
+                       "--noise-list", "0"] + SMALL,
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_GRIDS.values(), ids=list(EMPTY_GRIDS))
+def test_empty_screen_grid_fails_before_any_data(tmp_path, monkeypatch, capsys, argv):
+    def no_data(*args, **kwargs):
+        raise AssertionError("a replication was drawn")
+
+    monkeypatch.setattr("aeal.cli.simulate", no_data)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def config_file(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return str(path)
+
+
+# usage mistakes argparse itself detects, and --config files it cannot use
+USAGE_MISTAKES = {
+    "agent-unknown-flag": lambda tmp: ["agent", "--role", "bob", "--data", "x.csv",
+                                       "--bogus"],
+    "power-reps-not-an-int": lambda tmp: ["power", "--reps", "x", "--out", "f"],
+    "config-missing": lambda tmp: ["--config", str(tmp / "absent.json"), "qq",
+                                   "--out", "f"],
+    "config-not-json": lambda tmp: ["--config", config_file(tmp, "{bad"), "qq",
+                                    "--out", "f"],
+    "config-not-an-object": lambda tmp: ["--config", config_file(tmp, "[1, 2]"), "qq",
+                                         "--out", "f"],
+    "config-without-a-path": lambda tmp: ["qq", "--out", "f", "--config"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_MISTAKES.values(), ids=list(USAGE_MISTAKES))
+def test_usage_mistake_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["qq", "--help"], ["agent", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: aeal")
+
+
 @pytest.fixture
 def owner_csvs(tmp_path):
     rng = np.random.default_rng(21)
@@ -581,7 +642,8 @@ class TestAgent:
         for p in preds[:5]:
             assert float(p["lo"]) <= float(p["point"]) <= float(p["hi"])
 
-    def predict_with_recorded_alice(self, owner_csvs, tmp_path, monkeypatch, capsys):
+    def predict_with_recorded_alice(self, owner_csvs, tmp_path, monkeypatch, capsys,
+                                    alice_flags=()):
         """Bob in his own process, Alice in this one with a Recorder in place of
         her Tally; returns Alice's output lines, her recorder and Bob's output."""
         from aeal.transport import Recorder
@@ -602,7 +664,7 @@ class TestAgent:
         try:
             code = main(["agent", "--role", "alice", "--connect", f"127.0.0.1:{port}",
                          "--data", path_a, "--mode", "predict", "--max-rounds", "10",
-                         "--predict-data", str(new_a)])
+                         "--predict-data", str(new_a), *alice_flags])
         finally:
             b_out, b_err = bob.communicate(timeout=120)
         out, err = capsys.readouterr()
@@ -611,23 +673,28 @@ class TestAgent:
         (rec,) = recorders
         return [json.loads(l) for l in out.splitlines()], rec, b_out
 
-    def test_predict_rows_equal_library_predict_bitwise(self, owner_csvs, tmp_path,
-                                                         monkeypatch, capsys):
-        lines, rec, _ = self.predict_with_recorded_alice(owner_csvs, tmp_path,
-                                                         monkeypatch, capsys)
-        rows = [line for line in lines if "row" in line]
-
+    def library_predict(self, owner_csvs, tmp_path, unmask=False, **masking):
+        """The in-process session and prediction the agent pair should print."""
         path_a, path_b = owner_csvs
         fam = parse_family("logistic")
         _, view_a, y = load_agent_csv(path_a, "id", Owner.A, response_column="y")
         _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
         _, predict_a, _ = load_agent_csv(tmp_path / "new_a.csv", "id", Owner.A)
         stop = dataclasses.replace(protocol.StopCriterion.default(view_a.n), max_rounds=10)
-        sess = protocol.train(view_a, y, view_b, fam, stop=stop)
-        pred = protocol.predict(predict_a.design, view_b.design, sess, fam)
+        sess = protocol.train(view_a, y, view_b, fam, stop=stop, **masking)
+        return protocol.predict(predict_a.design, view_b.design, sess, fam, unmask=unmask)
+
+    def assert_rows_equal(self, lines, pred):
+        rows = [line for line in lines if "row" in line]
         assert [r["row"] for r in rows] == list(range(80))
         for fld in ("nu", "point", "lo", "hi"):
             assert [r[fld] for r in rows] == [format_float(v) for v in getattr(pred, fld)]
+
+    def test_predict_rows_equal_library_predict_bitwise(self, owner_csvs, tmp_path,
+                                                         monkeypatch, capsys):
+        lines, rec, _ = self.predict_with_recorded_alice(owner_csvs, tmp_path,
+                                                         monkeypatch, capsys)
+        self.assert_rows_equal(lines, self.library_predict(owner_csvs, tmp_path))
 
         # Bob's predict phase is one line, whatever the row count: after his
         # echo of the predict handshake he sends one contribution and stops
@@ -635,6 +702,20 @@ class TestAgent:
         last_handshake = max(i for i, line in enumerate(bob_lines) if "Handshake" in line)
         after = bob_lines[last_handshake + 1:]
         assert len(after) == 1 and after[0].startswith('{"type":"PredictContribution"')
+
+    def test_masked_predict_rows_are_unmasked(self, owner_csvs, tmp_path, monkeypatch,
+                                              capsys):
+        # Alice trained on labels flipped with probability 0.1: her rows are
+        # the library's unmasked prediction, not the flipped label's probability
+        lines, _, _ = self.predict_with_recorded_alice(
+            owner_csvs, tmp_path, monkeypatch, capsys,
+            alice_flags=["--mask-flip", "0.1", "--seed", "5"])
+        masking = {"mask_flip_prob": 0.1, "rng": np.random.default_rng(5)}
+        pred = self.library_predict(owner_csvs, tmp_path, unmask=True, **masking)
+        self.assert_rows_equal(lines, pred)
+        masking["rng"] = np.random.default_rng(5)
+        flipped = self.library_predict(owner_csvs, tmp_path, **masking)
+        assert not np.array_equal(pred.point, flipped.point)
 
     def test_predict_totals_count_the_whole_session(self, owner_csvs, tmp_path,
                                                     monkeypatch, capsys):
@@ -762,6 +843,16 @@ class TestAgent:
         assert alice.returncode == 1
         assert a_err.startswith("error:") and "--listen or --connect" in a_err
         assert "Traceback" not in a_err
+
+
+def test_masked_predict_needs_the_logistic_family(owner_csvs, capsys):
+    # a gaussian point can lie outside [0, 1], where no flip bias can be undone
+    path_a, _ = owner_csvs
+    code = main(["agent", "--role", "alice", "--connect", "127.0.0.1:1", "--data", path_a,
+                 "--family", "gaussian", "--mode", "predict", "--predict-data", path_a,
+                 "--mask-flip", "0.1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --mask-flip predictions")
 
 
 def run_agent_with_peer(monkeypatch, capsys, argv, peer):

@@ -11,7 +11,8 @@ from aeal.data import AgentView, Owner
 from aeal.errors import (DimensionMismatch, ProtocolError, SingularVariance,
                          SolverFailure)
 from aeal.losses import LossFamily
-from aeal.messages import PROTOCOL_VERSION, Handshake, Offset, decode
+from aeal.messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare, Stop,
+                           decode)
 from aeal.protocol import (StopCriterion, TrainSession, joint_loss, predict,
                            replay, run_alice, run_bob, train)
 from aeal.simulate import SimDesign, eta_bound, map_T, oracle_fit, simulate
@@ -402,7 +403,6 @@ class TestProtocolValidation:
         th = threading.Thread(target=bob)
         th.start()
         chan_a.recv()  # bob's handshake echo
-        from aeal.messages import ResponseShare
         chan_a.send(ResponseShare(y=tuple(y), masked=False, flip_prob=None))
         chan_a.send(Offset(round=1, vector=tuple(np.zeros(vb.n))))
         chan_a.recv()  # bob's reply
@@ -432,6 +432,57 @@ class TestProtocolValidation:
             run_alice(va, y, GAUSS, chan_a)
         th.join(10)
         assert len(bob_errors) == 1 and "row ids differ" in bob_errors[0]
+
+
+def scripted_peer_error(monkeypatch, side, script):
+    """Queue the scripted peer's messages on a local pair, run one side against
+    them and return its ProtocolError and how long it took to arrive."""
+    monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 5.0)
+    va, vb, y = orthogonal_fixture()
+    chan_a, chan_b = local_pair()
+    peer, run = ((chan_b, lambda: run_alice(va, y, GAUSS, chan_a)) if side == "alice"
+                 else (chan_a, lambda: run_bob(vb, GAUSS, chan_b)))
+    for msg in script(va.n):
+        peer.send(msg)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError) as err:
+        run()
+    return str(err.value), time.monotonic() - start
+
+
+def handshake(n, family="gaussian"):
+    return Handshake(version=PROTOCOL_VERSION, n=n, family=family, lam=0.0)
+
+
+def response(n):
+    return ResponseShare(y=np.zeros(n), masked=False, flip_prob=None)
+
+
+# (side, the peer's messages for a session of n rows, the error's message)
+SCRIPTED_PEERS = {
+    "expected-handshake": ("bob", lambda n: [Offset(round=0, vector=np.zeros(n))],
+                           "expected handshake"),
+    "family-mismatch": ("bob", lambda n: [handshake(n, family="logistic")],
+                        "family mismatch"),
+    "expected-offset": ("alice", lambda n: [handshake(n), Stop(reason="MaxRounds")],
+                        "expected Offset, got Stop"),
+    "offset-length": ("bob", lambda n: [handshake(n), response(n),
+                                        Offset(round=0, vector=np.zeros(n - 1))],
+                      "offset vector length does not match"),
+    "expected-response-share": ("bob", lambda n: [handshake(n),
+                                                  Offset(round=0, vector=np.zeros(n))],
+                                "expected the response share"),
+    "response-length": ("bob", lambda n: [handshake(n), response(n - 1)],
+                        "response length does not match"),
+}
+
+
+@pytest.mark.parametrize("side, script, message", SCRIPTED_PEERS.values(),
+                         ids=list(SCRIPTED_PEERS))
+def test_peer_breaking_the_session_order_fails_at_once(monkeypatch, side, script, message):
+    error, seconds = scripted_peer_error(monkeypatch, side, script)
+    assert message in error
+    assert seconds < 1.0  # not after the receive timeout
 
 
 def test_socket_session_equals_in_process_above_one_gram_block():

@@ -189,6 +189,12 @@ class TestNonFinite:
             a.send(NAN_OFFSET)
         assert rec.lines == []
 
+    def test_count_refuses_and_records_nothing(self):
+        rec = Recorder()
+        with pytest.raises(DomainError):
+            rec.count("A", NAN_OFFSET)
+        assert rec.lines == [] and rec.bytes_transmitted == 0 and not rec.counts
+
     def test_socket_send_refuses(self, socket_pair):
         chan, _ = socket_pair
         with pytest.raises(DomainError):
@@ -240,6 +246,13 @@ def exchange(a, b):
 
 
 class TestSinks:
+    def test_count_returns_the_line_it_records(self):
+        rec = Recorder()
+        msg = Offset(round=3, vector=(1.0, -0.0))
+        assert rec.count("B", msg) == encode(msg)
+        assert rec.lines == [("B", encode(msg))]
+        assert rec.bytes_transmitted == len(encode(msg)) + 1
+
     def assert_same_counts(self, tally, recorder):
         assert not hasattr(tally, "lines")
         assert len(recorder.lines) == len(ALL_MESSAGES)
