@@ -123,18 +123,14 @@ def tune_step(view_a, y, view_b, fam, algorithm, grid, budget_rounds, score_fn=N
     """
     if not grid:
         raise ValueError("empty tuning grid")
-    scores = []
-    best = None                    # (step0, score, session) of the best so far
-    total_sends = 0
-    for step0 in grid:
-        sess = train_baseline(view_a, y, view_b, fam, algorithm, float(step0), budget_rounds)
-        total_sends += sess.rounds_transmitted
-        score = float(score_fn(sess) if score_fn is not None
-                      else min(v for v in sess.loss_log if np.isfinite(v)))
-        scores.append((float(step0), score))
-        # np.argmin's choice: the first NaN if any, else the first minimum
-        if best is None or (not np.isnan(best[1]) and (np.isnan(score) or score < best[1])):
-            best = (float(step0), score, sess)
-    result = TuneResult(best_step0=best[0], best_score=best[1],
-                        total_vector_sends=total_sends, scores=scores)
-    return result, best[2]
+    steps = [float(step0) for step0 in grid]
+    sessions = [train_baseline(view_a, y, view_b, fam, algorithm, step0, budget_rounds)
+                for step0 in steps]
+    scores = [float(score_fn(sess) if score_fn is not None
+                    else min(v for v in sess.loss_log if np.isfinite(v)))
+              for sess in sessions]
+    best = int(np.argmin(scores))  # the first NaN if any, else the first minimum
+    result = TuneResult(best_step0=steps[best], best_score=scores[best],
+                        total_vector_sends=sum(s.rounds_transmitted for s in sessions),
+                        scores=list(zip(steps, scores)))
+    return result, sessions[best]

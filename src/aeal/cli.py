@@ -20,7 +20,7 @@ from .data import AgentView, Owner, load_agent_csv
 from .errors import AealError, DimensionMismatch, ProtocolError
 from .losses import parse_family
 from .messages import PredictContribution, ScreenResult, SketchOffer, format_float
-from .protocol import (StopCriterion, contribution, joint_interval, open_session,
+from .protocol import (StopCriterion, contribution, expect, joint_interval, open_session,
                        run_alice, run_bob, unmask_prediction)
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SETTINGS, SimData, SimDesign, gen_covariates, gen_response,
@@ -92,10 +92,19 @@ def cmd_qq(args):
     return 0
 
 
+def _list_flag(flag, text, kind):
+    """The comma-separated entries of a list flag, each converted by kind; the
+    flag itself stays a string, as the CSV's configuration line records it."""
+    try:
+        return [kind(entry) for entry in text.split(",")]
+    except ValueError as exc:  # its message quotes the entry
+        raise AealError(f"{flag}: {exc}") from None
+
+
 def cmd_power(args):
     settings = args.settings.split(",")
-    cells = [(int(t), float(noise)) for t in args.t_list.split(",")
-             for noise in args.noise_list.split(",")]
+    cells = [(t, noise) for t in _list_flag("--t-list", args.t_list, int)
+             for noise in _list_flag("--noise-list", args.noise_list, float)]
     rejects = np.zeros((len(settings), len(cells)))  # per setting and cell
     for k, (*_, decisions) in enumerate(_screens(args, [(s, "h1") for s in settings], cells)):
         rejects[k // args.reps] += [d.reject for d in decisions]
@@ -209,8 +218,9 @@ def cmd_agent(args):
     if args.screen_rows < 0:
         raise AealError("--screen-rows must be at least 0")
     fam = parse_family(args.family)
-    if args.mode == "predict" and args.mask_flip is not None and fam.kind != "logistic":
-        raise AealError("--mask-flip predictions unmask logistic probabilities only")
+    if args.mask_flip is not None and fam.kind != "logistic":  # run_alice refuses it too, once connected
+        raise AealError("--mask-flip predictions unmask logistic probabilities only, "
+                        "so masking needs the logistic family")
     tally = Tally()  # the agent prints counts only, so it keeps no line
     role_owner = Owner.A if args.role == "alice" else Owner.B
     response = args.response_column if args.role == "alice" else None
@@ -235,15 +245,11 @@ def _agent_screen(args, fam, view, y, chan):
         t = min(args.t, X_b.shape[1])
         chan.send(make_sketch(X_b, t, rng, noise_scale=args.laplace_scale,
                               epsilon=args.epsilon, c2=args.clip_bound))
-        result = chan.recv()
-        if not isinstance(result, ScreenResult):
-            raise ProtocolError("expected a screening result")
+        result = expect(chan, ScreenResult, "a screening result")
         _print_json({"role": "bob", "mode": "screen", "reject": result.reject,
                      "p_value": format_float(result.p_value)})
         return 0
-    sketch = chan.recv()
-    if not isinstance(sketch, SketchOffer):
-        raise ProtocolError("expected a sketch offer")
+    sketch = expect(chan, SketchOffer, "a sketch offer")
     # B sketched its leading rows; the screening functions drop the clipped ones
     n_rows = sketch.n + len(sketch.rows_excluded)
     if n_rows > view.n:
@@ -285,9 +291,7 @@ def _agent_train(args, fam, view, y, chan, tally):
     if args.role == "bob":  # one contribution message carries all of Bob's rows
         chan.send(PredictContribution(nu=nu, sigma=sigma))
     else:
-        peer = chan.recv()
-        if not isinstance(peer, PredictContribution):
-            raise ProtocolError("expected a prediction contribution")
+        peer = expect(chan, PredictContribution, "a prediction contribution")
         if len(peer.nu) != view_new.n:
             raise ProtocolError("contribution row count differs from the predict file")
         pred = joint_interval(nu + peer.nu, sigma, peer.sigma, fam, args.alpha)

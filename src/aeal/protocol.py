@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DimensionMismatch, ProtocolError, SingularVariance,
+from .errors import (BadFlipProb, DimensionMismatch, ProtocolError, SingularVariance,
                      SolverFailure, TransportFailure, UnsupportedResponse)
 from .losses import parse_family
 from .messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare,
@@ -101,11 +101,18 @@ def _predictor_covariance(X, y, offset, fam, beta):
     return V1_inv @ V2 @ V1_inv / X.shape[0]
 
 
+def expect(chan, kind, what):
+    """Receive one message and return it if it is a kind (a class or a tuple of
+    classes); any other message is a protocol error naming what the step expects."""
+    msg = chan.recv()
+    if not isinstance(msg, kind):
+        raise ProtocolError(f"expected {what}, got {type(msg).__name__}")
+    return msg
+
+
 def _check_handshake(msg, view, family):
     """Validate the peer's handshake against this side's version, row count,
     loss family and row-id digest."""
-    if not isinstance(msg, Handshake):
-        raise ProtocolError("expected handshake")
     if msg.version != PROTOCOL_VERSION:
         raise ProtocolError(f"protocol version mismatch: {msg.version!r}")
     if msg.n != view.n:
@@ -127,11 +134,10 @@ def open_session(chan, view, family, lam=None):
                          id_digest=view.id_digest)
     if lam is not None:
         chan.send(own(lam))
-        return _check_handshake(chan.recv(), view, family)
-    msg = chan.recv()
-    if isinstance(msg, Handshake):
-        family = family or msg.family
-        chan.send(own(msg.lam))
+        return _check_handshake(expect(chan, Handshake, "handshake"), view, family)
+    msg = expect(chan, Handshake, "handshake")
+    family = family or msg.family
+    chan.send(own(msg.lam))
     return _check_handshake(msg, view, family)
 
 
@@ -143,8 +149,6 @@ class _PeerTracker:
         self.last_round = -1
 
     def take(self, msg):
-        if not isinstance(msg, Offset):
-            raise ProtocolError(f"expected Offset, got {type(msg).__name__}")
         if msg.round <= self.last_round:
             raise ProtocolError("offset round numbers must increase")
         if len(msg.vector) != self.n:
@@ -165,10 +169,12 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
     n = X_a.shape[0]
     stop = stop or StopCriterion.default(n)
 
-    open_session(chan, view_a, fam.name, ridge)
-
     masked = mask_flip_prob is not None
+    if masked and fam.kind != "logistic":  # only a probability's flip bias can be undone
+        raise BadFlipProb(f"label masking needs the logistic family, not {fam.name}")
     y_train = mask_response(y, mask_flip_prob, rng) if masked else np.asarray(y, dtype=float)
+
+    open_session(chan, view_a, fam.name, ridge)
     chan.send(ResponseShare(y=y_train, masked=masked, flip_prob=mask_flip_prob))
 
     peer = _PeerTracker(n)
@@ -188,7 +194,7 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
             stop_reason = STOP_MAX
             break
         chan.send(Offset(round=k, vector=nu_a))
-        nu_b = peer.take(chan.recv())
+        nu_b = peer.take(expect(chan, Offset, "Offset"))
         k += 1
 
         fits.append(_fit_or_fail(X_a, y_train, nu_b, fam, ridge, beta_a, "A"))
@@ -230,9 +236,7 @@ def run_bob(view_b, fam, chan):
     hs = open_session(chan, view_b, None if fam is None else fam.name)
     fam = parse_family(hs.family) if fam is None else fam
 
-    share = chan.recv()
-    if not isinstance(share, ResponseShare):
-        raise ProtocolError("expected the response share")
+    share = expect(chan, ResponseShare, "the response share")
     if len(share.y) != n:
         raise ProtocolError("response length does not match the session")
     try:
@@ -244,16 +248,14 @@ def run_bob(view_b, fam, chan):
     beta_b = np.zeros(X_b.shape[1])
     nu_b = np.zeros(n)
     fits = []
-    msg = chan.recv()
-    while not isinstance(msg, Stop):
+    while not isinstance(msg := expect(chan, (Offset, Stop), "Offset or Stop"), Stop):
         nu_a = peer.take(msg)
         fits.append(_fit_or_fail(X_b, y_train, nu_a, fam, hs.lam, beta_b, "B"))
         beta_b = fits[-1].beta
         nu_b = X_b @ beta_b
         chan.send(Offset(round=len(fits), vector=nu_b))
-        msg = chan.recv()
     stop_reason = msg.reason
-    nu_a = peer.take(chan.recv())  # A's final predictor
+    nu_a = peer.take(expect(chan, Offset, "Offset"))  # A's final predictor
 
     cov_b = _predictor_covariance(X_b, y_train, nu_a, fam, beta_b) if X_b.shape[1] else None
     return {"beta_b": beta_b, "nu_b": nu_b, "nu_a": nu_a, "rounds": len(fits),
@@ -356,7 +358,7 @@ def predict(x_a, x_b, session, fam, alpha=0.05, unmask=False):
     pred = joint_interval(nu_a + nu_b, sigma_a, sigma_b, fam, alpha)
     if unmask:
         if session.mask_flip_prob is None:
-            raise ValueError("session was not trained on a masked response")
+            raise BadFlipProb("session was not trained on a masked response")
         pred = unmask_prediction(pred, session.mask_flip_prob)
     return pred
 

@@ -321,6 +321,10 @@ BAD_FLAGS = {
                              "--data", "absent.csv", "--family", "student-t"],
     "agent-screen-rows-negative": ["agent", "--role", "bob", "--connect", "127.0.0.1:1",
                                    "--data", "absent.csv", "--screen-rows", "-1"],
+    "power-t-list-not-an-int": ["power", "--settings", "s1", "--t-list", "1,x",
+                                "--noise-list", "0"] + SMALL,
+    "power-noise-list-not-a-number": ["power", "--settings", "s1", "--t-list", "1",
+                                      "--noise-list", "0,y"] + SMALL,
 }
 
 
@@ -853,6 +857,17 @@ def test_masked_predict_needs_the_logistic_family(owner_csvs, capsys):
                  "--mask-flip", "0.1"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: --mask-flip predictions")
+
+
+@pytest.mark.parametrize("mode", ["screen", "train"])
+def test_masking_needs_the_logistic_family_in_every_mode(owner_csvs, capsys, mode):
+    # refused before connecting: nothing listens on port 1
+    path_a, _ = owner_csvs
+    code = main(["agent", "--role", "alice", "--connect", "127.0.0.1:1", "--data", path_a,
+                 "--family", "gaussian", "--mode", mode, "--mask-flip", "0.1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mask-flip") and "logistic family" in err, err
 
 
 def run_agent_with_peer(monkeypatch, capsys, argv, peer):

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import socket
 import threading
 import time
@@ -6,9 +8,10 @@ import time
 import numpy as np
 import pytest
 
+import aeal
 from aeal import protocol
 from aeal.data import AgentView, Owner
-from aeal.errors import (DimensionMismatch, ProtocolError, SingularVariance,
+from aeal.errors import (BadFlipProb, DimensionMismatch, ProtocolError, SingularVariance,
                          SolverFailure)
 from aeal.losses import LossFamily
 from aeal.messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare, Stop,
@@ -321,6 +324,29 @@ class TestMasking:
             preds.append(predict(Xe_a[i], Xe_b[i], sess, LOGIT, unmask=True).point)
         assert float(np.mean(np.abs(np.array(preds) - truth))) <= 0.03
 
+    def test_masking_needs_the_logistic_family(self, monkeypatch):
+        # a gaussian point can leave [0, 1], where no flip bias can be undone:
+        # Alice refuses before her handshake, and train raises it at once
+        monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 5.0)
+        va, vb, y = orthogonal_fixture()
+        labels = (y > 0).astype(float)
+        recorder = Recorder()
+        chan_a, _ = local_pair(recorder)
+        with pytest.raises(BadFlipProb, match="logistic family"):
+            run_alice(va, labels, GAUSS, chan_a, mask_flip_prob=0.1,
+                      rng=np.random.default_rng(0))
+        assert recorder.lines == []
+        start = time.monotonic()
+        with pytest.raises(BadFlipProb, match="logistic family"):
+            train(va, labels, vb, GAUSS, mask_flip_prob=0.1, rng=np.random.default_rng(0))
+        assert time.monotonic() - start < 1.0
+
+    def test_unmasking_needs_a_masked_session(self):
+        va, vb, y = orthogonal_fixture()
+        sess = train(va, y, vb, GAUSS, stop=StopCriterion(max_rounds=3))
+        with pytest.raises(BadFlipProb, match="not trained on a masked response"):
+            predict(va.design[0], vb.design[0], sess, GAUSS, unmask=True)
+
 
 class TestPredict:
     def make_session(self, seed=14, n=300):
@@ -474,6 +500,17 @@ SCRIPTED_PEERS = {
                                 "expected the response share"),
     "response-length": ("bob", lambda n: [handshake(n), response(n - 1)],
                         "response length does not match"),
+    "alice-expected-handshake": ("alice", lambda n: [Stop(reason="MaxRounds")],
+                                 "expected handshake, got Stop"),
+    "bob-expected-offset-or-stop": ("bob", lambda n: [handshake(n), response(n),
+                                                      Offset(round=0, vector=np.zeros(n)),
+                                                      response(n)],
+                                    "expected Offset or Stop, got ResponseShare"),
+    "bob-expected-final-offset": ("bob", lambda n: [handshake(n), response(n),
+                                                    Offset(round=0, vector=np.zeros(n)),
+                                                    Stop(reason="MaxRounds"),
+                                                    Stop(reason="MaxRounds")],
+                                  "expected Offset, got Stop"),
 }
 
 
@@ -483,6 +520,41 @@ def test_peer_breaking_the_session_order_fails_at_once(monkeypatch, side, script
     error, seconds = scripted_peer_error(monkeypatch, side, script)
     assert message in error
     assert seconds < 1.0  # not after the receive timeout
+
+
+def calls_outside_transport(matches):
+    """(module, enclosing function) of every call in the package, transport.py
+    aside, that matches(call) accepts."""
+    found = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and matches(child):
+                found.add((module, where))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if is_def else where)
+
+    for path in sorted(pathlib.Path(aeal.__file__).parent.glob("*.py")):
+        if path.name != "transport.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    return found
+
+
+def test_only_expect_receives_a_message():
+    # every session step receives through protocol.expect, the one place that
+    # checks a message's type, so no step can forget that check
+    def receives(call):
+        return isinstance(call.func, ast.Attribute) and call.func.attr == "recv"
+
+    def raises_expected(call):
+        first = call.args[0] if call.args else None
+        text = (first.values[0] if isinstance(first, ast.JoinedStr) and first.values
+                else first)
+        return (isinstance(call.func, ast.Name) and call.func.id == "ProtocolError"
+                and isinstance(text, ast.Constant) and str(text.value).startswith("expected"))
+
+    assert calls_outside_transport(receives) == {("protocol.py", "expect")}
+    assert calls_outside_transport(raises_expected) == {("protocol.py", "expect")}
 
 
 def test_socket_session_equals_in_process_above_one_gram_block():
