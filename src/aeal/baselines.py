@@ -108,9 +108,7 @@ def default_step_grid(count=20):
 @dataclass
 class TuneResult:
     best_step0: float
-    best_score: float
     total_vector_sends: int
-    scores: list                   # (step0, score) per candidate
 
 
 def tune_step(view_a, y, view_b, fam, algorithm, grid, budget_rounds, score_fn=None):
@@ -130,7 +128,6 @@ def tune_step(view_a, y, view_b, fam, algorithm, grid, budget_rounds, score_fn=N
                     else min(v for v in sess.loss_log if np.isfinite(v)))
               for sess in sessions]
     best = int(np.argmin(scores))  # the first NaN if any, else the first minimum
-    result = TuneResult(best_step0=steps[best], best_score=scores[best],
-                        total_vector_sends=sum(s.rounds_transmitted for s in sessions),
-                        scores=list(zip(steps, scores)))
+    result = TuneResult(best_step0=steps[best],
+                        total_vector_sends=sum(s.rounds_transmitted for s in sessions))
     return result, sessions[best]

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import baselines
+from . import baselines, protocol
 from .data import AgentView, Owner, load_agent_csv
 from .errors import AealError, DimensionMismatch, ProtocolError
 from .losses import parse_family
@@ -25,7 +25,7 @@ from .protocol import (StopCriterion, contribution, expect, joint_interval, open
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SETTINGS, SimData, SimDesign, gen_covariates, gen_response,
                        map_T, oracle_fit, simulate, spawn_rngs)
-from .sketch import make_sketch
+from .sketch import check_flip_prob, make_sketch
 from .stats import auc
 from .transport import Tally, connect, serve_one
 
@@ -66,6 +66,11 @@ def _replications(args, designs):
             yield setting, hypothesis, fam, simulate(design, rng, hypothesis=hypothesis), rng
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise AealError(f"--alpha must lie strictly in (0, 1), got {alpha}")
+
+
 def _screens(args, designs, cells):
     """(setting, hypothesis, decisions) per replication: one decision per (t, noise)
     cell in order, each on a sketch of sim.X_b drawn after the data from its rng."""
@@ -73,6 +78,7 @@ def _screens(args, designs, cells):
         raise AealError("the screen grid is empty: no (t, noise) cell to screen")
     if min(t for t, _ in cells) < 1:
         raise AealError("every sketch needs t >= 1 columns")
+    _check_alpha(args.alpha)
     screen = lrt_screen if args.test == "lrt" else wald_screen
     for setting, hypothesis, fam, sim, rng in _replications(args, designs):
         view_a = _view(sim, Owner.A)
@@ -131,8 +137,6 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
     """Per-round metric for the oracle, the alternating protocol, and the two
     tuned baselines. Logistic uses evaluation AUC; other families use the
     coefficient distance to the oracle in the pooled space."""
-    from .protocol import train  # looked up per call: perfbench hooks protocol.train
-
     view_a, view_b = _view(sim, Owner.A), _view(sim, Owner.B)
     oracle = oracle_fit(sim.X, sim.y, fam)
     use_auc = fam.kind == "logistic"
@@ -158,7 +162,8 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
     # already converged for the same offset and takes no Newton step; so does
     # Alice's, and every later entry equals entry k (the caller holds the last one).
     stop = StopCriterion(offset_tol=None, coef_tol=0.0, max_rounds=rounds)
-    history = train(view_a, sim.y, view_b, fam, stop=stop).history  # the transcript is freed
+    # through the module, so a hook on protocol.train sees the call
+    history = protocol.train(view_a, sim.y, view_b, fam, stop=stop).history
     aeal_curve = [metric(ba, bb) for ba, bb in history]
 
     curves = {"oracle": [oracle_metric] * (rounds + 1), "aeal": aeal_curve}
@@ -217,10 +222,15 @@ def cmd_agent(args):
         raise AealError("--mode predict needs --predict-data")
     if args.screen_rows < 0:
         raise AealError("--screen-rows must be at least 0")
+    _check_alpha(args.alpha)
+    if not 0.0 <= args.ridge < np.inf:  # NaN fails too
+        raise AealError(f"--ridge must be finite and nonnegative, got {args.ridge}")
     fam = parse_family(args.family)
-    if args.mask_flip is not None and fam.kind != "logistic":  # run_alice refuses it too, once connected
-        raise AealError("--mask-flip predictions unmask logistic probabilities only, "
-                        "so masking needs the logistic family")
+    if args.mask_flip is not None:  # run_alice refuses both too, once connected
+        check_flip_prob(args.mask_flip)
+        if fam.kind != "logistic":
+            raise AealError("--mask-flip predictions unmask logistic probabilities only, "
+                            "so masking needs the logistic family")
     tally = Tally()  # the agent prints counts only, so it keeps no line
     role_owner = Owner.A if args.role == "alice" else Owner.B
     response = args.response_column if args.role == "alice" else None

@@ -19,19 +19,19 @@ that of (X_A | S), the statistics are those of the sketch coordinates; with
 ridge > 0 the penalty falls on the residual-basis coordinates, so a ridge
 screen does not depend on the sketch's arbitrary scale either.
 
-Every fit stops at the solver's default tolerance. screen_context holds the
-sketch-free work, the inverse of X_A'X_A and the unpenalized A-only fit, for
-all screens of one (view_a, y); with it the augmented fit starts at
-(beta_A, 0), whose A-block gradient is already at tolerance. Without one a
-Wald screen starts cold and a likelihood-ratio screen builds its own.
+Every fit stops at the solver's default tolerance, and every screen fits from
+an A-side ScreenContext of the rows it pairs: the inverse of X_A'X_A and the
+unpenalized A-only fit. The augmented fit starts at (beta_A, 0), whose A-block
+gradient is already at tolerance. screen_context builds the context once for
+all screens of one (view_a, y); a screen passed none, or whose sketch drops
+rows, builds it on its own rows, so one input gives one report bit for bit.
 
 r < t (the report's `degenerate`) happens when the sketch overlaps span(X_A):
 with shared covariates a noise-free sketch of more columns than B holds
 exclusively tests only those exclusive directions. A sketch of rank below t
 (SingularCovarianceBlock), fewer rows than p_A + t or an X_A'X_A that fails
 the solver's pivot floor (RankDeficientAugmented) raise. Both tests drop the
-rows B clipped out of the sketch (rows_excluded) before pairing rows, and
-then ignore a context, which holds all of A's rows.
+rows B clipped out of the sketch (rows_excluded) before pairing rows.
 """
 
 import warnings
@@ -69,15 +69,12 @@ def _spd_inverse(M, what):
         raise SingularCovarianceBlock(f"{what} is not positive definite")
 
 
-def _gram_inverse(X_a):
+def _context(X_a, y, fam):
     try:  # the solver's floor: a Gram matrix it could not invert fails here
-        return spd_inverse(X_a.T @ X_a, 1e-14)
+        gram_inv = spd_inverse(X_a.T @ X_a, 1e-14)
     except np.linalg.LinAlgError:
         raise RankDeficientAugmented("A's view is rank deficient on these rows")
-
-
-def _context(X_a, y, fam):
-    return ScreenContext(X_a, y, _gram_inverse(X_a), fit_offset(X_a, y, None, fam))
+    return ScreenContext(X_a, y, gram_inv, fit_offset(X_a, y, None, fam))
 
 
 def screen_context(view_a, y, fam):
@@ -105,12 +102,13 @@ def _residual_design(X_a, S, gram_inv):
     return X, to_sketch
 
 
-def _aligned(view_a, y, sketch, context):
-    """A's rows paired with the sketch's, less the rows B clipped
-    (rows_excluded), and the context unless rows drop."""
+def _aligned(view_a, y, sketch, fam, context):
+    """The sketch and the context of the rows it pairs: A's rows less the ones
+    B clipped (rows_excluded). That is the caller's context if no row drops,
+    else one built here on those rows."""
     X_a = view_a.design
     y = np.asarray(y, dtype=float)
-    if context is not None and (context.X_a is not X_a or not np.array_equal(context.y, y)):
+    if context and (context.X_a is not X_a or not np.array_equal(context.y, y)):
         raise ValueError("the screen context was built from another view or response")
     if sketch.rows_excluded:
         excluded = np.asarray(sketch.rows_excluded, dtype=int)
@@ -121,23 +119,23 @@ def _aligned(view_a, y, sketch, context):
         X_a, y, context = X_a[keep], y[keep], None
     if X_a.shape[0] != sketch.n:
         raise ValueError("sketch rows do not match the view rows")
-    return X_a, y, sketch.projected, context
+    return sketch.projected, context or _context(X_a, y, fam)
 
 
-def _screen_fit(X_a, y, S, fam, ridge, context):
-    """The fit both tests share, from (beta_A, 0) given a context: (fit, lam,
-    to_sketch), with lam the robust covariance block of the last r coefficients
-    and to_sketch their map to sketch coordinates if r = t (None otherwise)."""
+def _screen_fit(S, fam, ridge, context):
+    """The fit both tests share, from (beta_A, 0): (fit, lam, to_sketch), with
+    lam the robust covariance block of the last r coefficients and to_sketch
+    their map to sketch coordinates if r = t (None otherwise)."""
+    X_a, y = context.X_a, context.y
     n, p_a = X_a.shape
     t = S.shape[1]
-    gram_inv = _gram_inverse(X_a) if context is None else context.gram_inv
-    X, to_sketch = _residual_design(X_a, S, gram_inv)
+    X, to_sketch = _residual_design(X_a, S, context.gram_inv)
     r = X.shape[1] - p_a
     if r < t and numerical_rank(np.linalg.svd(S, compute_uv=False)) < t:
         raise SingularCovarianceBlock("sketch block is numerically rank deficient")
     if n < p_a + t:
         raise RankDeficientAugmented("fewer rows than augmented columns")
-    init = None if context is None else np.concatenate([context.fit_a.beta, np.zeros(r)])
+    init = np.concatenate([context.fit_a.beta, np.zeros(r)])
     fit = fit_offset(X, y, None, fam, ridge, init=init)
     if not fit.converged:
         raise SolverFailure("augmented fit did not converge")
@@ -147,9 +145,9 @@ def _screen_fit(X_a, y, S, fam, ridge, context):
     return fit, lam, to_sketch
 
 
-def _report(X_a, fit, lam, to_sketch, stat, alpha):
+def _report(context, fit, lam, to_sketch, stat, alpha):
     """The report of r = len(lam) tested restrictions, in sketch coordinates if r = t."""
-    n, p_a = X_a.shape
+    n, p_a = context.X_a.shape
     r = len(lam)
     coef = fit.beta[p_a:]
     if to_sketch is not None:
@@ -164,31 +162,31 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, context=None):
 
     With ridge > 0 the augmented fit is penalized but the covariance pieces
     stay unpenalized. Noised sketches are treated identically to clean ones.
-    context is screen_context(view_a, y, fam), shared across screens.
+    context is screen_context(view_a, y, fam), shared across screens; a
+    screen given none builds the same one.
     """
-    X_a, y, S, context = _aligned(view_a, y, sketch, context)
-    fit, lam, to_sketch = _screen_fit(X_a, y, S, fam, ridge, context)
-    gamma = fit.beta[X_a.shape[1]:]
+    S, context = _aligned(view_a, y, sketch, fam, context)
+    fit, lam, to_sketch = _screen_fit(S, fam, ridge, context)
+    gamma = fit.beta[context.X_a.shape[1]:]
     stat = 0.0 if gamma.size == 0 else float(
-        len(y) * gamma @ _spd_inverse(lam, "tested covariance block") @ gamma)
-    return _report(X_a, fit, lam, to_sketch, stat, alpha)
+        len(context.y) * gamma @ _spd_inverse(lam, "tested covariance block") @ gamma)
+    return _report(context, fit, lam, to_sketch, stat, alpha)
 
 
 def lrt_screen(view_a, y, sketch, fam, alpha=0.05, context=None):
     """Likelihood-ratio screening: 2n * (A-only loss - augmented loss).
 
-    Valid only for likelihood-backed families; both fits are unpenalized. The
-    A-only fit is the context's, or is made here first when none applies.
+    Valid only for likelihood-backed families; both fits are unpenalized, and
+    the A-only fit is the context's.
     """
     if not fam.is_glm:
         raise NotAGlm("likelihood-ratio screening needs a GLM family")
     if sketch.p_b is not None and sketch.t >= sketch.p_b:
         warnings.warn("likelihood-ratio screening is designed for t < p_B",
                       stacklevel=2)
-    X_a, y, S, context = _aligned(view_a, y, sketch, context)
-    context = context or _context(X_a, y, fam)
+    S, context = _aligned(view_a, y, sketch, fam, context)
     if not context.fit_a.converged:
         raise SolverFailure("A-only screening fit did not converge")
-    fit_u, lam, to_sketch = _screen_fit(X_a, y, S, fam, 0.0, context)
-    stat = max(0.0, 2.0 * len(y) * (context.fit_a.final_loss - fit_u.final_loss))
-    return _report(X_a, fit_u, lam, to_sketch, stat, alpha)
+    fit_u, lam, to_sketch = _screen_fit(S, fam, 0.0, context)
+    stat = max(0.0, 2.0 * len(context.y) * (context.fit_a.final_loss - fit_u.final_loss))
+    return _report(context, fit_u, lam, to_sketch, stat, alpha)

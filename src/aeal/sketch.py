@@ -97,11 +97,16 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
                        c2=c2, rows_excluded=excluded, p_b=p_b)
 
 
+def check_flip_prob(flip_prob):
+    """Refuse a label-flip probability outside (0, 0.5), NaN included."""
+    if not 0.0 < flip_prob < 0.5:
+        raise BadFlipProb(f"flip probability must lie strictly in (0, 0.5), got {flip_prob}")
+
+
 def mask_response(y, flip_prob, rng):
     """Flip each 0/1 label independently with probability flip_prob in (0, 0.5)
     and return the flipped labels."""
-    if not 0.0 < flip_prob < 0.5:
-        raise BadFlipProb("flip probability must lie strictly in (0, 0.5)")
+    check_flip_prob(flip_prob)
     y = np.asarray(y, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise BadFlipProb("masking applies to 0/1 responses only")
@@ -111,8 +116,7 @@ def mask_response(y, flip_prob, rng):
 
 def unmask_probability(p_hat_prime, flip_prob):
     """Invert the label-flip bias: (p' - flip)/(1 - 2 flip), clamped to [0, 1]."""
-    if not 0.0 < flip_prob < 0.5:
-        raise BadFlipProb("flip probability must lie strictly in (0, 0.5)")
+    check_flip_prob(flip_prob)
     p = np.asarray(p_hat_prime, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")

@@ -14,7 +14,8 @@ from aeal import protocol
 from aeal.data import AgentView, Owner
 from aeal.losses import LossFamily
 from aeal.simulate import SimDesign, simulate
-from aeal.transport import local_pair
+from aeal.messages import Offset, decode
+from aeal.transport import Recorder, local_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -82,6 +83,17 @@ got = [added[name] for name in ("screening.wald_screen", "sketch.make_sketch",
                                 "simulate.simulate")]
 assert got == [16, 16, 4], added
 
+# train-compare runs one protocol.train per replication and tunes both baselines
+# over the step grid: 2 replications, 2 algorithms x 2 steps each
+before = collections.Counter(span[1] for span in t.spans)
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["train-compare", "--setting", "s2", "--reps", "2", "--n", "200",
+                     "--rounds", "3", "--grid-size", "2", "--eval-size", "200",
+                     "--seed", "3", "--out", os.path.join(tmp, "tc.csv")]) == 0
+added = collections.Counter(span[1] for span in t.spans) - before
+got = [added[name] for name in ("protocol.train", "baselines.train_baseline")]
+assert got == [2, 2 * 2 * 2], added
+
 t.uninstall()
 assert protocol.run_alice is original
 """
@@ -105,7 +117,8 @@ def test_agent_results_carry_what_the_benchmark_and_agent_read():
                    np.random.default_rng(0), hypothesis="h1")
     view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names, owner=Owner.A)
     view_b = AgentView(design=sim.X_b, column_names=sim.ownership.b_names, owner=Owner.B)
-    chan_a, chan_b = local_pair()
+    recorder = Recorder()
+    chan_a, chan_b = local_pair(recorder)
     bob = {}
     worker = threading.Thread(target=lambda: bob.update(protocol.run_bob(view_b, fam, chan_b)),
                               daemon=True)
@@ -121,3 +134,15 @@ def test_agent_results_carry_what_the_benchmark_and_agent_read():
     assert alice["stop_reason"] == bob["stop_reason"]
     assert alice["nu_a"].tobytes() == (view_a.design @ alice["beta_a"]).tobytes()
     assert bob["nu_b"].tobytes() == (view_b.design @ bob["beta_b"]).tobytes()
+
+    # every offset sent is design @ beta of the fit that produced it: Alice's
+    # rounds 0..k, her last one sent after Stop, and Bob's rounds 1..k
+    sent = {"A": [], "B": []}
+    for sender, line in recorder.lines:
+        msg = decode(line)
+        if isinstance(msg, Offset):
+            sent[sender].append(msg.vector.tobytes())
+    k = alice["rounds"]
+    assert len(sent["A"]) + len(sent["B"]) == 2 * k + 1
+    assert sent["A"] == [(view_a.design @ f.beta).tobytes() for f in alice["fits"]]
+    assert sent["B"] == [(view_b.design @ f.beta).tobytes() for f in bob["fits"]]

@@ -360,6 +360,57 @@ def test_empty_screen_grid_fails_before_any_data(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+# a significance level outside (0, 1): refused before any replication is drawn
+BAD_ALPHAS = {
+    "power-alpha-2": ["power", "--settings", "s1", "--t-list", "1", "--noise-list", "0",
+                      "--alpha", "2"] + SMALL,
+    "qq-alpha-0": ["qq", "--t-max", "1", "--alpha", "0"] + SMALL,
+    "robust-u-alpha-nan": ["robust-u", "--alpha", "nan"] + SMALL,
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ALPHAS.values(), ids=list(BAD_ALPHAS))
+def test_alpha_outside_the_unit_interval_fails_before_any_data(tmp_path, monkeypatch,
+                                                               capsys, argv):
+    def no_data(*args, **kwargs):
+        raise AssertionError("a replication was drawn")
+
+    monkeypatch.setattr("aeal.cli.simulate", no_data)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha must lie strictly in (0, 1)"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# agent flags outside their range, and what the error names: each is refused
+# before the agent reads its file or connects
+BAD_AGENT_RANGES = {
+    "alpha-2": (["--alpha", "2"], "--alpha must lie strictly in (0, 1)"),
+    "alpha-nan": (["--alpha", "nan"], "--alpha must lie strictly in (0, 1)"),
+    "ridge-negative": (["--ridge", "-1"], "--ridge must be finite and nonnegative"),
+    "ridge-nan": (["--ridge", "nan"], "--ridge must be finite and nonnegative"),
+    "mask-flip-0.7": (["--mask-flip", "0.7"], "flip probability must lie strictly in (0, 0.5)"),
+    "mask-flip-0": (["--mask-flip", "0"], "flip probability must lie strictly in (0, 0.5)"),
+}
+
+
+@pytest.mark.parametrize("mode", ["screen", "train"])
+@pytest.mark.parametrize("flags, reason", BAD_AGENT_RANGES.values(), ids=list(BAD_AGENT_RANGES))
+def test_agent_range_flag_fails_before_any_work(monkeypatch, capsys, flags, reason, mode):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the agent read its file or connected")
+
+    monkeypatch.setattr("aeal.cli.load_agent_csv", no_work)
+    monkeypatch.setattr("aeal.cli._agent_channel", no_work)
+    code = main(["agent", "--role", "alice", "--connect", "127.0.0.1:1", "--data", "a.csv",
+                 "--mode", mode] + flags)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1, err
+
+
 def config_file(tmp_path, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)

@@ -313,6 +313,8 @@ class TestContext:
             assert abs(a - b) <= 9.6e-7 * a
 
     def test_context_warm_start_matches_cold_screen(self):
+        # a screen passed no context builds the one screen_context returns (on
+        # the kept rows when the sketch drops some), so both reports are one
         design = SimDesign(setting="s2", n=2000, rho=0.1, family=LOGIT)
         rng = np.random.default_rng(41)
         sim = simulate(design, rng, hypothesis="h1")
@@ -320,17 +322,22 @@ class TestContext:
                            owner=Owner.A)
         context = screen_context(view_a, sim.y, LOGIT)
         assert context.fit_a.converged
-        for t in (1, 3, 5):
-            sketch = make_sketch(sim.X_b, t, rng, noise_scale=0.1)
-            cold = wald_screen(view_a, sim.y, sketch, LOGIT)
-            warm = wald_screen(view_a, sim.y, sketch, LOGIT, context=context)
-            assert warm.fit.iterations < cold.fit.iterations
-            assert warm.decision.statistic == pytest.approx(cold.decision.statistic,
-                                                            rel=1e-6)
-            # a likelihood-ratio screen without a context builds the same one
-            assert (lrt_screen(view_a, sim.y, sketch, LOGIT).decision.statistic
-                    == lrt_screen(view_a, sim.y, sketch, LOGIT,
-                                  context=context).decision.statistic)
+        c2 = float(np.quantile(np.linalg.norm(sim.X_b, axis=1), 0.9))
+        sketches = [make_sketch(sim.X_b, t, rng, noise_scale=0.1) for t in (1, 3, 5)]
+        sketches.append(make_sketch(sim.X_b, 2, rng, noise_scale=0.1, c2=c2))
+        assert sketches[-1].rows_excluded
+        for sketch in sketches:
+            for screen in (wald_screen, lrt_screen):
+                cold = screen(view_a, sim.y, sketch, LOGIT)
+                warm = screen(view_a, sim.y, sketch, LOGIT, context=context)
+                assert warm.fit.iterations == cold.fit.iterations
+                assert warm.n_used == cold.n_used == 2000 - len(sketch.rows_excluded)
+                for got, want in ((warm.decision.statistic, cold.decision.statistic),
+                                  (warm.decision.p_value, cold.decision.p_value),
+                                  (warm.beta_u_t, cold.beta_u_t),
+                                  (warm.v_hat_t, cold.v_hat_t),
+                                  (warm.fit.beta, cold.fit.beta)):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_mismatched_context_raises(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=30)
@@ -369,9 +376,12 @@ class TestContext:
                 want = screen(make_view(X_a[keep]), y[keep], aligned, GAUSS)
                 assert got.decision.statistic == want.decision.statistic
                 assert got.n_used < len(y)
-                # the context's A-only beta fits all 500 rows; it seeds no fit here
-                assert not any(i is not None and i[:3].tobytes()
-                               == context.fit_a.beta.tobytes() for i in inits)
+                # the context's A-only beta fits all 500 rows; both augmented
+                # fits start from an A-only fit of the kept rows instead
+                kept = screen_context(make_view(X_a[keep]), y[keep], GAUSS).fit_a.beta
+                assert kept.tobytes() != context.fit_a.beta.tobytes()
+                assert [i[:3].tobytes() for i in inits if i is not None] == [
+                    kept.tobytes()] * 2
         # with no rows dropped the augmented fit starts from the context's beta_A
         inits.clear()
         wald_screen(view, y, full, GAUSS, context=context)
