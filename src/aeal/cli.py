@@ -334,15 +334,16 @@ def _predict_view(args, fam, view, chan):
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_common(p, screens=True):
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--family", default="logistic")
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--test", choices=("wald", "lrt"), default="wald")
     p.add_argument("--out", required=True)
+    if screens:  # train-compare runs no screen
+        p.add_argument("--alpha", type=float, default=0.05)
+        p.add_argument("--test", choices=("wald", "lrt"), default="wald")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,7 +385,7 @@ def build_parser(presets=None):
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("train-compare", help="metric vs rounds for all methods")
-    _add_common(p)
+    _add_common(p, screens=False)
     p.add_argument("--setting", default="s2")
     p.add_argument("--rounds", type=int, default=50)
     p.add_argument("--eval-size", type=int, default=100000)

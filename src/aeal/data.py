@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateId, MalformedCsv, MissingId, RankDeficientView
+from .errors import DomainError, DuplicateId, MalformedCsv, MissingId, RankDeficientView
 
 RANK_TOL = 1e-10  # relative tolerance on singular values
 
@@ -29,7 +29,8 @@ class AgentView:
     """One agent's dense design matrix and, when loaded from a file, the
     SHA-256 hex digest of its sorted row ids (None for views built from arrays).
 
-    Assembly fails if the design is numerically rank deficient.
+    Assembly fails if the design holds a NaN or infinity (DomainError) or is
+    numerically rank deficient.
     """
 
     design: np.ndarray
@@ -40,6 +41,8 @@ class AgentView:
     def __post_init__(self):
         design = np.asarray(self.design, dtype=float)
         object.__setattr__(self, "design", design)
+        if not np.isfinite(design).all():  # the rank check's SVD would not converge
+            raise DomainError(f"design of owner {self.owner.value} holds a non-finite value")
         _check_full_rank(design, tuple(self.column_names), self.owner)
 
     @property

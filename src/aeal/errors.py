@@ -53,7 +53,7 @@ class UnknownFamily(AealError, ValueError):
 # -- solver -------------------------------------------------------------------
 
 class SingularHessian(NumericFailure):
-    """Newton system singular with no ridge term; signals rank deficiency."""
+    """Newton system not positive definite: a rank-deficient design, ridge 0 or tiny."""
 
 
 class SolverFailure(NumericFailure):

@@ -10,7 +10,8 @@ criterion fires after A's update, A sends Stop *before* her final offset so
 B never starts a speculative extra round; B reads the trailing offset (it
 carries A's final predictor, which B needs for his variance pieces) and
 exits. A session with k rounds therefore contains exactly 2k+1 offset
-sends, including A's initial one.
+sends, including A's initial one. A's offsets carry rounds 0..k, and B's reply
+to round j carries j + 1; any other round or row count is a protocol error.
 """
 
 import math
@@ -94,10 +95,7 @@ def _fit_or_fail(X, y, offset, fam, ridge, init, who):
 def _predictor_covariance(X, y, offset, fam, beta):
     """Sandwich variance of x' beta_hat: V1^-1 V2 V1^-1 / n."""
     V1, V2 = sandwich_pieces(X, y, offset, fam, beta)
-    try:
-        V1_inv = spd_inverse(V1)
-    except np.linalg.LinAlgError:
-        raise SingularVariance("Hessian piece V1 is not positive definite")
+    V1_inv = spd_inverse(V1, SingularVariance, "Hessian piece V1")
     return V1_inv @ V2 @ V1_inv / X.shape[0]
 
 
@@ -141,20 +139,13 @@ def open_session(chan, view, family, lam=None):
     return _check_handshake(msg, view, family)
 
 
-class _PeerTracker:
-    """Enforces strictly increasing offset round numbers per sender."""
-
-    def __init__(self, n):
-        self.n = n
-        self.last_round = -1
-
-    def take(self, msg):
-        if msg.round <= self.last_round:
-            raise ProtocolError("offset round numbers must increase")
-        if len(msg.vector) != self.n:
-            raise ProtocolError("offset vector length does not match the session")
-        self.last_round = msg.round
-        return np.asarray(msg.vector, dtype=float)
+def _offset_vector(msg, k, n):
+    """The vector of the peer's Offset msg, which must be for round k with n rows."""
+    if msg.round != k:
+        raise ProtocolError(f"offset is for round {msg.round}, but round {k} is due")
+    if len(msg.vector) != n:
+        raise ProtocolError("offset vector length does not match the session")
+    return np.asarray(msg.vector, dtype=float)
 
 
 def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
@@ -177,7 +168,6 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
     open_session(chan, view_a, fam.name, ridge)
     chan.send(ResponseShare(y=y_train, masked=masked, flip_prob=mask_flip_prob))
 
-    peer = _PeerTracker(n)
     fits = [_fit_or_fail(X_a, y_train, None, fam, ridge, None, "A")]
     beta_a = fits[0].beta
     nu_a = X_a @ beta_a
@@ -194,7 +184,7 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
             stop_reason = STOP_MAX
             break
         chan.send(Offset(round=k, vector=nu_a))
-        nu_b = peer.take(expect(chan, Offset, "Offset"))
+        nu_b = _offset_vector(expect(chan, Offset, "Offset"), k + 1, n)
         k += 1
 
         fits.append(_fit_or_fail(X_a, y_train, nu_b, fam, ridge, beta_a, "A"))
@@ -244,18 +234,17 @@ def run_bob(view_b, fam, chan):
     except UnsupportedResponse as exc:
         raise ProtocolError(f"response share: {exc}") from None
 
-    peer = _PeerTracker(n)
     beta_b = np.zeros(X_b.shape[1])
     nu_b = np.zeros(n)
     fits = []
     while not isinstance(msg := expect(chan, (Offset, Stop), "Offset or Stop"), Stop):
-        nu_a = peer.take(msg)
+        nu_a = _offset_vector(msg, len(fits), n)
         fits.append(_fit_or_fail(X_b, y_train, nu_a, fam, hs.lam, beta_b, "B"))
         beta_b = fits[-1].beta
         nu_b = X_b @ beta_b
         chan.send(Offset(round=len(fits), vector=nu_b))
     stop_reason = msg.reason
-    nu_a = peer.take(expect(chan, Offset, "Offset"))  # A's final predictor
+    nu_a = _offset_vector(expect(chan, Offset, "Offset"), len(fits), n)  # A's final one
 
     cov_b = _predictor_covariance(X_b, y_train, nu_a, fam, beta_b) if X_b.shape[1] else None
     return {"beta_b": beta_b, "nu_b": nu_b, "nu_a": nu_a, "rounds": len(fits),

@@ -62,18 +62,10 @@ class ScreenReport:
 ScreenContext = namedtuple("ScreenContext", "X_a y gram_inv fit_a")
 
 
-def _spd_inverse(M, what):
-    try:
-        return spd_inverse(M, 1e-12)
-    except np.linalg.LinAlgError:
-        raise SingularCovarianceBlock(f"{what} is not positive definite")
-
-
 def _context(X_a, y, fam):
-    try:  # the solver's floor: a Gram matrix it could not invert fails here
-        gram_inv = spd_inverse(X_a.T @ X_a, 1e-14)
-    except np.linalg.LinAlgError:
-        raise RankDeficientAugmented("A's view is rank deficient on these rows")
+    # the solver's floor: a Gram matrix it could not invert fails here
+    gram_inv = spd_inverse(X_a.T @ X_a, RankDeficientAugmented,
+                           "the Gram matrix of A's view on these rows", 1e-14)
     return ScreenContext(X_a, y, gram_inv, fit_offset(X_a, y, None, fam))
 
 
@@ -140,7 +132,7 @@ def _screen_fit(S, fam, ridge, context):
     if not fit.converged:
         raise SolverFailure("augmented fit did not converge")
     V1, V2 = sandwich_pieces(X, y, None, fam, fit.beta)
-    V1_inv = _spd_inverse(V1, "Hessian piece V1")
+    V1_inv = spd_inverse(V1, SingularCovarianceBlock, "Hessian piece V1", 1e-12)
     lam = (V1_inv @ V2 @ V1_inv)[p_a:, p_a:]
     return fit, lam, to_sketch
 
@@ -168,8 +160,8 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, context=None):
     S, context = _aligned(view_a, y, sketch, fam, context)
     fit, lam, to_sketch = _screen_fit(S, fam, ridge, context)
     gamma = fit.beta[context.X_a.shape[1]:]
-    stat = 0.0 if gamma.size == 0 else float(
-        len(context.y) * gamma @ _spd_inverse(lam, "tested covariance block") @ gamma)
+    stat = 0.0 if gamma.size == 0 else float(len(context.y) * gamma @ spd_inverse(
+        lam, SingularCovarianceBlock, "tested covariance block", 1e-12) @ gamma)
     return _report(context, fit, lam, to_sketch, stat, alpha)
 
 

@@ -6,6 +6,9 @@ beta = (X'X + 2 n lam I)^{-1} X'(y - o)). One solver serves every family:
 offsets plus the log-cosh loss break the weighted-least-squares identity, so
 Newton steps with Armijo backtracking are used instead of fixed-step IRLS;
 for GLM families the step coincides with IRLS.
+
+spd_inverse, the package's one inverse of a positive definite matrix, raises
+the caller's error type where Cholesky fails or a pivot falls under its floor.
 """
 
 from dataclasses import dataclass
@@ -33,13 +36,17 @@ class FitResult:
     final_loss: float        # penalized objective value
 
 
-def spd_inverse(M, floor=None):
-    """L^-T L^-1 from the Cholesky factor L of M. Raises np.linalg.LinAlgError
-    if M does not factor or, given a floor, if the squared smallest pivot is at
-    most floor * max(diag M): rounding can let an exactly singular M factor."""
-    L = np.linalg.cholesky(M)
-    if floor is not None and M.size and np.min(np.diag(L)) ** 2 <= floor * np.max(np.diag(M)):
-        raise np.linalg.LinAlgError("numerically singular")
+def spd_inverse(M, error, what, floor=None):
+    """L^-T L^-1 from the Cholesky factor L of M. Raises error("<what> is not
+    positive definite") if M does not factor or, given a floor, if its squared
+    smallest pivot is at most floor * max(diag M): rounding can let a singular M factor."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or floor is not None and M.size and (
+            np.min(np.diag(L)) ** 2 <= floor * np.max(np.diag(M))):
+        raise error(f"{what} is not positive definite")
     L_inv = np.linalg.inv(L)
     return L_inv.T @ L_inv
 
@@ -63,10 +70,10 @@ def fit_offset(X, y, offset, fam, ridge=0.0, init=None):
     """Minimize the offset objective with lam = ridge by damped Newton;
     returns the unique stationary point when the objective is strictly convex.
 
-    Requires X of full column rank or ridge > 0. A singular Newton system at
-    ridge = 0 raises SingularHessian. Running out of _MAX_ITER steps or a
-    stalled line search returns the last iterate; converged reports whether
-    its gradient is within _TOL.
+    Requires X of full column rank or ridge > 0. A singular Newton system
+    raises SingularHessian, also under a ridge below rounding. Running out of
+    _MAX_ITER steps or a stalled line search returns the last iterate;
+    converged reports whether its gradient is within _TOL.
     """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
@@ -101,12 +108,7 @@ def fit_offset(X, y, offset, fam, ridge=0.0, init=None):
         H = weighted_gram(X, w) / n
         if ridge > 0:
             H = H + 2.0 * ridge * np.eye(p)
-        try:
-            step = spd_inverse(H, 1e-14) @ g
-        except np.linalg.LinAlgError:
-            if ridge == 0:
-                raise SingularHessian("Newton system singular; design may be rank deficient")
-            raise
+        step = spd_inverse(H, SingularHessian, "Newton system", 1e-14) @ g
         slope = float(g @ step)  # descent amount predicted by the model
         # near the minimum the predicted decrease falls below the rounding of
         # the objective itself; a step is accepted within that rounding, so a

@@ -1,15 +1,15 @@
 """Channels carrying wire messages between the two agents.
 
 Every sent line is encoded and counted by Tally.count, whichever channel
-carries it (a Recorder also keeps the lines), so the numeric state either
-agent observes is identical across transports. The in-process pair runs the
-agents on two threads in lockstep; the protocol is strictly alternating, so
-scheduling cannot affect results.
+carries it, and each end of either kind records in its own Tally (a Recorder
+also keeps the lines) what it sends and receives, so the state either agent
+observes is identical across transports. The in-process pair runs the agents
+on two threads in lockstep; the protocol alternates, so scheduling cannot
+affect results.
 """
 
 import queue
 import socket
-import threading
 from collections import Counter
 
 from .errors import ProtocolError, TransportFailure
@@ -23,7 +23,6 @@ class Tally:
     """Byte and per-type message counters of the wire lines; keeps no line."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.bytes_transmitted = 0
         self.counts = Counter()      # message type name -> lines recorded
 
@@ -34,9 +33,8 @@ class Tally:
         return line
 
     def record(self, sender, msg, line):
-        with self._lock:
-            self.bytes_transmitted += len(line) + 1  # ASCII wire: chars = bytes, + newline
-            self.counts[type(msg).__name__] += 1
+        self.bytes_transmitted += len(line) + 1  # ASCII wire: chars = bytes, + newline
+        self.counts[type(msg).__name__] += 1
 
     @property
     def vector_sends(self):
@@ -52,36 +50,38 @@ class Recorder(Tally):
 
     def record(self, sender, msg, line):
         super().record(sender, msg, line)
-        self.lines.append((sender, line))  # a sender records before its peer can answer
+        self.lines.append((sender, line))
 
 
 class LocalChannel:
     """One endpoint of an in-memory duplex pair.
 
     Every message is serialized, for the transcript and byte accounting and
-    so a message the wire refuses fails here as on a socket, but the peer
-    receives the original object: decoding a line gives back the very bytes
-    of each payload, so this is bit-identical to the socket transport, which
-    parses the line back.
+    so a message the wire refuses fails here as on a socket, and queued with
+    its line; the peer records that line and receives the original object:
+    decoding a line gives back the very bytes of each payload, so this is
+    bit-identical to the socket transport, which parses the line back.
     """
 
-    def __init__(self, name, outbox, inbox, tally):
+    def __init__(self, name, peer, outbox, inbox, tally):
         self.name = name
+        self.peer = peer
         self._outbox = outbox
         self._inbox = inbox
         self._tally = tally
 
     def send(self, msg):
-        self._tally.count(self.name, msg)
-        self._outbox.put(msg)
+        self._outbox.put((msg, self._tally.count(self.name, msg)))
 
     def recv(self):
         try:
-            msg = self._inbox.get(timeout=RECV_TIMEOUT)
+            item = self._inbox.get(timeout=RECV_TIMEOUT)
         except queue.Empty:
             raise TransportFailure("peer did not respond")
-        if msg is _CLOSED:
+        if item is _CLOSED:
             raise TransportFailure("connection closed by peer")
+        msg, line = item
+        self._tally.record(self.peer, msg, line)
         return msg
 
     def close(self):
@@ -89,12 +89,11 @@ class LocalChannel:
 
 
 def local_pair(recorder=None):
-    """Connected (alice_channel, bob_channel) endpoints sharing one Tally or Recorder."""
-    tally = Tally() if recorder is None else recorder
-    a_to_b = queue.Queue()
-    b_to_a = queue.Queue()
-    return (LocalChannel("A", a_to_b, b_to_a, tally),
-            LocalChannel("B", b_to_a, a_to_b, tally))
+    """Connected (alice_channel, bob_channel) endpoints; Alice's end records in
+    recorder (a new Tally if None), Bob's in a Tally of its own."""
+    a_to_b, b_to_a = queue.Queue(), queue.Queue()
+    return (LocalChannel("A", "B", a_to_b, b_to_a, Tally() if recorder is None else recorder),
+            LocalChannel("B", "A", b_to_a, a_to_b, Tally()))
 
 
 class SocketChannel:
@@ -161,20 +160,15 @@ def connect(host, port, name="?", peer="?", recorder=None, timeout=30.0):
 def serve_one(host, port, name="?", peer="?", recorder=None, timeout=120.0,
               ready_event=None, bound_port=None):
     """Accept exactly one peer connection and return its channel."""
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(1)
-    srv.settimeout(timeout)
-    if bound_port is not None:
-        bound_port.append(srv.getsockname()[1])
-    if ready_event is not None:
-        ready_event.set()
-    try:
-        conn, _ = srv.accept()
-    except socket.timeout:
-        raise TransportFailure("no peer connected")
-    finally:
-        srv.close()
+    with socket.create_server((host, port), backlog=1) as srv:  # SO_REUSEADDR on POSIX
+        srv.settimeout(timeout)
+        if bound_port is not None:
+            bound_port.append(srv.getsockname()[1])
+        if ready_event is not None:
+            ready_event.set()
+        try:
+            conn, _ = srv.accept()
+        except socket.timeout:
+            raise TransportFailure("no peer connected")
     conn.settimeout(RECV_TIMEOUT)
     return SocketChannel(conn, name=name, peer=peer, recorder=recorder)

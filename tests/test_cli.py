@@ -317,6 +317,9 @@ BAD_FLAGS = {
     "robust-u-bad-logcosh": ["robust-u", "--family", "logcosh:wide"] + SMALL,
     "train-compare-grid-size-0": ["train-compare", "--grid-size", "0"] + SMALL,
     "train-compare-rounds-negative": ["train-compare", "--rounds", "-1"] + SMALL,
+    # train-compare screens nothing, so it takes no screen flag
+    "train-compare-alpha": ["train-compare", "--alpha", "2"] + SMALL,
+    "train-compare-test": ["train-compare", "--test", "lrt"] + SMALL,
     "agent-unknown-family": ["agent", "--role", "bob", "--connect", "127.0.0.1:1",
                              "--data", "absent.csv", "--family", "student-t"],
     "agent-screen-rows-negative": ["agent", "--role", "bob", "--connect", "127.0.0.1:1",

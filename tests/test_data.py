@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aeal.data import AgentView, Owner, load_agent_csv
-from aeal.errors import DuplicateId, MalformedCsv, MissingId, RankDeficientView
+from aeal.errors import AealError, DuplicateId, MalformedCsv, MissingId, RankDeficientView
 
 
 def write(path, text):
@@ -91,6 +91,14 @@ def test_agent_view_rank_check():
         with pytest.raises(RankDeficientView) as info:
             AgentView(design=design, column_names=names, owner=Owner.A)
         assert info.value.column == named
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_agent_view_refuses_a_non_finite_design(bad):
+    # refused before the rank check, whose SVD would not converge
+    with pytest.raises(AealError, match="non-finite"):
+        AgentView(design=[[bad, 1.0], [2.0, 3.0], [1.0, 0.5]], column_names=("a", "b"),
+                  owner=Owner.A)
 
 
 def test_load_agent_csv_sorts_by_id(tmp_path):

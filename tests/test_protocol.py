@@ -413,29 +413,6 @@ class TestProtocolValidation:
         with pytest.raises(ProtocolError):
             run_bob(vb, GAUSS, chan_b)
 
-    def test_rounds_must_increase(self):
-        va, vb, y = orthogonal_fixture()
-        chan_a, chan_b = local_pair()
-        chan_a.send(Handshake(version=PROTOCOL_VERSION, n=vb.n, family="gaussian", lam=0.0))
-        import threading
-
-        def bob():
-            try:
-                run_bob(vb, GAUSS, chan_b)
-            except ProtocolError as exc:
-                results.append(exc)
-
-        results = []
-        th = threading.Thread(target=bob)
-        th.start()
-        chan_a.recv()  # bob's handshake echo
-        chan_a.send(ResponseShare(y=tuple(y), masked=False, flip_prob=None))
-        chan_a.send(Offset(round=1, vector=tuple(np.zeros(vb.n))))
-        chan_a.recv()  # bob's reply
-        chan_a.send(Offset(round=1, vector=tuple(np.zeros(vb.n))))  # repeated round
-        th.join(10)
-        assert results and isinstance(results[0], ProtocolError)
-
     @pytest.mark.parametrize("digests", [("a" * 64, "b" * 64), ("a" * 64, None)],
                              ids=["different", "one-missing"])
     def test_row_id_digests_must_match(self, digests):
@@ -511,6 +488,23 @@ SCRIPTED_PEERS = {
                                                     Stop(reason="MaxRounds"),
                                                     Stop(reason="MaxRounds")],
                                   "expected Offset, got Stop"),
+    # Alice's offsets carry rounds 0, 1, ... and Bob's reply to round j carries j + 1
+    "bob-repeated-round": ("bob", lambda n: [handshake(n), response(n),
+                                             Offset(round=0, vector=np.zeros(n)),
+                                             Offset(round=0, vector=np.zeros(n))],
+                           "offset is for round 0, but round 1 is due"),
+    "bob-skipped-round": ("bob", lambda n: [handshake(n), response(n),
+                                            Offset(round=0, vector=np.zeros(n)),
+                                            Offset(round=2, vector=np.zeros(n))],
+                          "offset is for round 2, but round 1 is due"),
+    "bob-final-round-skipped": ("bob", lambda n: [handshake(n), response(n),
+                                                  Offset(round=0, vector=np.zeros(n)),
+                                                  Stop(reason="MaxRounds"),
+                                                  Offset(round=2, vector=np.zeros(n))],
+                                "offset is for round 2, but round 1 is due"),
+    "alice-skipped-round": ("alice", lambda n: [handshake(n),
+                                                Offset(round=2, vector=np.zeros(n))],
+                            "offset is for round 2, but round 1 is due"),
 }
 
 
@@ -522,20 +516,20 @@ def test_peer_breaking_the_session_order_fails_at_once(monkeypatch, side, script
     assert seconds < 1.0  # not after the receive timeout
 
 
-def calls_outside_transport(matches):
-    """(module, enclosing function) of every call in the package, transport.py
-    aside, that matches(call) accepts."""
+def package_sites(matches, kind=ast.Call, skip=("transport.py",)):
+    """(module, enclosing function) of every node of type kind in the package,
+    the modules in skip aside, that matches(node) accepts."""
     found = set()
 
     def visit(node, module, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and matches(child):
+            if isinstance(child, kind) and matches(child):
                 found.add((module, where))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, module, child.name if is_def else where)
 
     for path in sorted(pathlib.Path(aeal.__file__).parent.glob("*.py")):
-        if path.name != "transport.py":
+        if path.name not in skip:
             visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
     return found
 
@@ -553,8 +547,20 @@ def test_only_expect_receives_a_message():
         return (isinstance(call.func, ast.Name) and call.func.id == "ProtocolError"
                 and isinstance(text, ast.Constant) and str(text.value).startswith("expected"))
 
-    assert calls_outside_transport(receives) == {("protocol.py", "expect")}
-    assert calls_outside_transport(raises_expected) == {("protocol.py", "expect")}
+    assert package_sites(receives) == {("protocol.py", "expect")}
+    assert package_sites(raises_expected) == {("protocol.py", "expect")}
+
+
+def test_only_spd_inverse_and_the_cli_catch_linalg_errors():
+    # spd_inverse raises each caller's own error type, so no caller maps numpy's
+    # LinAlgError by hand; cli.main keeps a net for the other numpy calls
+    def catches_linalg(handler):
+        return handler.type is not None and any(
+            isinstance(node, ast.Attribute) and node.attr == "LinAlgError"
+            for node in ast.walk(handler.type))
+
+    assert package_sites(catches_linalg, ast.ExceptHandler, skip=()) == {
+        ("solver.py", "spd_inverse"), ("cli.py", "main")}
 
 
 def test_socket_session_equals_in_process_above_one_gram_block():

@@ -41,7 +41,7 @@ def reference_newton(X, y, offset, fam, lam, init=None):
         H = (X * fam.hess(y, nu)[:, None]).T @ X / n
         if lam > 0:
             H = H + 2.0 * lam * np.eye(p)
-        step = spd_inverse(H, 1e-14) @ g
+        step = spd_inverse(H, SingularHessian, "Newton system", 1e-14) @ g
         slope = float(g @ step)
         slack = 4.0 * np.finfo(float).eps * abs(obj)
         t = 1.0
@@ -131,6 +131,13 @@ class TestFitOffset:
         # ridge regularizes the same problem
         fit = fit_offset(X, y, None, GAUSS, ridge=1e-3)
         assert fit.converged
+
+    def test_singular_hessian_under_a_ridge_below_rounding(self):
+        # a ridge too small to lift equal columns off singular: the solver's
+        # own error, not numpy's
+        x = np.arange(1.0, 7.0)
+        with pytest.raises(SingularHessian, match="Newton system is not positive definite"):
+            fit_offset(np.column_stack([x, x]), np.arange(6.0), None, GAUSS, ridge=1e-20)
 
     def test_monotone_objective_over_iterations(self, monkeypatch):
         rng = np.random.default_rng(5)
