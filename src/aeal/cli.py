@@ -83,10 +83,12 @@ def _screens(args, designs, cells):
     for setting, hypothesis, fam, sim, rng in _replications(args, designs):
         view_a = _view(sim, Owner.A)
         context = screen_context(view_a, sim.y, fam)
-        yield setting, hypothesis, [
+        decisions = [
             screen(view_a, sim.y, make_sketch(sim.X_b, t, rng, noise_scale=noise), fam,
                    alpha=args.alpha, context=context).decision
             for t, noise in cells]
+        del sim, view_a, context  # one replication alive: it dies before the next is drawn
+        yield setting, hypothesis, decisions
 
 
 def cmd_qq(args):
@@ -187,6 +189,7 @@ def cmd_train_compare(args):
     for _, _, fam, sim, rng in _replications(args, [(args.setting, "h1")]):
         curves = _metric_curves(sim, fam, args.rounds, args.eval_size, rng, grid,
                                 rho=args.rho)
+        del sim  # dies before the next replication is drawn
         for method, curve in curves.items():
             acc = sums.setdefault(method, np.zeros(args.rounds + 1))
             acc[:len(curve)] += np.asarray(curve)

@@ -10,6 +10,7 @@ handshake, so two agents holding different ids stop before any row is paired.
 import csv
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,7 @@ def load_agent_csv(path, id_column, owner, response_column=None):
         names = [h for i, h in enumerate(header) if i != id_pos]
         if response_column is not None and response_column not in names:
             raise MissingId(f"{path}: no response column {response_column!r}")
-        rows = {}
+        cells, row_of = array("d"), {}  # every checked cell in file order; id -> row
         for rec in reader:
             if not rec:
                 continue
@@ -106,20 +107,24 @@ def load_agent_csv(path, id_column, owner, response_column=None):
             if len(rec) != len(header):
                 raise MalformedCsv(f"{where}: {len(rec)} cells, the header has {len(header)}")
             rid = rec.pop(id_pos)
-            if rid in rows:
+            if rid in row_of:
                 raise DuplicateId(f"{path}: id {rid!r} occurs twice")
-            rows[rid] = [_cell(text, where, name) for text, name in zip(rec, names)]
-    if not rows:
+            cells.extend([_cell(text, where, name) for text, name in zip(rec, names)])
+            row_of[rid] = len(row_of)
+    if not row_of:
         raise MalformedCsv(f"{path}: no rows below the header")
-    ids = sorted(rows)
-    table = np.array([rows[rid] for rid in ids], dtype=float)
+    ids = sorted(row_of)
+    order = np.array([row_of[rid] for rid in ids], dtype=np.intp)
+    table = np.frombuffer(cells, dtype=float).reshape(len(ids), len(names))
+    cols = list(range(len(names)))
     y = None
     if response_column is not None:
-        j = names.index(response_column)
-        y = table[:, j].copy()
-        table, names = np.delete(table, j, axis=1), names[:j] + names[j + 1:]
+        j = cols.pop(names.index(response_column))
+        y, names = table[order, j], names[:j] + names[j + 1:]
+    # one gather builds the design in sorted-id order, C-contiguous
+    design = table[np.ix_(order, cols)]
     digest = hashlib.sha256("\n".join(ids).encode("utf-8")).hexdigest()
-    view = AgentView(design=table, column_names=tuple(names), owner=owner, id_digest=digest)
+    view = AgentView(design=design, column_names=tuple(names), owner=owner, id_digest=digest)
     return tuple(ids), view, y
 
 

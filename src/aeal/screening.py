@@ -83,6 +83,7 @@ def _residual_design(X_a, S, gram_inv):
     S_perp = S - X_a @ (gram_inv @ (X_a.T @ S))
     S_perp -= X_a @ (gram_inv @ (X_a.T @ S_perp))
     U, sigma, Vt = np.linalg.svd(S_perp, full_matrices=False)
+    del S_perp  # dead before the augmented design is allocated
     r = numerical_rank(sigma, np.max(np.linalg.norm(S, axis=0), initial=0.0))
     n, p_a = X_a.shape
     to_sketch = np.sqrt(n) * Vt.T / sigma if r == S.shape[1] else None

@@ -1,6 +1,10 @@
 """Synthetic data generators for the three ownership settings, plus the
 pooled-data oracles used as test references (pooled fits, coefficient-space
 mapping, and the geometric contraction bound).
+
+A replication (SimData) holds one read-only, column-major copy of the pooled
+design. A's columns lead the pooled order and B's form one contiguous run in
+every setting, so X_a and X_b are views of that copy, not copies of their own.
 """
 
 from dataclasses import dataclass, field
@@ -100,18 +104,21 @@ def alt_beta(fam, rng, p=12):
 
 @dataclass
 class SimData:
-    X: np.ndarray                 # pooled deduplicated design, columns x1..xp
+    X: np.ndarray                 # pooled design x1..xp: one read-only column-major copy
     y: np.ndarray
     beta_true: np.ndarray
     ownership: Ownership
-    X_a: np.ndarray = field(init=False)
-    X_b: np.ndarray = field(init=False)
+    X_a: np.ndarray = field(init=False)  # view of X's leading columns
+    X_b: np.ndarray = field(init=False)  # view of B's columns; a copy unless they are one run
 
     def __post_init__(self):
-        names = self.ownership.pooled_names
-        pos = {nm: j for j, nm in enumerate(names)}
-        self.X_a = self.X[:, [pos[nm] for nm in self.ownership.a_names]]
-        self.X_b = self.X[:, [pos[nm] for nm in self.ownership.b_names]]
+        self.X = np.array(self.X, dtype=float, order="F")
+        self.X.flags.writeable = False  # a write into one block would change the other
+        own = self.ownership
+        pos = [own.pooled_names.index(nm) for nm in own.b_names]
+        self.X_a = self.X[:, :len(own.a_names)]
+        run = pos == list(range(pos[0], pos[0] + len(pos)))
+        self.X_b = self.X[:, pos[0]:pos[-1] + 1] if run else self.X[:, pos]
 
 
 def simulate(design, rng, hypothesis="h1"):

@@ -91,8 +91,14 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
         scale, epsilon = noise_scale, 2.0 * t * c2 / noise_scale
     else:
         scale = 2.0 * t * c2 / epsilon
-    h = rng.uniform(size=M.shape) - 0.5  # inverse-CDF Laplace(0, scale) draws
-    M += -scale * np.sign(h) * np.log1p(-2.0 * np.abs(h))  # in place: no n x t sum
+    # inverse-CDF Laplace(0, scale) draws, added in place through two n x t buffers
+    h = rng.uniform(size=M.shape)
+    h -= 0.5
+    noise = np.sign(h)
+    noise *= -scale
+    noise *= np.log1p(np.multiply(np.abs(h, out=h), -2.0, out=h), out=h)
+    M += noise
+    del h, noise  # dead before the offer copies M
     return SketchOffer(projected=M, t=t, noised=True, epsilon=float(epsilon),
                        c2=c2, rows_excluded=excluded, p_b=p_b)
 

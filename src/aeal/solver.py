@@ -66,6 +66,14 @@ def weighted_gram(X, w):
     return G
 
 
+def _predictor(X, beta, offset):
+    """X beta, plus the offset only when one is given: no n-vector of zeros."""
+    nu = X @ beta
+    if offset is not None:
+        nu += offset  # the same addition as X @ beta + offset
+    return nu
+
+
 def fit_offset(X, y, offset, fam, ridge=0.0, init=None):
     """Minimize the offset objective with lam = ridge by damped Newton;
     returns the unique stationary point when the objective is strictly convex.
@@ -80,15 +88,12 @@ def fit_offset(X, y, offset, fam, ridge=0.0, init=None):
     X = np.asarray(X, dtype=float)
     y = fam.validate_response(y)
     n, p = X.shape
-    if offset is None:
-        offset = np.zeros(n)
-    offset = np.asarray(offset, dtype=float)
-    if len(y) != n or len(offset) != n:
+    if len(y) != n or (offset is not None and len(offset) != n):
         raise ValueError("inconsistent lengths")
 
     def evaluate(beta):
         # the objective at beta, and the loss derivatives its Newton step needs
-        m, m1, m2 = fam.derivatives(y, X @ beta + offset)
+        m, m1, m2 = fam.derivatives(y, _predictor(X, beta, offset))
         val = float(np.mean(m))
         if ridge > 0:
             val += ridge * float(beta @ beta)
@@ -138,8 +143,7 @@ def sandwich_pieces(X, y, offset, fam, beta):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    _, g, w1 = fam.derivatives(y, X @ np.asarray(beta, dtype=float) + offset)
+    _, g, w1 = fam.derivatives(y, _predictor(X, np.asarray(beta, dtype=float), offset))
     V1 = weighted_gram(X, w1) / n
     V2 = weighted_gram(X, g * g) / n
     return V1, V2

@@ -1,18 +1,21 @@
 import base64
 import csv
 import dataclasses
+import gc
 import json
 import socket
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from conftest import HANDSHAKE, write_agent_csv
 
-from aeal import errors, protocol
+from aeal import cli, errors, protocol
 from aeal.cli import main
 from aeal.data import AgentView, Owner, load_agent_csv
 from aeal.losses import parse_family
@@ -296,6 +299,46 @@ def test_failure_exit_code_and_prefix(tmp_path, monkeypatch, capsys, cls):
                     (3, "numeric failure") if cls in NUMERIC_FAILURES else (1, "error"))
     assert code == want
     assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "--reps", "3", "--settings", "s1,s3", "--t-list", "1,2", "--noise-list", "0,0.5"],
+    ["qq", "--reps", "3", "--t-max", "2"],
+    ["robust-u", "--reps", "2", "--u-count", "2"],
+    ["train-compare", "--reps", "2", "--rounds", "2", "--eval-size", "300",
+     "--grid-size", "1"],
+], ids=lambda argv: argv[0])
+def test_a_study_holds_one_replication_at_a_time(tmp_path, monkeypatch, argv):
+    drawn = []  # weak references to every design drawn so far
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in drawn), "an earlier replication is alive"
+        sim = simulate(*args, **kwargs)
+        drawn.append(weakref.ref(sim.X))
+        return sim
+
+    monkeypatch.setattr(cli, "simulate", tracked)
+    assert main(argv + ["--n", "200", "--seed", "4", "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(drawn) >= 2
+
+
+def test_power_peak_memory_is_one_replication_and_one_screen(tmp_path):
+    n = 20_000
+    argv = ["power", "--settings", "s3", "--t-list", "5", "--noise-list", "0.5",
+            "--reps", "2", "--out", str(tmp_path / "power.csv")]
+    assert main(argv + ["--n", "200"]) == 0  # imports and lazy state before tracing
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--n", str(n)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in n-vectors of float64: the one live pooled design (12) and y, the sketch
+    # (5), the augmented design (10 + 5) and the Newton and sandwich temporaries
+    # of the augmented fit, about 42 in all; copies of A's and B's blocks beside
+    # the pooled design (20 more) cross the bound
+    assert peak <= 52 * 8 * n
 
 
 SMALL = ["--n", "200", "--reps", "1"]

@@ -1,7 +1,9 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import write_agent_csv
 
 from aeal.data import AgentView, Owner, load_agent_csv
 from aeal.errors import AealError, DuplicateId, MalformedCsv, MissingId, RankDeficientView
@@ -107,3 +109,21 @@ def test_load_agent_csv_sorts_by_id(tmp_path):
     assert ids == ("a", "b")
     assert list(y) == [0.0, 1.0]
     assert view.design[:, 0].tolist() == [1.0, 2.0]
+
+
+def test_loader_peak_memory_is_a_few_designs(tmp_path):
+    rng = np.random.default_rng(21)
+    n, p = 20_000, 9
+    columns = [(f"x{j}", rng.normal(size=n)) for j in range(1, p + 1)]
+    path = write_agent_csv(tmp_path / "a.csv", [f"r{k}" for k in rng.permutation(n)],
+                           columns, y=rng.normal(size=n))
+    load_agent_csv(path, "id", Owner.A, response_column="y")  # imports before tracing
+    tracemalloc.start()
+    try:
+        _, view, _ = load_agent_csv(path, "id", Owner.A, response_column="y")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert view.design.shape == (n, p) and view.design.flags.c_contiguous
+    # the cells, the design, y, the ids and their index; a list of floats per row is 9x
+    assert peak <= 6 * view.design.nbytes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aeal.losses import LossFamily
-from aeal.simulate import (SETTINGS, Ownership, SimDesign, alt_beta, ar1_sqrt,
+from aeal.simulate import (SETTINGS, Ownership, SimData, SimDesign, alt_beta, ar1_sqrt,
                            eta_bound, gen_covariates, gen_response, map_T,
                            null_beta, oracle_fit, simulate, spawn_rngs)
 
@@ -175,6 +175,23 @@ class TestHarness:
         pos = {nm: j for j, nm in enumerate(sim.ownership.pooled_names)}
         assert np.array_equal(sim.X_a, sim.X[:, [pos[n] for n in sim.ownership.a_names]])
         assert np.array_equal(sim.X_b, sim.X[:, [pos[n] for n in sim.ownership.b_names]])
+
+    @pytest.mark.parametrize("setting", ["s1", "s2", "s3"])
+    def test_replication_is_one_read_only_column_major_copy(self, setting):
+        design = SimDesign(setting=setting, n=40, rho=0.1, family=GAUSS)
+        sim = simulate(design, np.random.default_rng(16))
+        assert sim.X.flags.f_contiguous and not sim.X.flags.writeable
+        assert np.shares_memory(sim.X, sim.X_a) and np.shares_memory(sim.X, sim.X_b)
+        with pytest.raises(ValueError):  # a write would change B's shared columns too
+            sim.X_a[0, -1] = 0.0
+
+    def test_b_columns_out_of_one_run_are_gathered_by_name(self):
+        own = Ownership(a_names=("x1", "x2", "x3"), b_names=("x1", "x4"))
+        X = np.arange(20.0).reshape(5, 4)  # pooled order x1, x2, x3, x4
+        sim = SimData(X=X, y=np.zeros(5), beta_true=np.zeros(4), ownership=own)
+        assert np.array_equal(sim.X_a, X[:, :3])
+        assert np.array_equal(sim.X_b, X[:, [0, 3]])
+        assert X.flags.writeable  # the caller's array is copied, not frozen
 
     def test_spawned_rngs_independent_and_reproducible(self):
         a = [r.uniform() for r in spawn_rngs(1, 3)]
