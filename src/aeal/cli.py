@@ -3,7 +3,7 @@
 Subcommands qq / power / train-compare / robust-u reproduce the simulation
 studies to CSV (every output starts with a comment line recording the full
 configuration and seed); agent runs one side of the two-process protocol
-over a TCP socket on user CSVs.
+over a TCP socket on user CSVs, through protocol's role functions.
 
 Exit codes: 0 success, 1 input error, 2 protocol error, 3 numeric failure.
 """
@@ -17,11 +17,10 @@ import numpy as np
 
 from . import baselines, protocol
 from .data import AgentView, Owner, load_agent_csv
-from .errors import AealError, DimensionMismatch, ProtocolError
+from .errors import AealError, DimensionMismatch
 from .losses import parse_family
-from .messages import PredictContribution, ScreenResult, SketchOffer, format_float
-from .protocol import (StopCriterion, contribution, expect, joint_interval, open_session,
-                       run_alice, run_bob, unmask_prediction)
+from .messages import format_float
+from .protocol import StopCriterion
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SETTINGS, SimData, SimDesign, gen_covariates, gen_response,
                        map_T, oracle_fit, simulate, spawn_rngs)
@@ -204,8 +203,7 @@ def cmd_train_compare(args):
 
 
 def _agent_channel(args, tally):
-    me = "A" if args.role == "alice" else "B"
-    peer = "B" if me == "A" else "A"
+    me, peer = ("A", "B") if args.role == "alice" else ("B", "A")
     if args.listen:
         host, port = args.listen.rsplit(":", 1)
         return serve_one(host or "127.0.0.1", int(port), name=me, peer=peer, recorder=tally)
@@ -249,34 +247,17 @@ def cmd_agent(args):
 
 
 def _agent_screen(args, fam, view, y, chan):
-    open_session(chan, view, fam.name, args.ridge if args.role == "alice" else None)
     if args.role == "bob":
-        rng = np.random.default_rng(args.seed)
-        X_b = view.design
-        if args.screen_rows and args.screen_rows < X_b.shape[0]:
-            X_b = X_b[: args.screen_rows]  # leading rows of the sorted-id order
-        t = min(args.t, X_b.shape[1])
-        chan.send(make_sketch(X_b, t, rng, noise_scale=args.laplace_scale,
-                              epsilon=args.epsilon, c2=args.clip_bound))
-        result = expect(chan, ScreenResult, "a screening result")
+        result = protocol.offer_sketch(
+            view, fam, chan, min(args.t, view.design.shape[1]),
+            np.random.default_rng(args.seed), rows=args.screen_rows or None,
+            noise_scale=args.laplace_scale, epsilon=args.epsilon, c2=args.clip_bound)
         _print_json({"role": "bob", "mode": "screen", "reject": result.reject,
                      "p_value": format_float(result.p_value)})
         return 0
-    sketch = expect(chan, SketchOffer, "a sketch offer")
-    # B sketched its leading rows; the screening functions drop the clipped ones
-    n_rows = sketch.n + len(sketch.rows_excluded)
-    if n_rows > view.n:
-        raise ProtocolError("sketch carries more rows than this agent holds")
-    view_rows = AgentView(design=view.design[:n_rows], column_names=view.column_names,
-                          owner=view.owner)
-    y_rows = np.asarray(y, dtype=float)[:n_rows]
-    if args.test == "lrt":
-        report = lrt_screen(view_rows, y_rows, sketch, fam, alpha=args.alpha)
-    else:
-        report = wald_screen(view_rows, y_rows, sketch, fam, alpha=args.alpha,
-                             ridge=args.ridge)
+    report = protocol.screen_offer(view, y, fam, chan, test=args.test, alpha=args.alpha,
+                                   ridge=args.ridge)
     d = report.decision
-    chan.send(d)
     _print_json({"role": "alice", "mode": "screen", "statistic": format_float(d.statistic),
                  "df": d.df, "p_value": format_float(d.p_value), "reject": d.reject,
                  "alpha": format_float(d.alpha), "n_used": report.n_used,
@@ -289,27 +270,22 @@ def _agent_train(args, fam, view, y, chan, tally):
     if args.role == "alice":
         stop = replace(StopCriterion.default(view.n), max_rounds=args.max_rounds)
         rng = np.random.default_rng(args.seed)
-        res = run_alice(view, y, fam, chan, stop=stop, ridge=args.ridge,
-                        mask_flip_prob=args.mask_flip, rng=rng)
+        res = protocol.run_alice(view, y, fam, chan, stop=stop, ridge=args.ridge,
+                                 mask_flip_prob=args.mask_flip, rng=rng)
         beta, cov = res["beta_a"], res["cov_a"]
     else:
-        res = run_bob(view, fam, chan)
+        res = protocol.run_bob(view, fam, chan)
         beta, cov = res["beta_b"], res["cov_b"]
     _print_traffic(args, tally, beta=[format_float(v) for v in beta],
                    rounds=res["rounds"], stop_reason=res["stop_reason"])
     if args.mode != "predict":
         return 0
-    view_new = _predict_view(args, fam, view, chan)
-    nu, sigma = contribution(view_new.design, beta, cov)
+    view_new = _predict_view(args, view)
     if args.role == "bob":  # one contribution message carries all of Bob's rows
-        chan.send(PredictContribution(nu=nu, sigma=sigma))
+        protocol.send_contribution(view_new, fam, chan, beta, cov)
     else:
-        peer = expect(chan, PredictContribution, "a prediction contribution")
-        if len(peer.nu) != view_new.n:
-            raise ProtocolError("contribution row count differs from the predict file")
-        pred = joint_interval(nu + peer.nu, sigma, peer.sigma, fam, args.alpha)
-        if args.mask_flip is not None:  # Alice trained on flipped labels
-            pred = unmask_prediction(pred, args.mask_flip)
+        pred = protocol.joint_prediction(view_new, fam, chan, beta, cov, args.alpha,
+                                         args.mask_flip)  # Alice trained on flipped labels
         for i in range(view_new.n):
             _print_json({"row": i, **{k: format_float(getattr(pred, k)[i])
                                       for k in ("nu", "point", "lo", "hi")}})
@@ -323,14 +299,13 @@ def _print_traffic(args, tally, **fields):
                  "bytes_transmitted": tally.bytes_transmitted})
 
 
-def _predict_view(args, fam, view, chan):
+def _predict_view(args, view):
     """This side's predict file, checked against its training columns; the
-    handshake that follows checks that both sides predict the same row ids."""
+    predict step's handshake checks that both sides predict the same row ids."""
     _, view_new, _ = load_agent_csv(args.predict_data, args.id_column, view.owner)
     if view_new.column_names != view.column_names:
         raise DimensionMismatch(f"predict columns {list(view_new.column_names)} differ "
                                 f"from the training columns {list(view.column_names)}")
-    open_session(chan, view_new, fam.name, 0.0 if args.role == "alice" else None)
     return view_new
 
 

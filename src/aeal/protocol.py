@@ -1,6 +1,8 @@
-"""Alternating two-agent training and joint prediction.
+"""Every session step, one role function per side, each opening its own session:
+stage 1 (offer_sketch, screen_offer), training (run_alice, run_bob) and joint
+prediction (send_contribution, joint_prediction).
 
-A initializes by fitting her own columns, then the agents alternate: each
+In training, A initializes by fitting her own columns, then the agents alternate: each
 re-minimizes its local loss treating the other's transmitted linear
 predictor as a fixed per-row offset. Every transmitted vector is a full
 length-n linear predictor; transmission counting makes the cost visible.
@@ -22,12 +24,12 @@ import numpy as np
 
 from .errors import (BadFlipProb, DimensionMismatch, ProtocolError, SingularVariance,
                      SolverFailure, TransportFailure, UnsupportedResponse)
-from .losses import parse_family
-from .messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare,
-                       Stop, decode)
-from .sketch import mask_response, unmask_probability
+from .messages import (PROTOCOL_VERSION, Handshake, Offset, PredictContribution,
+                       ResponseShare, Stop, decode)
+from .screening import lrt_screen, wald_screen
+from .sketch import SketchOffer, make_sketch, mask_response, unmask_probability
 from .solver import fit_offset, sandwich_pieces, spd_inverse
-from .stats import normal_quantile
+from .stats import ScreenResult, normal_quantile
 from .transport import Recorder, local_pair
 
 STOP_OFFSET = "OffsetDelta"
@@ -124,9 +126,9 @@ def _check_handshake(msg, view, family):
 
 def open_session(chan, view, family, lam=None):
     """The exchange every session opens with. Alice passes her ridge and sends
-    first; Bob (lam None) echoes with her ridge, and her family if his is None,
-    before he checks hers, so that a mismatch stops both sides with a protocol
-    error. Returns the peer's handshake."""
+    first; Bob (lam None) echoes with her ridge before he checks hers, so that
+    a mismatch stops both sides with a protocol error. Returns the peer's
+    handshake."""
     def own(lam):
         return Handshake(version=PROTOCOL_VERSION, n=view.n, family=family, lam=lam,
                          id_digest=view.id_digest)
@@ -134,9 +136,35 @@ def open_session(chan, view, family, lam=None):
         chan.send(own(lam))
         return _check_handshake(expect(chan, Handshake, "handshake"), view, family)
     msg = expect(chan, Handshake, "handshake")
-    family = family or msg.family
     chan.send(own(msg.lam))
     return _check_handshake(msg, view, family)
+
+
+def offer_sketch(view_b, fam, chan, t, rng, rows=None, noise_scale=0.0, epsilon=None, c2=None):
+    """Bob's stage 1: send make_sketch's release of his leading rows (all when
+    rows is None) and return Alice's ScreenResult."""
+    open_session(chan, view_b, fam.name)
+    chan.send(make_sketch(view_b.design[:rows], t, rng, noise_scale=noise_scale,
+                          epsilon=epsilon, c2=c2))
+    return expect(chan, ScreenResult, "a screening result")
+
+
+def screen_offer(view_a, y, fam, chan, test="wald", alpha=0.05, ridge=0.0):
+    """Alice's stage 1: screen Bob's sketch offer on her leading rows with the
+    Wald test (ridge applies) or the LRT, send him the decision, return the report."""
+    open_session(chan, view_a, fam.name, ridge)
+    sketch = expect(chan, SketchOffer, "a sketch offer")
+    # B sketched his leading rows; the screening functions drop the clipped ones
+    n_rows = sketch.n + len(sketch.rows_excluded)
+    if n_rows > view_a.n:
+        raise ProtocolError("sketch carries more rows than this agent holds")
+    rows = replace(view_a, design=view_a.design[:n_rows]), np.asarray(y, dtype=float)[:n_rows]
+    if test == "lrt":
+        report = lrt_screen(*rows, sketch, fam, alpha=alpha)
+    else:
+        report = wald_screen(*rows, sketch, fam, alpha=alpha, ridge=ridge)
+    chan.send(report.decision)
+    return report
 
 
 def _offset_vector(msg, k, n):
@@ -214,8 +242,8 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
 
 
 def run_bob(view_b, fam, chan):
-    """B's side: adopt the handshake's family and penalty, receive the
-    response, then answer each of A's offsets with a local fit.
+    """B's side: adopt the handshake's penalty, receive the response, then
+    answer each of A's offsets with a local fit.
 
     Returns a dict with B's final state and ``fits``, his local fit for
     rounds 1..k; each ``final_loss`` adds only B's own penalty.
@@ -223,8 +251,7 @@ def run_bob(view_b, fam, chan):
     X_b = view_b.design
     n = X_b.shape[0]
 
-    hs = open_session(chan, view_b, None if fam is None else fam.name)
-    fam = parse_family(hs.family) if fam is None else fam
+    hs = open_session(chan, view_b, fam.name)
 
     share = expect(chan, ResponseShare, "the response share")
     if len(share.y) != n:
@@ -342,33 +369,45 @@ def predict(x_a, x_b, session, fam, alpha=0.05, unmask=False):
     agents. For masked logistic sessions, unmask=True inverts the
     label-flip bias on the probability scale.
     """
+    if unmask and session.mask_flip_prob is None:
+        raise BadFlipProb("session was not trained on a masked response")
     nu_a, sigma_a = contribution(x_a, session.beta_a, session.cov_a)
     nu_b, sigma_b = contribution(x_b, session.beta_b, session.cov_b)
-    pred = joint_interval(nu_a + nu_b, sigma_a, sigma_b, fam, alpha)
-    if unmask:
-        if session.mask_flip_prob is None:
-            raise BadFlipProb("session was not trained on a masked response")
-        pred = unmask_prediction(pred, session.mask_flip_prob)
-    return pred
+    return joint_interval(nu_a + nu_b, sigma_a, sigma_b, fam, alpha,
+                          session.mask_flip_prob if unmask else None)
 
 
-def unmask_prediction(pred, flip_prob):
-    """pred with its point and both endpoints mapped from the probability of
-    a label flipped with flip_prob back to that of the true label."""
-    return replace(pred, **{k: unmask_probability(getattr(pred, k), flip_prob)
-                            for k in ("point", "lo", "hi")})
+def send_contribution(view_b, fam, chan, beta, cov):
+    """Bob's predict step: his contribution for all his predict rows in one message."""
+    open_session(chan, view_b, fam.name)
+    nu, sigma = contribution(view_b.design, beta, cov)
+    chan.send(PredictContribution(nu=nu, sigma=sigma))
 
 
-def joint_interval(nu, sigma_a, sigma_b, fam, alpha):
+def joint_prediction(view_a, fam, chan, beta, cov, alpha=0.05, flip_prob=None):
+    """Alice's predict step: joint_interval of her contribution and Bob's."""
+    open_session(chan, view_a, fam.name, 0.0)
+    nu, sigma = contribution(view_a.design, beta, cov)
+    peer = expect(chan, PredictContribution, "a prediction contribution")
+    if len(peer.nu) != view_a.n:
+        raise ProtocolError("contribution row count differs from the predict file")
+    return joint_interval(nu + peer.nu, sigma, peer.sigma, fam, alpha, flip_prob)
+
+
+def joint_interval(nu, sigma_a, sigma_b, fam, alpha, flip_prob=None):
     """Bonferroni interval nu +/- z_{1-alpha/4} (sigma_A + sigma_B) on the
     linear predictor, elementwise; for GLM families the point and both
-    endpoints are mapped through the monotone inverse link."""
+    endpoints are mapped through the monotone inverse link, and with the
+    flip_prob of a session trained on flipped labels, from the flipped
+    label's probability back to the true label's."""
     half = normal_quantile(1.0 - alpha / 4.0) * (sigma_a + sigma_b)
     nu_lo, nu_hi = nu - half, nu + half
     if fam.is_glm:  # [()] turns the link's 0-d array for one row into a scalar
         point, lo, hi = (fam.inverse_link(v)[()] for v in (nu, nu_lo, nu_hi))
     else:
         point, lo, hi = nu, nu_lo, nu_hi
+    if flip_prob is not None:
+        point, lo, hi = (unmask_probability(v, flip_prob) for v in (point, lo, hi))
     return Prediction(nu=nu, nu_lo=nu_lo, nu_hi=nu_hi, point=point, lo=lo, hi=hi,
                       alpha=alpha)
 

@@ -26,6 +26,12 @@ class ScreenResult:
     reject: bool
     alpha: float
 
+    def __post_init__(self):  # as make_decision builds it; a NaN fails the first test
+        if not (self.statistic >= 0 and self.df >= 1 and 0 <= self.p_value <= 1
+                and 0 < self.alpha < 1 and self.reject == (self.p_value < self.alpha)):
+            raise ValueError("impossible values: need statistic >= 0, df >= 1, p_value in "
+                             "[0, 1], alpha in (0, 1) and reject == (p_value < alpha)")
+
 
 def chi2_sf(x, df):
     """Upper-tail probability P(chi2_df > x) for an integer df.

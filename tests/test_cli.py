@@ -1116,6 +1116,9 @@ BAD_SCREEN_STEPS = {
     "alice-offer-of-81-rows": ("alice", offer_line(81), "sketch carries more rows"),
     "bob-stop-for-result": ("bob", '{"type":"Stop","reason":"MaxRounds"}',
                             "expected a screening result"),
+    "bob-impossible-result": ("bob", '{"type":"ScreenResult","statistic":-3.0,"df":-2,'
+                                     '"p_value":7.5,"reject":false,"alpha":4.0}',
+                              "malformed ScreenResult"),
     "bob-closed-after-offer": ("bob", None, "connection closed by peer"),
 }
 

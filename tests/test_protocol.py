@@ -14,13 +14,16 @@ from aeal.data import AgentView, Owner
 from aeal.errors import (BadFlipProb, DimensionMismatch, ProtocolError, SingularVariance,
                          SolverFailure)
 from aeal.losses import LossFamily
-from aeal.messages import (PROTOCOL_VERSION, Handshake, Offset, ResponseShare, Stop,
-                           decode)
-from aeal.protocol import (StopCriterion, TrainSession, joint_loss, predict,
-                           replay, run_alice, run_bob, train)
+from aeal.messages import (_SCHEMAS, PROTOCOL_VERSION, Handshake, Offset,
+                           PredictContribution, ResponseShare, Stop, decode, encode)
+from aeal.protocol import (StopCriterion, TrainSession, joint_loss, joint_prediction,
+                           offer_sketch, predict, replay, run_alice, run_bob, screen_offer,
+                           train)
+from aeal.screening import lrt_screen, wald_screen
+from aeal.sketch import SketchOffer, make_sketch
 from aeal.simulate import SimDesign, eta_bound, map_T, oracle_fit, simulate
 from aeal.solver import _GRAM_BLOCK_BYTES
-from aeal.stats import normal_quantile
+from aeal.stats import ScreenResult, normal_quantile
 from aeal.transport import Recorder, SocketChannel, Tally, local_pair
 
 GAUSS = LossFamily("gaussian")
@@ -437,20 +440,45 @@ class TestProtocolValidation:
         assert len(bob_errors) == 1 and "row ids differ" in bob_errors[0]
 
 
-def scripted_peer_error(monkeypatch, side, script):
-    """Queue the scripted peer's messages on a local pair, run one side against
-    them and return its ProtocolError and how long it took to arrive."""
+# the role under test ("alice" and "bob" train): its side and its call on that
+# side's end of the channel, for the views and response of orthogonal_fixture
+ROLES = {
+    "alice": ("A", lambda chan, va, vb, y: run_alice(va, y, GAUSS, chan)),
+    "bob": ("B", lambda chan, va, vb, y: run_bob(vb, GAUSS, chan)),
+    "alice-screen": ("A", lambda chan, va, vb, y: screen_offer(va, y, GAUSS, chan)),
+    "bob-screen": ("B", lambda chan, va, vb, y: offer_sketch(vb, GAUSS, chan, 2,
+                                                             np.random.default_rng(0))),
+    "alice-predict": ("A", lambda chan, va, vb, y: joint_prediction(va, GAUSS, chan,
+                                                                    np.zeros(2), np.eye(2))),
+}
+
+
+def scripted_peer_error(monkeypatch, role, script):
+    """Queue the scripted peer's messages on a local pair, or on a socket pair
+    if one is a raw wire line (a str), run the role against them and return its
+    ProtocolError and how long it took to arrive."""
     monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 5.0)
     va, vb, y = orthogonal_fixture()
+    side, call = ROLES[role]
+    msgs = script(va.n)
+
+    def error_and_seconds(chan):
+        start = time.monotonic()
+        with pytest.raises(ProtocolError) as err:
+            call(chan, va, vb, y)
+        return str(err.value), time.monotonic() - start
+
+    if any(isinstance(msg, str) for msg in msgs):  # no object holds what its class refuses
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall("".join((msg if isinstance(msg, str) else encode(msg)) + "\n"
+                                   for msg in msgs).encode())
+            return error_and_seconds(SocketChannel(ours))
     chan_a, chan_b = local_pair()
-    peer, run = ((chan_b, lambda: run_alice(va, y, GAUSS, chan_a)) if side == "alice"
-                 else (chan_a, lambda: run_bob(vb, GAUSS, chan_b)))
-    for msg in script(va.n):
+    chan, peer = (chan_a, chan_b) if side == "A" else (chan_b, chan_a)
+    for msg in msgs:
         peer.send(msg)
-    start = time.monotonic()
-    with pytest.raises(ProtocolError) as err:
-        run()
-    return str(err.value), time.monotonic() - start
+    return error_and_seconds(chan)
 
 
 def handshake(n, family="gaussian"):
@@ -461,7 +489,11 @@ def response(n):
     return ResponseShare(y=np.zeros(n), masked=False, flip_prob=None)
 
 
-# (side, the peer's messages for a session of n rows, the error's message)
+def offer(rows):
+    return SketchOffer(projected=np.ones((rows, 2)), t=2)
+
+
+# (role, the peer's messages for a session of n rows, the error's message)
 SCRIPTED_PEERS = {
     "expected-handshake": ("bob", lambda n: [Offset(round=0, vector=np.zeros(n))],
                            "expected handshake"),
@@ -505,13 +537,26 @@ SCRIPTED_PEERS = {
     "alice-skipped-round": ("alice", lambda n: [handshake(n),
                                                 Offset(round=2, vector=np.zeros(n))],
                             "offset is for round 2, but round 1 is due"),
+    "alice-offset-for-offer": ("alice-screen", lambda n: [handshake(n),
+                                                          Offset(round=0, vector=np.zeros(n))],
+                               "expected a sketch offer, got Offset"),
+    "alice-offer-of-too-many-rows": ("alice-screen", lambda n: [handshake(n), offer(n + 1)],
+                                     "sketch carries more rows than this agent holds"),
+    "bob-stop-for-result": ("bob-screen", lambda n: [handshake(n), Stop(reason="MaxRounds")],
+                            "expected a screening result, got Stop"),
+    "bob-impossible-result": ("bob-screen", lambda n: [
+        handshake(n), '{"type":"ScreenResult","statistic":-3.0,"df":-2,"p_value":7.5,'
+                      '"reject":false,"alpha":4.0}'], "malformed ScreenResult"),
+    "alice-contribution-rows": ("alice-predict", lambda n: [
+        handshake(n), PredictContribution(nu=np.zeros(n - 1), sigma=np.zeros(n - 1))],
+        "contribution row count differs from the predict file"),
 }
 
 
-@pytest.mark.parametrize("side, script, message", SCRIPTED_PEERS.values(),
+@pytest.mark.parametrize("role, script, message", SCRIPTED_PEERS.values(),
                          ids=list(SCRIPTED_PEERS))
-def test_peer_breaking_the_session_order_fails_at_once(monkeypatch, side, script, message):
-    error, seconds = scripted_peer_error(monkeypatch, side, script)
+def test_peer_breaking_the_session_order_fails_at_once(monkeypatch, role, script, message):
+    error, seconds = scripted_peer_error(monkeypatch, role, script)
     assert message in error
     assert seconds < 1.0  # not after the receive timeout
 
@@ -549,6 +594,19 @@ def test_only_expect_receives_a_message():
 
     assert package_sites(receives) == {("protocol.py", "expect")}
     assert package_sites(raises_expected) == {("protocol.py", "expect")}
+
+
+def test_only_protocol_sends_a_message():
+    # protocol.py holds every session step: no other module sends a message,
+    # and the agent in cli.py neither receives one through expect nor builds one
+    def sends(call):
+        return isinstance(call.func, ast.Attribute) and call.func.attr == "send"
+
+    def expects_or_builds(call):
+        return isinstance(call.func, ast.Name) and call.func.id in {"expect", *_SCHEMAS}
+
+    assert {module for module, _ in package_sites(sends)} == {"protocol.py"}
+    assert "cli.py" not in {module for module, _ in package_sites(expects_or_builds)}
 
 
 def test_only_spd_inverse_and_the_cli_catch_linalg_errors():
@@ -599,3 +657,50 @@ def test_socket_session_equals_in_process_above_one_gram_block():
     # an alternating session sends no GradShare: every vector send is an Offset
     assert (rec_a.vector_sends == rec_a.counts["Offset"] == tally_b.vector_sends
             == sess.rounds_transmitted)
+
+
+def stage1(chan_a, chan_b, view_a, y, view_b, fam, test, release):
+    """Alice's screen_offer against Bob's offer_sketch on the two channel ends;
+    returns Alice's report and Bob's result."""
+    bob = {}
+    worker = threading.Thread(target=lambda: bob.update(result=offer_sketch(
+        view_b, fam, chan_b, 2, np.random.default_rng(3), **release)), daemon=True)
+    worker.start()
+    try:
+        report = screen_offer(view_a, y, fam, chan_a, test=test)
+    finally:
+        worker.join(timeout=60.0)
+        chan_a.close()
+        chan_b.close()
+    return report, bob["result"]
+
+
+@pytest.mark.parametrize("release", [{"rows": 150}, {"rows": 150, "epsilon": 5.0, "c2": 1.5}],
+                         ids=["rows", "clipped-epsilon"])
+@pytest.mark.parametrize("test", ["wald", "lrt"])
+def test_stage1_is_the_same_over_both_transports(test, release):
+    sim = simulate(SimDesign(setting="s2", n=200, rho=0.1, family=LOGIT),
+                   np.random.default_rng(8), hypothesis="h1")
+    va, vb = views_from(sim)
+    sketch = make_sketch(vb.design[:150], 2, np.random.default_rng(3),
+                         epsilon=release.get("epsilon"), c2=release.get("c2"))
+    assert bool(sketch.rows_excluded) == ("c2" in release)  # the bound clips some rows
+    lead = AgentView(design=va.design[:150], column_names=va.column_names, owner=Owner.A)
+    screen = lrt_screen if test == "lrt" else wald_screen
+    want = screen(lead, sim.y[:150], sketch, LOGIT).decision
+
+    rec_local = Recorder()
+    local = stage1(*local_pair(rec_local), va, sim.y, vb, LOGIT, test, release)
+    left, right = socket.socketpair()
+    rec_socket, tally_b = Recorder(), Tally()
+    over_socket = stage1(SocketChannel(left, name="A", peer="B", recorder=rec_socket),
+                         SocketChannel(right, name="B", peer="A", recorder=tally_b),
+                         va, sim.y, vb, LOGIT, test, release)
+    for report, result in (local, over_socket):
+        assert report.decision.statistic.hex() == want.statistic.hex()
+        assert report.decision == want == result
+    assert rec_local.lines == rec_socket.lines
+    assert [type(decode(line)) for _, line in rec_socket.lines] == [
+        Handshake, Handshake, SketchOffer, ScreenResult]
+    assert (rec_local.bytes_transmitted == rec_socket.bytes_transmitted
+            == tally_b.bytes_transmitted)

@@ -36,6 +36,10 @@ ALL_MESSAGES = [
 # fields carried as base64 binary64; every other field is plain JSON
 PAYLOAD_FIELDS = {"projected", "y", "vector", "nu", "sigma"}
 
+# a ScreenResult line of (statistic, df, p_value, reject, alpha) literals
+SCREEN_RESULT = ('{"type":"ScreenResult","statistic":%s,"df":%s,"p_value":%s,"reject":%s,'
+                 '"alpha":%s}')
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=lambda m: type(m).__name__)
@@ -90,11 +94,13 @@ class TestRoundTrip:
         fields = 0
         for msg in ALL_MESSAGES:
             for fld, tag in _SCHEMAS[type(msg).__name__].items():
-                if tag.startswith("float"):
+                if tag.startswith("float") and fld != "alpha":  # no test has level 0
                     fields += 1
-                    back = decode(encode(dataclasses.replace(msg, **{fld: -0.0})))
+                    consistent = {"reject": True} if fld == "p_value" else {}  # p = 0 rejects
+                    zero = dataclasses.replace(msg, **{fld: -0.0}, **consistent)
+                    back = decode(encode(zero))
                     assert math.copysign(1.0, getattr(back, fld)) == -1.0, fld
-        assert fields >= 7
+        assert fields >= 6
         # in a payload, -0.0 differs from +0.0 in its sign bit alone
         assert encode(PredictContribution(nu=(0.0,), sigma=(-0.0,))) == \
             '{"type":"PredictContribution","nu":"AAAAAAAAAAA=","sigma":"AAAAAAAAAIA="}'
@@ -157,13 +163,24 @@ class TestStrictness:
         '"t":1,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[2]}',
         '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
         '"t":1,"noised":true,"epsilon":null,"c2":null,"rows_excluded":[]}',
+        SCREEN_RESULT % ("-3.0", "-2", "7.5", "false", "4.0"),
+        SCREEN_RESULT % ("-1.0", "1", "0.5", "false", "0.05"),
+        SCREEN_RESULT % ("1.0", "0", "0.5", "false", "0.05"),
+        SCREEN_RESULT % ("1.0", "1", "-0.5", "true", "0.05"),
+        SCREEN_RESULT % ("1.0", "1", "1.5", "false", "0.05"),
+        SCREEN_RESULT % ("1.0", "1", "0.5", "false", "0"),
+        SCREEN_RESULT % ("1.0", "1", "0.5", "false", "1"),
+        SCREEN_RESULT % ("1.0", "1", "0.5", "true", "0.05"),
+        SCREEN_RESULT % ("1.0", "1", "0.01", "false", "0.05"),
     ], ids=["negative-lam", "negative-sigma", "length-mismatch", "t-vs-columns",
-            "excluded-row-outside", "noised-without-epsilon"])
+            "excluded-row-outside", "noised-without-epsilon", "impossible-result",
+            "negative-statistic", "df-0", "negative-p", "p-above-1", "alpha-0", "alpha-1",
+            "reject-above-alpha", "accept-below-alpha"])
     def test_class_invariants_hold_on_decode(self, line):
         # decode builds each message through its class, so a peer's message
         # obeys the same rules as one built locally
         with pytest.raises(ProtocolError, match=r"^malformed (Handshake|PredictContribution|"
-                                                r"SketchOffer): "):
+                                                r"SketchOffer|ScreenResult): "):
             decode(line)
 
 
