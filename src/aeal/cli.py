@@ -24,7 +24,7 @@ from .protocol import StopCriterion
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SETTINGS, SimData, SimDesign, gen_covariates, gen_response,
                        map_T, oracle_fit, simulate, spawn_rngs)
-from .sketch import check_flip_prob, make_sketch
+from .sketch import check_flip_prob, check_release, make_sketch
 from .stats import auc
 from .transport import Tally, connect, serve_one
 
@@ -221,8 +221,9 @@ def cmd_agent(args):
         raise AealError("pass exactly one of --listen or --connect")
     if args.mode == "predict" and not args.predict_data:
         raise AealError("--mode predict needs --predict-data")
-    if args.screen_rows < 0:
-        raise AealError("--screen-rows must be at least 0")
+    if min(args.screen_rows, args.max_rounds) < 0 or args.t < 1:
+        raise AealError("--screen-rows and --max-rounds must be at least 0 and --t at least 1")
+    check_release(args.laplace_scale, args.epsilon, args.clip_bound)
     _check_alpha(args.alpha)
     if not 0.0 <= args.ridge < np.inf:  # NaN fails too
         raise AealError(f"--ridge must be finite and nonnegative, got {args.ridge}")

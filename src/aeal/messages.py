@@ -17,7 +17,7 @@ from .errors import AealError, DomainError, ProtocolError
 from .sketch import SketchOffer
 from .stats import ScreenResult
 
-PROTOCOL_VERSION = "aeal/4"
+PROTOCOL_VERSION = "aeal/5"
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ _SCHEMAS = {
     "Handshake": {"version": "str", "n": "int", "family": "str", "lam": "float",
                   "id_digest": "str?"},
     "SketchOffer": {"projected": "matrix", "t": "int", "noised": "bool",
-                    "epsilon": "float?", "c2": "float?", "rows_excluded": "ints"},
+                    "epsilon": "float?", "c2": "float?"},
     "ScreenResult": {"statistic": "float", "df": "int", "p_value": "float",
                      "reject": "bool", "alpha": "float"},
     "ResponseShare": {"y": "vector", "masked": "bool", "flip_prob": "float?"},
@@ -118,8 +118,6 @@ def _emit(tag, value, fld):
             return data
         rows, cols = arr.shape
         return f'{{"shape":[{rows},{cols}],"data":{data}}}'
-    if tag == "ints":
-        return "[" + ",".join(map(str, map(int, value))) + "]"
     raise AssertionError(tag)
 
 

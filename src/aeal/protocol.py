@@ -49,6 +49,8 @@ class StopCriterion:
     def __post_init__(self):
         if self.offset_tol is None and self.coef_tol is None and self.max_rounds is None:
             raise ValueError("at least one stop criterion must be active")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValueError("max_rounds must be at least 0")
 
     @classmethod
     def default(cls, n):
@@ -154,11 +156,10 @@ def screen_offer(view_a, y, fam, chan, test="wald", alpha=0.05, ridge=0.0):
     Wald test (ridge applies) or the LRT, send him the decision, return the report."""
     open_session(chan, view_a, fam.name, ridge)
     sketch = expect(chan, SketchOffer, "a sketch offer")
-    # B sketched his leading rows; the screening functions drop the clipped ones
-    n_rows = sketch.n + len(sketch.rows_excluded)
-    if n_rows > view_a.n:
+    n = sketch.n  # B sketched his leading rows; A pairs as many of hers
+    if n > view_a.n:
         raise ProtocolError("sketch carries more rows than this agent holds")
-    rows = replace(view_a, design=view_a.design[:n_rows]), np.asarray(y, dtype=float)[:n_rows]
+    rows = replace(view_a, design=view_a.design[:n]), np.asarray(y, dtype=float)[:n]
     if test == "lrt":
         report = lrt_screen(*rows, sketch, fam, alpha=alpha)
     else:

@@ -23,15 +23,19 @@ Every fit stops at the solver's default tolerance, and every screen fits from
 an A-side ScreenContext of the rows it pairs: the inverse of X_A'X_A and the
 unpenalized A-only fit. The augmented fit starts at (beta_A, 0), whose A-block
 gradient is already at tolerance. screen_context builds the context once for
-all screens of one (view_a, y); a screen passed none, or whose sketch drops
-rows, builds it on its own rows, so one input gives one report bit for bit.
+all screens of one (view_a, y); a screen passed none builds the same one, so
+one input gives one report bit for bit.
 
 r < t (the report's `degenerate`) happens when the sketch overlaps span(X_A):
 with shared covariates a noise-free sketch of more columns than B holds
 exclusively tests only those exclusive directions. A sketch of rank below t
 (SingularCovarianceBlock), fewer rows than p_A + t or an X_A'X_A that fails
-the solver's pivot floor (RankDeficientAugmented) raise. Both tests drop the
-rows B clipped out of the sketch (rows_excluded) before pairing rows.
+the solver's pivot floor (RankDeficientAugmented) raise.
+
+The sketch is B's SketchOffer, and its row i pairs A's row i. If it records
+epsilon, each of its rows is an epsilon-LDP release of B's row; besides the
+n x t matrix it carries only t, the noised flag and B's epsilon and clip
+bound (sketch.py). Both tests treat noised and clean sketches alike.
 """
 
 import warnings
@@ -96,20 +100,12 @@ def _residual_design(X_a, S, gram_inv):
 
 
 def _aligned(view_a, y, sketch, fam, context):
-    """The sketch and the context of the rows it pairs: A's rows less the ones
-    B clipped (rows_excluded). That is the caller's context if no row drops,
-    else one built here on those rows."""
+    """The sketch and the context of A's rows it pairs row for row: the
+    caller's context, or one built here."""
     X_a = view_a.design
     y = np.asarray(y, dtype=float)
     if context and (context.X_a is not X_a or not np.array_equal(context.y, y)):
         raise ValueError("the screen context was built from another view or response")
-    if sketch.rows_excluded:
-        excluded = np.asarray(sketch.rows_excluded, dtype=int)
-        if excluded.min() < 0 or excluded.max() >= X_a.shape[0]:
-            raise ValueError("excluded sketch rows lie outside the view")
-        keep = np.ones(X_a.shape[0], dtype=bool)
-        keep[excluded] = False
-        X_a, y, context = X_a[keep], y[keep], None
     if X_a.shape[0] != sketch.n:
         raise ValueError("sketch rows do not match the view rows")
     return sketch.projected, context or _context(X_a, y, fam)
@@ -154,9 +150,8 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, context=None):
     """Robust Wald screening of the sketch block at significance level alpha.
 
     With ridge > 0 the augmented fit is penalized but the covariance pieces
-    stay unpenalized. Noised sketches are treated identically to clean ones.
-    context is screen_context(view_a, y, fam), shared across screens; a
-    screen given none builds the same one.
+    stay unpenalized. context is screen_context(view_a, y, fam), shared across
+    screens; a screen given none builds the same one.
     """
     S, context = _aligned(view_a, y, sketch, fam, context)
     fit, lam, to_sketch = _screen_fit(S, fam, ridge, context)

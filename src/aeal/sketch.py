@@ -1,9 +1,13 @@
-"""B-side release mechanisms: the sketch release (random projection,
-clipping, Laplace noising) and randomized-response masking of binary labels.
+"""B-side release mechanisms: the sketch release and randomized-response
+masking of binary labels.
 
-The projection matrix stays local to B (only the projected data is ever
-transmitted); the Laplace scale 2 * t * c2 / epsilon gives epsilon-local
-differential privacy per row once rows are norm-clipped at c2.
+make_sketch releases X_b U for a p_b x t projection U of unit-norm columns
+that never leaves B. Given the caller's clip bound c2, each row x is scaled
+to x * min(1, c2 / ||x||), so its projected row lies in [-c2, c2]^t and one
+row moves the release by at most 2 t c2 in L1. Laplace noise of scale
+2 t c2 / epsilon then makes each row of the SketchOffer epsilon-LDP (Dwork &
+Roth 2014, Thm 3.6). Besides the n x t matrix, the offer carries only t, the
+noised flag, and epsilon and c2 as the caller gave them.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +19,8 @@ from .errors import BadDimensions, BadEpsilon, BadFlipProb
 
 @dataclass(frozen=True)
 class SketchOffer:
-    """B's release and its wire message: projected (optionally noised) covariates,
-    less the rows_excluded that clipping dropped. p_b is never serialized.
-    """
+    """B's release and its wire message. p_b is never serialized; rows_excluded
+    is not sent either, and must stay empty: no release drops a row."""
 
     projected: np.ndarray
     t: int
@@ -36,11 +39,11 @@ class SketchOffer:
             raise BadDimensions("projected matrix must be n x t with t >= 1")
         if self.p_b is not None and self.t > self.p_b:
             raise BadDimensions("t cannot exceed the number of B's columns")
-        if self.noised and (self.epsilon is None or self.c2 is None):
-            raise ValueError("noised sketches must record epsilon and the clip bound")
-        excluded, rows = self.rows_excluded, self.n + len(self.rows_excluded)
-        if len(set(excluded)) != len(excluded) or not all(0 <= i < rows for i in excluded):
-            raise ValueError("excluded rows must be distinct rows of the sketched data")
+        if (self.epsilon is not None) != (self.noised and self.c2 is not None):
+            raise ValueError("an offer records epsilon exactly when it is noised and has c2")
+        check_release(epsilon=self.epsilon, c2=self.c2)  # a peer's budget too
+        if self.rows_excluded:
+            raise ValueError("no release drops a row, so rows_excluded must be empty")
 
     @property
     def n(self):
@@ -50,47 +53,45 @@ class SketchOffer:
 SketchPackage = SketchOffer
 
 
+def check_release(noise_scale=0.0, epsilon=None, c2=None):
+    """Refuse a noise scale that is not finite and >= 0, an epsilon or clip
+    bound that is not finite and > 0 (NaN fails each), and an epsilon with no
+    clip bound, whose sensitivity nothing would bound."""
+    if not 0.0 <= noise_scale < np.inf:
+        raise BadEpsilon(f"noise scale must be finite and nonnegative, got {noise_scale}")
+    for name, value in (("epsilon", epsilon), ("clip bound", c2)):
+        if value is not None and not 0.0 < value < np.inf:
+            raise BadEpsilon(f"{name} must be finite and positive, got {value}")
+    if epsilon is not None and c2 is None:
+        raise BadEpsilon("an epsilon release needs a clip bound")
+
+
 def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
     """B's one release: X_b through a p_b x t projection U drawn from rng.
 
-    Rows with norm over c2 are dropped (rows_excluded) and c2 is recorded,
-    noised or not. Either pass epsilon for a privacy-calibrated release, or
-    noise_scale to add Laplace noise of a raw scale (the implied epsilon is
-    recorded so the offer's invariant holds); a noised release without c2
-    takes the max row norm, which clips no row. noise_scale=0 with no
-    epsilon produces a clean sketch. Every input is checked before any draw.
+    Given c2, rows are scaled into the c2-ball, none dropped, and c2 is
+    recorded. Pass epsilon with c2 for a calibrated release, or noise_scale for
+    a raw Laplace scale, which records epsilon = 2 t c2 / noise_scale only given
+    c2 and else claims no privacy. With neither the sketch is clean. Every input
+    is checked before any draw.
     """
     X_b = np.asarray(X_b, dtype=float)
     p_b = X_b.shape[1]
     if not 1 <= t <= p_b:
         raise BadDimensions(f"need 1 <= t <= p_b, got t={t}, p_b={p_b}")
-    if not 0.0 <= noise_scale < np.inf:  # NaN fails too
-        raise BadEpsilon(f"noise scale must be finite and nonnegative, got {noise_scale}")
-    if epsilon is not None and not epsilon > 0:
-        raise BadEpsilon("epsilon must be positive")
-    noised = epsilon is not None or noise_scale > 0.0
-    clip = c2 is not None
-    if not clip and noised:  # the max row norm clips no row
-        c2 = float(np.max(np.linalg.norm(X_b, axis=1)))
-    if c2 is not None and not c2 > 0:
-        raise BadEpsilon("clip bound must be positive")
+    check_release(noise_scale, epsilon, c2)
     # U's columns are independent uniform unit vectors; U never leaves B
     U = rng.standard_normal((p_b, t))
     U /= np.linalg.norm(U, axis=0, keepdims=True)
-    excluded = ()
-    if clip:  # keep rows with norm <= c2, boundary inclusive
-        c2 = float(c2)
-        keep = np.linalg.norm(X_b, axis=1) <= c2
-        excluded = tuple(int(i) for i in np.nonzero(~keep)[0])
-        X_b = X_b[keep]
+    if c2 is not None:  # a row inside the ball is scaled by exactly 1
+        X_b = X_b * (c2 / np.maximum(np.linalg.norm(X_b, axis=1), c2))[:, None]
     M = X_b @ U
-    if not noised:
-        return SketchOffer(projected=M, t=t, c2=c2, rows_excluded=excluded, p_b=p_b)
-    # scale * epsilon = 2 t c2, so one formula gives either from the other
-    if epsilon is None:
-        scale, epsilon = noise_scale, 2.0 * t * c2 / noise_scale
-    else:
-        scale = 2.0 * t * c2 / epsilon
+    if epsilon is None and noise_scale == 0.0:
+        return SketchOffer(projected=M, t=t, c2=c2, p_b=p_b)
+    # scale * epsilon = 2 t c2, so one gives the other once c2 is known
+    scale = noise_scale if epsilon is None else 2.0 * t * c2 / epsilon
+    if epsilon is None and c2 is not None:
+        epsilon = 2.0 * t * c2 / scale
     # inverse-CDF Laplace(0, scale) draws, added in place through two n x t buffers
     h = rng.uniform(size=M.shape)
     h -= 0.5
@@ -99,8 +100,7 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
     noise *= np.log1p(np.multiply(np.abs(h, out=h), -2.0, out=h), out=h)
     M += noise
     del h, noise  # dead before the offer copies M
-    return SketchOffer(projected=M, t=t, noised=True, epsilon=float(epsilon),
-                       c2=c2, rows_excluded=excluded, p_b=p_b)
+    return SketchOffer(projected=M, t=t, noised=True, epsilon=epsilon, c2=c2, p_b=p_b)
 
 
 def check_flip_prob(flip_prob):

@@ -430,6 +430,8 @@ def test_alpha_outside_the_unit_interval_fails_before_any_data(tmp_path, monkeyp
     assert not out.exists()
 
 
+COUNTS = "--screen-rows and --max-rounds must be at least 0 and --t at least 1"
+
 # agent flags outside their range, and what the error names: each is refused
 # before the agent reads its file or connects
 BAD_AGENT_RANGES = {
@@ -439,6 +441,15 @@ BAD_AGENT_RANGES = {
     "ridge-nan": (["--ridge", "nan"], "--ridge must be finite and nonnegative"),
     "mask-flip-0.7": (["--mask-flip", "0.7"], "flip probability must lie strictly in (0, 0.5)"),
     "mask-flip-0": (["--mask-flip", "0"], "flip probability must lie strictly in (0, 0.5)"),
+    "t-0": (["--t", "0"], COUNTS),
+    "max-rounds-negative": (["--max-rounds", "-1"], COUNTS),
+    "laplace-scale-negative": (["--laplace-scale", "-1"], "noise scale must be finite"),
+    "laplace-scale-nan": (["--laplace-scale", "nan"], "noise scale must be finite"),
+    "epsilon-0": (["--epsilon", "0", "--clip-bound", "1"], "epsilon must be finite"),
+    "epsilon-nan": (["--epsilon", "nan", "--clip-bound", "1"], "epsilon must be finite"),
+    "epsilon-without-clip-bound": (["--epsilon", "5"], "an epsilon release needs a clip bound"),
+    "clip-bound-negative": (["--clip-bound", "-1"], "clip bound must be finite and positive"),
+    "clip-bound-nan": (["--clip-bound", "nan"], "clip bound must be finite and positive"),
 }
 
 
@@ -455,6 +466,20 @@ def test_agent_range_flag_fails_before_any_work(monkeypatch, capsys, flags, reas
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {reason}") and err.count("\n") == 1, err
+
+
+def test_bob_refuses_range_flags_before_any_work(monkeypatch, capsys):
+    # the checks do not depend on the role: Bob refuses the same flags
+    def no_work(*args, **kwargs):
+        raise AssertionError("the agent read its file or connected")
+
+    monkeypatch.setattr("aeal.cli.load_agent_csv", no_work)
+    monkeypatch.setattr("aeal.cli._agent_channel", no_work)
+    for flags, reason in BAD_AGENT_RANGES.values():
+        code = main(["agent", "--role", "bob", "--listen", "127.0.0.1:1", "--data", "b.csv"]
+                    + flags)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {reason}"), (flags, err)
 
 
 def config_file(tmp_path, text):
@@ -681,14 +706,16 @@ class TestAgent:
         _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
         sketch = make_sketch(view_b.design[:60], 2, np.random.default_rng(3),
                              epsilon=5.0, c2=1.0)
-        assert sketch.rows_excluded  # some of B's rows lie outside the clip bound
+        # the bound scales some of B's rows, and none is dropped
+        assert np.any(np.linalg.norm(view_b.design[:60], axis=1) > 1.0)
         _, view_a, y = load_agent_csv(path_a, "id", Owner.A, response_column="y")
         lead = AgentView(design=view_a.design[:60], column_names=view_a.column_names,
                          owner=Owner.A)
         want = wald_screen(lead, y[:60], sketch, parse_family("logistic"))
-        assert a["n_used"] == want.n_used == 60 - len(sketch.rows_excluded)
+        assert a["n_used"] == want.n_used == 60
         assert float(a["statistic"]) == want.decision.statistic
 
+    # an offer with a rows_excluded field is refused too
     @pytest.mark.parametrize("bad", [
         {"rows_excluded": [-1]},
         {"rows_excluded": [4, 4]},
@@ -1105,7 +1132,7 @@ def screen_step_peer(role, path_a, path_b, line):
 def offer_line(rows):
     projected = np.random.default_rng(5).normal(size=(rows, 2))
     return encode(SketchOffer(projected=projected, t=2, noised=False, epsilon=None,
-                              c2=None, rows_excluded=()))
+                              c2=None))
 
 
 # the role under test, what its peer sends at the screen step (None: it
@@ -1114,6 +1141,8 @@ BAD_SCREEN_STEPS = {
     "alice-offset-for-offer": ("alice", encode(Offset(round=0, vector=np.zeros(80))),
                                "expected a sketch offer"),
     "alice-offer-of-81-rows": ("alice", offer_line(81), "sketch carries more rows"),
+    "alice-offer-listing-dropped-rows": ("alice", offer_line(80)[:-1] + ',"rows_excluded":[3]}',
+                                         "unknown fields ['rows_excluded'] in SketchOffer"),
     "bob-stop-for-result": ("bob", '{"type":"Stop","reason":"MaxRounds"}',
                             "expected a screening result"),
     "bob-impossible-result": ("bob", '{"type":"ScreenResult","statistic":-3.0,"df":-2,'

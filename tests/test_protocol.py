@@ -142,6 +142,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             StopCriterion(offset_tol=None, coef_tol=None, max_rounds=None)
 
+    def test_stop_criterion_refuses_negative_max_rounds(self):
+        with pytest.raises(ValueError, match="max_rounds must be at least 0"):
+            StopCriterion(max_rounds=-1)
+        assert StopCriterion(max_rounds=0).max_rounds == 0
+
     def test_eta_envelope_per_half_round(self):
         sim = setting1_fixture(seed=7, n=400)
         va, vb = views_from(sim)
@@ -596,6 +601,17 @@ def test_only_expect_receives_a_message():
     assert package_sites(raises_expected) == {("protocol.py", "expect")}
 
 
+def test_only_sketch_reads_rows_excluded():
+    # no release drops a row: SketchOffer keeps rows_excluded only to refuse a
+    # non-empty one, and no other module reads it
+    def reads(node):
+        return node.attr == "rows_excluded"
+
+    assert {module for module, _ in package_sites(reads, ast.Attribute, skip=())} == {
+        "sketch.py"}
+    assert not any("rows_excluded" in schema for schema in _SCHEMAS.values())
+
+
 def test_only_protocol_sends_a_message():
     # protocol.py holds every session step: no other module sends a message,
     # and the agent in cli.py neither receives one through expect nor builds one
@@ -684,7 +700,8 @@ def test_stage1_is_the_same_over_both_transports(test, release):
     va, vb = views_from(sim)
     sketch = make_sketch(vb.design[:150], 2, np.random.default_rng(3),
                          epsilon=release.get("epsilon"), c2=release.get("c2"))
-    assert bool(sketch.rows_excluded) == ("c2" in release)  # the bound clips some rows
+    # the bound scales some of Bob's rows, and none is dropped
+    assert "c2" not in release or np.any(np.linalg.norm(vb.design[:150], axis=1) > 1.5)
     lead = AgentView(design=va.design[:150], column_names=va.column_names, owner=Owner.A)
     screen = lrt_screen if test == "lrt" else wald_screen
     want = screen(lead, sim.y[:150], sketch, LOGIT).decision

@@ -233,12 +233,11 @@ class TestSubset:
         sketch = make_sketch(X_b, 2, rng)
         with pytest.raises(RankDeficientAugmented):  # fewer rows than columns
             wald_screen(*sliced(X_a, y, sketch, np.arange(4)), GAUSS)
-        X_a[:50, 0] = 0.0  # full rank overall, deficient on the first 50 rows
-        # B clipped every later row, so A's view is screened on the first 50 only
-        clipped = SketchPackage(projected=sketch.projected[:50], t=2,
-                                rows_excluded=tuple(range(50, len(y))))
+        # on the first 50 rows, a view that passes its rank check but whose Gram
+        # matrix fails the solver's pivot floor
+        X_a[:50, 0] = X_a[:50, 1] + 1e-9 * rng.normal(size=50)
         with pytest.raises(RankDeficientAugmented, match="A's view"):
-            wald_screen(make_view(X_a), y, clipped, GAUSS)
+            wald_screen(*sliced(X_a, y, sketch, np.arange(50)), GAUSS)
 
     def test_lrt_on_subset(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=20, n=400, signal_b=0.3)
@@ -247,25 +246,28 @@ class TestSubset:
         assert rep.n_used == 200
         assert rep.decision.statistic >= 0.0
 
-    def test_clipped_epsilon_sketch_drops_excluded_rows(self):
+    def test_clipped_epsilon_sketch_keeps_every_row(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=22, n=500, p_b=3, signal_b=0.2)
+        assert np.any(np.linalg.norm(X_b, axis=1) > 1.5)  # the bound scales some rows
         sketch = make_sketch(X_b, 2, rng, epsilon=5.0, c2=1.5)
-        assert len(sketch.rows_excluded) > 0
-        keep = np.setdiff1d(np.arange(len(y)), sketch.rows_excluded)
-        aligned = SketchPackage(projected=sketch.projected, t=2)
+        # the recorded budget plays no part in the screen
+        bare = SketchPackage(projected=sketch.projected, t=2)
         for screen in (wald_screen, lrt_screen):
             got = screen(make_view(X_a), y, sketch, GAUSS)
-            want = screen(make_view(X_a[keep]), y[keep], aligned, GAUSS)
-            assert got.n_used == len(keep)
+            want = screen(make_view(X_a), y, bare, GAUSS)
+            assert got.n_used == len(y)
             assert got.decision.statistic == want.decision.statistic
 
     def test_excluded_rows_outside_view_rejected(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=23)
-        # a sketch of all n rows that clipped one more: a valid sketch of n + 1 rows
-        sketch = SketchPackage(projected=make_sketch(X_b, 2, rng).projected, t=2,
-                               rows_excluded=(len(y),))
-        with pytest.raises(ValueError):
-            wald_screen(make_view(X_a), y, sketch, GAUSS)
+        projected = make_sketch(X_b, 2, rng).projected
+        # an offer lists no excluded row, and a sketch of n + 1 rows pairs no
+        # view of n rows
+        with pytest.raises(ValueError, match="rows_excluded must be empty"):
+            SketchPackage(projected=projected, t=2, rows_excluded=(len(y),))
+        longer = SketchPackage(projected=np.vstack([projected, projected[:1]]), t=2)
+        with pytest.raises(ValueError, match="sketch rows do not match"):
+            wald_screen(make_view(X_a), y, longer, GAUSS)
 
     def test_poisson_wald_runs(self):
         rng = np.random.default_rng(21)
@@ -313,8 +315,8 @@ class TestContext:
             assert abs(a - b) <= 9.6e-7 * a
 
     def test_context_warm_start_matches_cold_screen(self):
-        # a screen passed no context builds the one screen_context returns (on
-        # the kept rows when the sketch drops some), so both reports are one
+        # a screen passed no context builds the one screen_context returns, so
+        # both reports are one, for clipped sketches too
         design = SimDesign(setting="s2", n=2000, rho=0.1, family=LOGIT)
         rng = np.random.default_rng(41)
         sim = simulate(design, rng, hypothesis="h1")
@@ -325,13 +327,13 @@ class TestContext:
         c2 = float(np.quantile(np.linalg.norm(sim.X_b, axis=1), 0.9))
         sketches = [make_sketch(sim.X_b, t, rng, noise_scale=0.1) for t in (1, 3, 5)]
         sketches.append(make_sketch(sim.X_b, 2, rng, noise_scale=0.1, c2=c2))
-        assert sketches[-1].rows_excluded
+        assert np.any(np.linalg.norm(sim.X_b, axis=1) > c2)
         for sketch in sketches:
             for screen in (wald_screen, lrt_screen):
                 cold = screen(view_a, sim.y, sketch, LOGIT)
                 warm = screen(view_a, sim.y, sketch, LOGIT, context=context)
                 assert warm.fit.iterations == cold.fit.iterations
-                assert warm.n_used == cold.n_used == 2000 - len(sketch.rows_excluded)
+                assert warm.n_used == cold.n_used == 2000
                 for got, want in ((warm.decision.statistic, cold.decision.statistic),
                                   (warm.decision.p_value, cold.decision.p_value),
                                   (warm.beta_u_t, cold.beta_u_t),
@@ -353,40 +355,22 @@ class TestContext:
                 with pytest.raises(ValueError, match="screen context"):
                     screen(view, resp, sketch, GAUSS, context=context)
 
-    def test_dropped_rows_bypass_context(self, monkeypatch):
+    def test_clipped_sketch_starts_from_the_context(self, monkeypatch):
+        # no release drops a row, so a clipped sketch pairs all of A's rows and
+        # its augmented fit starts from the context's beta_A, as a clean one's does
         X_a, X_b, y, rng = gaussian_fixture(seed=22, n=500, p_b=3, signal_b=0.2)
-        clipped = make_sketch(X_b, 2, rng, epsilon=5.0, c2=1.5)
-        assert clipped.rows_excluded
-        full = make_sketch(X_b, 2, rng)
         view = make_view(X_a)
         context = screen_context(view, y, GAUSS)
         inits = []
         real = screening.fit_offset
         monkeypatch.setattr(screening, "fit_offset",
                             lambda *a, init=None: inits.append(init) or real(*a, init=init))
-        # B clipped every row after the 300th of the clean sketch
-        tail = SketchPackage(projected=full.projected[:300], t=2,
-                             rows_excluded=tuple(range(300, len(y))))
-        for sketch in (clipped, tail):
-            keep = np.setdiff1d(np.arange(len(y)), sketch.rows_excluded)
-            aligned = SketchPackage(projected=sketch.projected, t=2)
+        start = np.concatenate([context.fit_a.beta, [0.0, 0.0]]).tobytes()
+        for sketch in (make_sketch(X_b, 2, rng, epsilon=5.0, c2=1.5), make_sketch(X_b, 2, rng)):
             for screen in (wald_screen, lrt_screen):
                 inits.clear()
-                got = screen(view, y, sketch, GAUSS, context=context)
-                want = screen(make_view(X_a[keep]), y[keep], aligned, GAUSS)
-                assert got.decision.statistic == want.decision.statistic
-                assert got.n_used < len(y)
-                # the context's A-only beta fits all 500 rows; both augmented
-                # fits start from an A-only fit of the kept rows instead
-                kept = screen_context(make_view(X_a[keep]), y[keep], GAUSS).fit_a.beta
-                assert kept.tobytes() != context.fit_a.beta.tobytes()
-                assert [i[:3].tobytes() for i in inits if i is not None] == [
-                    kept.tobytes()] * 2
-        # with no rows dropped the augmented fit starts from the context's beta_A
-        inits.clear()
-        wald_screen(view, y, full, GAUSS, context=context)
-        assert len(inits) == 1
-        assert inits[0].tobytes() == np.concatenate([context.fit_a.beta, [0.0, 0.0]]).tobytes()
+                screen(view, y, sketch, GAUSS, context=context)
+                assert [i.tobytes() for i in inits] == [start]
 
 
 @pytest.mark.parametrize("ridge", [0.0, 1e-3])

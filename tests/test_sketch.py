@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -78,17 +79,35 @@ class TestClip:
     def test_identity_when_within(self):
         X = np.eye(3) * 0.5
         pkg = make_sketch(X, 3, np.random.default_rng(0), c2=1.0)
-        assert pkg.rows_excluded == ()
         assert np.array_equal(pkg.projected, X @ projection(3, 3, np.random.default_rng(0)))
 
     def test_boundary_inclusive(self):
+        # a row on the sphere is scaled by exactly 1
         pkg = make_sketch(np.array([[1.0, 0.0]]), 1, np.random.default_rng(0), c2=1.0)
-        assert pkg.n == 1 and pkg.rows_excluded == ()
+        assert pkg.projected.tobytes() == projection(2, 1, np.random.default_rng(0))[:1].tobytes()
 
-    def test_excludes_large_rows(self):
-        pkg = make_sketch(np.diag([0.5, 1.5, 0.9]), 2, np.random.default_rng(0), c2=1.0)
-        assert pkg.rows_excluded == (1,)
-        assert pkg.projected.shape == (2, 2)
+    def test_scales_large_rows(self):
+        # the row of norm 2 is scaled onto the unit sphere, and no row is dropped
+        pkg = make_sketch(np.diag([0.5, 2.0, 0.9]), 2, np.random.default_rng(0), c2=1.0)
+        U = projection(3, 2, np.random.default_rng(0))
+        assert pkg.projected.tobytes() == (np.diag([0.5, 1.0, 0.9]) @ U).tobytes()
+
+    @pytest.mark.parametrize("p_b, t", [(1, 1), (3, 2), (6, 3)])
+    def test_one_row_moves_the_release_by_at_most_2_t_c2(self, p_b, t):
+        # the L1 sensitivity the Laplace scale 2 t c2 / epsilon assumes: rows
+        # inside, on and outside the c2-ball, every pair of them, up to the
+        # rounding of the scaling
+        c2 = 1.8
+        directions = np.random.default_rng(p_b).normal(size=(8, p_b))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        X = np.vstack([directions * r for r in (0.0, 0.5 * c2, c2, 3.0 * c2, 1e6)])
+        X = np.vstack([X, -X])
+        for seed in range(20):
+            M = make_sketch(X, t, np.random.default_rng(seed), c2=c2).projected
+            gaps = np.abs(M[:, None, :] - M[None, :, :]).sum(axis=2)
+            assert gaps.max() <= 2.0 * t * c2 * (1.0 + 1e-12)
+        if p_b == 1:  # x and -x outside the ball attain the bound
+            assert gaps.max() == pytest.approx(2.0 * c2, rel=1e-12)
 
 
 class TestLaplace:
@@ -116,8 +135,11 @@ class TestLaplace:
             make_sketch(np.zeros((2, 2)), 2, rng, epsilon=0.0, c2=1.0)
         with pytest.raises(BadEpsilon):
             make_sketch(np.zeros((2, 2)), 2, rng, epsilon=1.0, c2=-1.0)
-        with pytest.raises(BadEpsilon):  # the max row norm of zero rows is no bound
-            make_sketch(np.zeros((2, 2)), 2, rng, noise_scale=0.5)
+        for kw in ({"epsilon": np.inf, "c2": 1.0}, {"epsilon": 1.0, "c2": np.nan}):
+            with pytest.raises(BadEpsilon, match="must be finite and positive"):
+                make_sketch(np.zeros((2, 2)), 2, rng, **kw)
+        with pytest.raises(BadEpsilon, match="needs a clip bound"):  # nothing bounds its rows
+            make_sketch(np.zeros((2, 2)), 2, rng, epsilon=1.0)
 
     @pytest.mark.parametrize("scale", [-0.5, np.nan, np.inf])
     def test_bad_noise_scale(self, scale):
@@ -125,33 +147,33 @@ class TestLaplace:
         with pytest.raises(BadEpsilon, match="noise scale"):
             make_sketch(np.ones((4, 3)), 2, np.random.default_rng(8), noise_scale=scale)
 
-    @pytest.mark.parametrize("kw, digest, epsilon, c2, excluded", [
+    @pytest.mark.parametrize("kw, digest, epsilon, c2, clipped", [
         ({}, "d50e9664509a3dbc4f3c1607fd9677f84f520543533e137ee77ccc516a9704f6",
          None, None, 0),
         ({"noise_scale": 0.5},
-         "912d62acb0a65eced1610af33aa4f080453ee8f0dd14c68e8e19736198cf262b",
-         44.913259840238744, 3.7427716533532287, 0),
-        ({"epsilon": 2.0},
+         "912d62acb0a65eced1610af33aa4f080453ee8f0dd14c68e8e19736198cf262b", None, None, 0),
+        # a bound at the largest row norm scales every row by exactly 1
+        ({"epsilon": 2.0, "c2": 3.7427716533532287},
          "2dd2f24416bf8e64b2d95907e7e3066a3c161401df0f706f171bfb42ccb2610f",
          2.0, 3.7427716533532287, 0),
         ({"epsilon": 2.0, "c2": 2.2},
-         "3926dee3270ac0e846e65e73ea687b62561e9f7f4bb7b8cd3b71e8530a9fd387", 2.0, 2.2, 22),
+         "bb1c9e1171a0fcba95cf96d29f359a3fc3c9e272c3e3820a8f2b9069005c659b", 2.0, 2.2, 22),
     ], ids=["clean", "noise-scale", "epsilon", "epsilon-c2"])
-    def test_release_paths_pinned(self, kw, digest, epsilon, c2, excluded):
-        # every release path keeps its draws and its recorded budget to the bit
+    def test_release_paths_pinned(self, kw, digest, epsilon, c2, clipped):
+        # every release path keeps its draws to the bit and records only the
+        # caller's budget; c2 scales the rows over it and drops none
         X = np.random.default_rng(7).normal(size=(60, 5))
         pkg = make_sketch(X, 3, np.random.default_rng(11), **kw)
         assert hashlib.sha256(pkg.projected.tobytes()).hexdigest() == digest
         assert (pkg.noised, pkg.epsilon, pkg.c2) == (bool(kw), epsilon, c2)
-        assert len(pkg.rows_excluded) == excluded and pkg.n + excluded == 60
+        assert pkg.n == 60 and np.sum(np.linalg.norm(X, axis=1) > (c2 or np.inf)) == clipped
 
     def test_raw_scale_honours_clip_bound(self):
         # a raw scale with a given bound clips at it and records the epsilon it
         # implies: the release is the calibrated one at that epsilon
         X = np.random.default_rng(0).normal(size=(50, 4))
         pkg = make_sketch(X, 2, np.random.default_rng(1), noise_scale=0.5, c2=1.0)
-        excluded = tuple(np.nonzero(np.linalg.norm(X, axis=1) > 1.0)[0])
-        assert excluded and pkg.rows_excluded == excluded and pkg.n + len(excluded) == 50
+        assert np.any(np.linalg.norm(X, axis=1) > 1.0) and pkg.n == 50
         assert (pkg.c2, pkg.epsilon) == (1.0, 8.0)
         calibrated = make_sketch(X, 2, np.random.default_rng(1), epsilon=8.0, c2=1.0)
         assert pkg.projected.tobytes() == calibrated.projected.tobytes()
@@ -162,7 +184,7 @@ class TestPackage:
         M = np.random.default_rng(3).normal(size=(6, 2))
         pkg = SketchPackage(projected=M, t=2)
         assert pkg.projected.flags.f_contiguous and not pkg.projected.flags.writeable
-        offer = dict(t=2, noised=False, epsilon=None, c2=None, rows_excluded=())
+        offer = dict(t=2, noised=False, epsilon=None, c2=None)
         line = encode(SketchOffer(projected=pkg.projected, **offer))
         assert line == encode(SketchOffer(projected=M, **offer))
         assert decode(line).projected.tobytes() == M.tobytes()
@@ -172,15 +194,21 @@ class TestPackage:
             SketchPackage(projected=np.zeros((5, 0)), t=0)
 
     def test_noised_requires_metadata(self):
-        with pytest.raises(ValueError):
-            SketchPackage(projected=np.zeros((3, 1)), t=1, noised=True)
+        # an offer records epsilon exactly when it is noised and records c2; a
+        # noised one with neither is a raw scale that claims no privacy
+        for kw in ({"noised": True, "c2": 1.0}, {"noised": True, "epsilon": 1.0},
+                   {"epsilon": 1.0, "c2": 1.0}):
+            with pytest.raises(ValueError, match="records epsilon exactly when"):
+                SketchPackage(projected=np.zeros((3, 1)), t=1, **kw)
+        assert SketchPackage(projected=np.zeros((3, 1)), t=1, noised=True).epsilon is None
 
     @pytest.mark.parametrize("excluded", [(5,), (-1,), (1, 1)])
     def test_excluded_rows_are_distinct_rows_of_the_sketched_data(self, excluded):
-        # 3 released rows and len(excluded) clipped ones: indices lie in [0, 3 + len)
-        with pytest.raises(ValueError):
-            SketchPackage(projected=np.zeros((3, 1)), t=1, rows_excluded=excluded)
-        assert SketchPackage(projected=np.zeros((3, 1)), t=1, rows_excluded=(3, 0)).n == 3
+        # no release drops a row, so an offer lists none: neither these nor two
+        # distinct rows such as (3, 0)
+        for rows in (excluded, (3, 0)):
+            with pytest.raises(ValueError, match="rows_excluded must be empty"):
+                SketchPackage(projected=np.zeros((3, 1)), t=1, rows_excluded=rows)
 
     def test_t_within_p_b(self):
         with pytest.raises(BadDimensions):
@@ -189,26 +217,53 @@ class TestPackage:
     def test_make_sketch_noise_scale_records_implied_epsilon(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(size=(20, 4))
-        pkg = make_sketch(X, 2, rng, noise_scale=0.5)
-        assert pkg.noised and pkg.epsilon is not None and pkg.c2 is not None
+        pkg = make_sketch(X, 2, rng, noise_scale=0.5, c2=2.0)
+        assert pkg.noised and pkg.c2 == 2.0
         assert 2.0 * pkg.t * pkg.c2 / pkg.epsilon == pytest.approx(0.5)
+        # with no bound from the caller the offer records no budget at all
+        bare = make_sketch(X, 2, rng, noise_scale=0.5)
+        assert bare.noised and (bare.epsilon, bare.c2) == (None, None)
 
     def test_make_sketch_epsilon_clips(self):
-        rng = np.random.default_rng(10)
-        X = np.vstack([np.full((5, 2), 0.1), [[5.0, 5.0]]])
-        pkg = make_sketch(X, 1, rng, epsilon=2.0, c2=1.0)
-        assert pkg.rows_excluded == (5,)
-        assert pkg.n == 5
+        X = np.vstack([np.full((5, 2), 0.1), [[6.0, 8.0]]])
+        pkg = make_sketch(X, 1, np.random.default_rng(10), epsilon=2.0, c2=1.0)
+        # the same draws on the row already scaled to the unit sphere
+        X[5] = [0.6, 0.8]
+        want = make_sketch(X, 1, np.random.default_rng(10), epsilon=2.0, c2=1.0)
+        assert pkg.n == 6 and np.allclose(pkg.projected, want.projected, rtol=0, atol=1e-15)
 
     def test_clean_sketch_honours_clip_bound(self):
-        # a clip bound without noise still drops the rows over it and records it
-        X = np.vstack([np.full((5, 2), 0.1), [[5.0, 5.0]], np.full((2, 2), 0.3)])
+        # a clip bound without noise still scales the rows over it and records it
+        X = np.vstack([np.full((5, 2), 0.1), [[6.0, 8.0]], np.full((2, 2), 0.3)])
         pkg = make_sketch(X, 2, np.random.default_rng(10), c2=1.0)
-        assert (pkg.noised, pkg.epsilon, pkg.c2, pkg.rows_excluded) == (False, None, 1.0, (5,))
+        assert (pkg.noised, pkg.epsilon, pkg.c2, pkg.n) == (False, None, 1.0, 8)
         U = projection(2, 2, np.random.default_rng(10))
-        assert pkg.projected.tobytes() == (np.delete(X, 5, axis=0) @ U).tobytes()
+        X[5] = [0.6, 0.8]
+        assert np.allclose(pkg.projected, X @ U, rtol=0, atol=1e-15)
         with pytest.raises(BadEpsilon):
             make_sketch(X, 2, np.random.default_rng(10), c2=0.0)
+
+
+    @pytest.mark.parametrize("kw", [{}, {"noise_scale": 0.5}, {"epsilon": 2.0, "c2": 1.0},
+                                    {"c2": 1.0}],
+                             ids=["clean", "noise-scale", "epsilon-c2", "clip-only"])
+    def test_zero_rows_release_a_0_by_t_offer(self, kw):
+        X = np.random.default_rng(12).normal(size=(5, 4))
+        pkg = make_sketch(X[:0], 2, np.random.default_rng(13), **kw)
+        assert pkg.projected.shape == (0, 2) and pkg.n == 0
+
+    def test_offer_line_carries_only_the_matrix_and_the_callers_budget(self):
+        # the encoded offer of a clipped epsilon-release: the noised matrix, t,
+        # the flag, and epsilon and c2 exactly as the caller gave them
+        X = np.random.default_rng(14).normal(size=(40, 4))
+        line = json.loads(encode(make_sketch(X, 3, np.random.default_rng(15), epsilon=20.0,
+                                             c2=1.8)))
+        assert set(line) == {"type", "projected", "t", "noised", "epsilon", "c2"}
+        assert (line["t"], line["noised"], line["epsilon"], line["c2"]) == (3, True, 20.0, 1.8)
+        assert line["projected"]["shape"] == [40, 3]
+        # a raw scale with no bound records neither
+        raw = json.loads(encode(make_sketch(X, 3, np.random.default_rng(15), noise_scale=0.5)))
+        assert set(raw) == set(line) and (raw["epsilon"], raw["c2"]) == (None, None)
 
 
 class TestMasking:

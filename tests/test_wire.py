@@ -22,9 +22,8 @@ from aeal.transport import Recorder, SocketChannel, Tally, connect, local_pair, 
 ALL_MESSAGES = [
     Handshake(version=PROTOCOL_VERSION, n=10, family="logistic", lam=0.0),
     SketchOffer(projected=((1.0, 2.0), (0.1, -0.25)), t=2, noised=True,
-                epsilon=0.5, c2=1.25, rows_excluded=(3, 1)),
-    SketchOffer(projected=((0.0,),), t=1, noised=False, epsilon=None, c2=None,
-                rows_excluded=()),
+                epsilon=0.5, c2=1.25),
+    SketchOffer(projected=((0.0,),), t=1, noised=False, epsilon=None, c2=None),
     ScreenResult(statistic=5.25, df=2, p_value=0.07243, reject=False, alpha=0.05),
     ResponseShare(y=(0.0, 1.0, 1.0), masked=True, flip_prob=0.1),
     Offset(round=3, vector=(0.1, -2.5e-17, 3.0, -0.0, 5e-324)),
@@ -94,13 +93,14 @@ class TestRoundTrip:
         fields = 0
         for msg in ALL_MESSAGES:
             for fld, tag in _SCHEMAS[type(msg).__name__].items():
-                if tag.startswith("float") and fld != "alpha":  # no test has level 0
+                # no test has level 0 and no offer a budget of 0
+                if tag.startswith("float") and fld not in ("alpha", "epsilon", "c2"):
                     fields += 1
                     consistent = {"reject": True} if fld == "p_value" else {}  # p = 0 rejects
                     zero = dataclasses.replace(msg, **{fld: -0.0}, **consistent)
                     back = decode(encode(zero))
                     assert math.copysign(1.0, getattr(back, fld)) == -1.0, fld
-        assert fields >= 6
+        assert fields >= 4
         # in a payload, -0.0 differs from +0.0 in its sign bit alone
         assert encode(PredictContribution(nu=(0.0,), sigma=(-0.0,))) == \
             '{"type":"PredictContribution","nu":"AAAAAAAAAAA=","sigma":"AAAAAAAAAIA="}'
@@ -137,11 +137,11 @@ class TestStrictness:
         '{"type":"Offset","round":1,"vector":"AAAAAAAAAAAAAAAA"}',  # 12 bytes
         '{"type":"Offset","round":1,"vector":"AAAAAAAA+H8="}',      # NaN
         '{"type":"SketchOffer","projected":{"shape":[2,2],"data":"AAAAAAAA8D8AAAAAAADwPw=="},'
-        '"t":2,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
+        '"t":2,"noised":false,"epsilon":null,"c2":null}',
         '{"type":"SketchOffer","projected":{"shape":[-1,1],"data":"AAAAAAAA8D8="},'
-        '"t":1,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
+        '"t":1,"noised":false,"epsilon":null,"c2":null}',
         '{"type":"SketchOffer","projected":[[1.0]],'
-        '"t":1,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
+        '"t":1,"noised":false,"epsilon":null,"c2":null}',
         '{"type":"ScreenResult","statistic":NaN,"df":1,"p_value":0.5,"reject":false,'
         '"alpha":0.05}',
         '{"type":"PredictContribution","nu":"AAAAAAAA4D8AAAAAAAD4fw==",'
@@ -158,11 +158,13 @@ class TestStrictness:
         '{"type":"PredictContribution","nu":"AAAAAAAA4D8AAAAAAADQPw==",'
         '"sigma":"AAAAAAAA4D8="}',
         '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
-        '"t":2,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[]}',
+        '"t":2,"noised":false,"epsilon":null,"c2":null}',
         '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
-        '"t":1,"noised":false,"epsilon":null,"c2":null,"rows_excluded":[2]}',
+        '"t":1,"noised":false,"epsilon":2.0,"c2":1.0}',
         '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
-        '"t":1,"noised":true,"epsilon":null,"c2":null,"rows_excluded":[]}',
+        '"t":1,"noised":true,"epsilon":null,"c2":1.0}',
+        '{"type":"SketchOffer","projected":{"shape":[1,1],"data":"AAAAAAAA8D8="},'
+        '"t":1,"noised":true,"epsilon":-1.0,"c2":-2.0}',
         SCREEN_RESULT % ("-3.0", "-2", "7.5", "false", "4.0"),
         SCREEN_RESULT % ("-1.0", "1", "0.5", "false", "0.05"),
         SCREEN_RESULT % ("1.0", "0", "0.5", "false", "0.05"),
@@ -173,7 +175,7 @@ class TestStrictness:
         SCREEN_RESULT % ("1.0", "1", "0.5", "true", "0.05"),
         SCREEN_RESULT % ("1.0", "1", "0.01", "false", "0.05"),
     ], ids=["negative-lam", "negative-sigma", "length-mismatch", "t-vs-columns",
-            "excluded-row-outside", "noised-without-epsilon", "impossible-result",
+            "epsilon-without-noise", "noised-without-epsilon", "negative-budget", "impossible-result",
             "negative-statistic", "df-0", "negative-p", "p-above-1", "alpha-0", "alpha-1",
             "reject-above-alpha", "accept-below-alpha"])
     def test_class_invariants_hold_on_decode(self, line):
@@ -192,7 +194,7 @@ class TestNonFinite:
         NAN_OFFSET,
         GradShare(round=2, vector=np.array([0.0, np.inf])),
         SketchOffer(projected=((1.0, 2.0), (-np.inf, 0.0)), t=2, noised=False,
-                    epsilon=None, c2=None, rows_excluded=()),
+                    epsilon=None, c2=None),
         PredictContribution(nu=(0.5, float("nan")), sigma=(0.0, 0.0)),
     ], ids=lambda m: type(m).__name__)
     def test_encode_refuses(self, msg):
