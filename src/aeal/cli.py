@@ -145,6 +145,7 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
         X_eval = sim.X
         if eval_size != sim.X.shape[0]:
             X_eval = gen_covariates(eval_size, sim.X.shape[1], rho, rng)
+            X_eval.flags.writeable = False  # SimData keeps it: no copy
         ev = SimData(X=X_eval, y=gen_response(fam, X_eval, sim.beta_true, rng),
                      beta_true=sim.beta_true, ownership=sim.ownership)
 

@@ -144,10 +144,12 @@ def open_session(chan, view, family, lam=None):
 
 def offer_sketch(view_b, fam, chan, t, rng, rows=None, noise_scale=0.0, epsilon=None, c2=None):
     """Bob's stage 1: send make_sketch's release of his leading rows (all when
-    rows is None) and return Alice's ScreenResult."""
+    rows is None) and return Alice's ScreenResult. The release is drawn before
+    the handshake, so a bad t, noise scale, epsilon or c2 sends no line."""
+    offer = make_sketch(view_b.design[:rows], t, rng, noise_scale=noise_scale,
+                        epsilon=epsilon, c2=c2)
     open_session(chan, view_b, fam.name)
-    chan.send(make_sketch(view_b.design[:rows], t, rng, noise_scale=noise_scale,
-                          epsilon=epsilon, c2=c2))
+    chan.send(offer)
     return expect(chan, ScreenResult, "a screening result")
 
 

@@ -2,9 +2,10 @@
 pooled-data oracles used as test references (pooled fits, coefficient-space
 mapping, and the geometric contraction bound).
 
-A replication (SimData) holds one read-only, column-major copy of the pooled
-design. A's columns lead the pooled order and B's form one contiguous run in
-every setting, so X_a and X_b are views of that copy, not copies of their own.
+A replication (SimData) holds the pooled design as one read-only,
+column-major array: simulate draws the covariates straight into it and keeps
+it. A's columns lead the pooled order and B's form one contiguous run in every
+setting, so X_a and X_b are views of that array, not copies of their own.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +49,6 @@ class SimDesign:
     n: int = 2000
     rho: float = 0.0
     family: object = None            # LossFamily
-    beta: object = None              # fixed vector; None lets the hypothesis choose
     centered: bool = False           # subtract the 0.5 mean from uniform covariates
 
     def resolved_ownership(self):
@@ -64,18 +64,27 @@ def ar1_sqrt(p, rho):
 
 
 def gen_covariates(n, p, rho, rng, centered=False):
-    """n x p covariates: iid Uniform(0,1) entries pushed through sqrt of AR(1)."""
+    """n x p column-major covariates: iid Uniform(0,1) entries through sqrt of AR(1)."""
     X = rng.uniform(0.0, 1.0, (n, p))
     if centered:
         X -= 0.5
     if rho == 0.0:
-        return X
-    return X @ ar1_sqrt(p, rho)
+        return np.asfortranarray(X)
+    return np.matmul(X, ar1_sqrt(p, rho), out=np.empty((n, p), order="F"))
+
+
+RESPONSE_ROWS = 1024  # rows per C-order block of X beta
 
 
 def gen_response(fam, X, beta, rng):
-    """Sample responses from the family's data-generating model at X beta."""
-    nu = np.asarray(X, dtype=float) @ np.asarray(beta, dtype=float)
+    """Sample responses from the family's data-generating model at X beta.
+    X beta is formed over C-order row blocks, so it rounds alike for either
+    layout of X (a column-major product rounds differently)."""
+    X = np.asarray(X, dtype=float)
+    nu = np.empty(len(X))
+    for s in range(0, len(X), RESPONSE_ROWS):
+        rows = slice(s, s + RESPONSE_ROWS)
+        np.matmul(np.ascontiguousarray(X[rows]), beta, out=nu[rows])
     if fam.kind in (GAUSSIAN, LOGCOSH):
         return nu + rng.standard_normal(len(nu))
     if fam.kind == LOGISTIC:
@@ -104,7 +113,7 @@ def alt_beta(fam, rng, p=12):
 
 @dataclass
 class SimData:
-    X: np.ndarray                 # pooled design x1..xp: one read-only column-major copy
+    X: np.ndarray                 # pooled design x1..xp: one read-only column-major array
     y: np.ndarray
     beta_true: np.ndarray
     ownership: Ownership
@@ -112,8 +121,11 @@ class SimData:
     X_b: np.ndarray = field(init=False)  # view of B's columns; a copy unless they are one run
 
     def __post_init__(self):
-        self.X = np.array(self.X, dtype=float, order="F")
-        self.X.flags.writeable = False  # a write into one block would change the other
+        X = np.asarray(self.X)  # kept when already frozen; a writeable one is copied
+        if X.dtype != float or not X.flags.f_contiguous or X.flags.writeable:
+            X = np.array(X, dtype=float, order="F")
+            X.flags.writeable = False  # a write into one block would change the other
+        self.X = X
         own = self.ownership
         pos = [own.pooled_names.index(nm) for nm in own.b_names]
         self.X_a = self.X[:, :len(own.a_names)]
@@ -126,9 +138,8 @@ def simulate(design, rng, hypothesis="h1"):
     own = design.resolved_ownership()
     p = len(own.pooled_names)
     X = gen_covariates(design.n, p, design.rho, rng, centered=design.centered)
-    if design.beta is not None:
-        beta = np.asarray(design.beta, dtype=float)
-    elif hypothesis == "h0":
+    X.flags.writeable = False  # SimData keeps it: no copy
+    if hypothesis == "h0":
         beta = null_beta(design.setting, design.family, p)
     else:
         beta = alt_beta(design.family, rng, p)

@@ -55,8 +55,9 @@ SketchPackage = SketchOffer
 
 def check_release(noise_scale=0.0, epsilon=None, c2=None):
     """Refuse a noise scale that is not finite and >= 0, an epsilon or clip
-    bound that is not finite and > 0 (NaN fails each), and an epsilon with no
-    clip bound, whose sensitivity nothing would bound."""
+    bound that is not finite and > 0 (NaN fails each), an epsilon with no clip
+    bound, whose sensitivity nothing would bound, and an epsilon beside a noise
+    scale, since epsilon and c2 set the scale."""
     if not 0.0 <= noise_scale < np.inf:
         raise BadEpsilon(f"noise scale must be finite and nonnegative, got {noise_scale}")
     for name, value in (("epsilon", epsilon), ("clip bound", c2)):
@@ -64,6 +65,8 @@ def check_release(noise_scale=0.0, epsilon=None, c2=None):
             raise BadEpsilon(f"{name} must be finite and positive, got {value}")
     if epsilon is not None and c2 is None:
         raise BadEpsilon("an epsilon release needs a clip bound")
+    if epsilon is not None and noise_scale > 0.0:
+        raise BadEpsilon("pass a noise scale or an epsilon, not both")
 
 
 def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
@@ -72,8 +75,8 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
     Given c2, rows are scaled into the c2-ball, none dropped, and c2 is
     recorded. Pass epsilon with c2 for a calibrated release, or noise_scale for
     a raw Laplace scale, which records epsilon = 2 t c2 / noise_scale only given
-    c2 and else claims no privacy. With neither the sketch is clean. Every input
-    is checked before any draw.
+    c2 and else claims no privacy; not both. With neither the sketch is clean.
+    Every input is checked before any draw.
     """
     X_b = np.asarray(X_b, dtype=float)
     p_b = X_b.shape[1]

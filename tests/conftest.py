@@ -2,6 +2,7 @@ import csv
 import os
 
 from aeal.messages import PROTOCOL_VERSION
+from aeal.simulate import SETTINGS, SimData, gen_covariates, gen_response
 
 # pyproject's pythonpath puts src on this process's sys.path; the tests that
 # start `python -m aeal.cli` agents need it on their PYTHONPATH as well
@@ -25,3 +26,12 @@ def write_agent_csv(path, ids, columns, y=None):
         for i, rid in enumerate(ids):
             w.writerow([rid] + [repr(float(values[i])) for _, values in columns])
     return str(path)
+
+
+def fixed_beta_replication(setting, n, fam, beta, rng):
+    """One centered, uncorrelated replication of a setting at the fixed
+    coefficients beta: covariates, then responses, drawn from rng in
+    simulate's order."""
+    own = SETTINGS[setting]
+    X = gen_covariates(n, len(own.pooled_names), 0.0, rng, centered=True)
+    return SimData(X=X, y=gen_response(fam, X, beta, rng), beta_true=beta, ownership=own)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 import scipy.stats
-from conftest import write_agent_csv
+from conftest import fixed_beta_replication, write_agent_csv
 
 from aeal.baselines import default_step_grid, tune_step
 from aeal.data import AgentView, Owner, load_agent_csv
@@ -221,14 +221,11 @@ def test_criterion_09_interval_coverage():
     beta = np.full(12, 0.5)
     point_rng = np.random.default_rng(SEED + 4)
     x_point = point_rng.uniform(0, 1, 12) - 0.5
-    design = SimDesign(setting="s1", n=2000, rho=0.0, family=GAUSS, centered=True,
-                       beta=beta)
-    own = design.resolved_ownership()
     nu_true = float(x_point @ beta)
     x_a, x_b = x_point[:6], x_point[6:]
     covered = 0
     for rng in spawn_rngs(SEED + 5, 500):
-        sim = simulate(design, rng)
+        sim = fixed_beta_replication("s1", 2000, GAUSS, beta, rng)
         va, vb = views_from(sim)
         sess = train(va, sim.y, vb, GAUSS, stop=StopCriterion(max_rounds=60))
         pred = predict(x_a, x_b, sess, GAUSS, alpha=0.05)

@@ -448,6 +448,9 @@ BAD_AGENT_RANGES = {
     "epsilon-0": (["--epsilon", "0", "--clip-bound", "1"], "epsilon must be finite"),
     "epsilon-nan": (["--epsilon", "nan", "--clip-bound", "1"], "epsilon must be finite"),
     "epsilon-without-clip-bound": (["--epsilon", "5"], "an epsilon release needs a clip bound"),
+    "epsilon-beside-laplace-scale": (["--laplace-scale", "100", "--epsilon", "5",
+                                      "--clip-bound", "1"],
+                                     "pass a noise scale or an epsilon, not both"),
     "clip-bound-negative": (["--clip-bound", "-1"], "clip bound must be finite and positive"),
     "clip-bound-nan": (["--clip-bound", "nan"], "clip bound must be finite and positive"),
 }

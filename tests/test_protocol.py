@@ -7,12 +7,13 @@ import time
 
 import numpy as np
 import pytest
+from conftest import fixed_beta_replication
 
 import aeal
 from aeal import protocol
 from aeal.data import AgentView, Owner
-from aeal.errors import (BadFlipProb, DimensionMismatch, ProtocolError, SingularVariance,
-                         SolverFailure)
+from aeal.errors import (BadDimensions, BadEpsilon, BadFlipProb, DimensionMismatch,
+                         ProtocolError, SingularVariance, SolverFailure)
 from aeal.losses import LossFamily
 from aeal.messages import (_SCHEMAS, PROTOCOL_VERSION, Handshake, Offset,
                            PredictContribution, ResponseShare, Stop, decode, encode)
@@ -403,9 +404,8 @@ class TestPredict:
 
     def test_poisson_session_matches_oracle_predictor(self):
         fam = LossFamily("poisson")
-        design = SimDesign(setting="s1", n=400, rho=0.0, family=fam, centered=True,
-                           beta=np.full(12, 0.1))
-        sim = simulate(design, np.random.default_rng(19))
+        sim = fixed_beta_replication("s1", 400, fam, np.full(12, 0.1),
+                                     np.random.default_rng(19))
         va, vb = views_from(sim)
         sess = train(va, sim.y, vb, fam, stop=StopCriterion(max_rounds=60))
         oracle = oracle_fit(sim.X, sim.y, fam)
@@ -689,6 +689,28 @@ def stage1(chan_a, chan_b, view_a, y, view_b, fam, test, release):
         chan_a.close()
         chan_b.close()
     return report, bob["result"]
+
+
+# stage-1 releases that offer_sketch refuses, with the error, before its handshake
+BAD_RELEASES = {
+    "t-0": (0, {}, BadDimensions),
+    "t-above-p_b": (3, {}, BadDimensions),
+    "noise-scale-beside-epsilon": (2, {"noise_scale": 100.0, "epsilon": 5.0, "c2": 1.0},
+                                   BadEpsilon),
+    "epsilon-without-c2": (2, {"epsilon": 5.0}, BadEpsilon),
+}
+
+
+@pytest.mark.parametrize("t, release, error", BAD_RELEASES.values(), ids=list(BAD_RELEASES))
+def test_offer_sketch_refuses_a_bad_release_before_any_line(monkeypatch, t, release, error):
+    monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 5.0)
+    _, vb, _ = orthogonal_fixture()
+    recorder = Recorder()
+    ours, alice = local_pair(recorder)  # the recording end serves Bob
+    alice.send(handshake(vb.n))  # Alice has opened: only the release check stops Bob
+    with pytest.raises(error):
+        offer_sketch(vb, GAUSS, ours, t, np.random.default_rng(0), **release)
+    assert recorder.lines == []  # Bob neither took her handshake nor sent a line
 
 
 @pytest.mark.parametrize("release", [{"rows": 150}, {"rows": 150, "epsilon": 5.0, "c2": 1.5}],

@@ -140,6 +140,8 @@ class TestLaplace:
                 make_sketch(np.zeros((2, 2)), 2, rng, **kw)
         with pytest.raises(BadEpsilon, match="needs a clip bound"):  # nothing bounds its rows
             make_sketch(np.zeros((2, 2)), 2, rng, epsilon=1.0)
+        with pytest.raises(BadEpsilon, match="not both"):  # epsilon and c2 set the scale
+            make_sketch(np.zeros((2, 2)), 2, rng, noise_scale=100.0, epsilon=5.0, c2=1.0)
 
     @pytest.mark.parametrize("scale", [-0.5, np.nan, np.inf])
     def test_bad_noise_scale(self, scale):
