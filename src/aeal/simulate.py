@@ -51,9 +51,6 @@ class SimDesign:
     family: object = None            # LossFamily
     centered: bool = False           # subtract the 0.5 mean from uniform covariates
 
-    def resolved_ownership(self):
-        return SETTINGS[self.setting]
-
 
 def ar1_sqrt(p, rho):
     """Symmetric square root of the AR(1) matrix V_ij = rho^|i-j|."""
@@ -135,7 +132,7 @@ class SimData:
 
 def simulate(design, rng, hypothesis="h1"):
     """Draw one replication of a design; hypothesis selects the coefficient law."""
-    own = design.resolved_ownership()
+    own = SETTINGS[design.setting]
     p = len(own.pooled_names)
     X = gen_covariates(design.n, p, design.rho, rng, centered=design.centered)
     X.flags.writeable = False  # SimData keeps it: no copy

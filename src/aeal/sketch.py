@@ -95,12 +95,13 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
     scale = noise_scale if epsilon is None else 2.0 * t * c2 / epsilon
     if epsilon is None and c2 is not None:
         epsilon = 2.0 * t * c2 / scale
-    # inverse-CDF Laplace(0, scale) draws, added in place through two n x t buffers
+    # inverse-CDF Laplace draws in two n x t buffers (Generator.laplace: 1.5-2.6x slower)
     h = rng.uniform(size=M.shape)
     h -= 0.5
     noise = np.sign(h)
     noise *= -scale
-    noise *= np.log1p(np.multiply(np.abs(h, out=h), -2.0, out=h), out=h)
+    np.maximum(np.multiply(np.abs(h, out=h), -2.0, out=h), 2.0 ** -53 - 1.0, out=h)
+    noise *= np.log1p(h, out=h)  # finite: a uniform of 0 would give log1p(-1) = -inf
     M += noise
     del h, noise  # dead before the offer copies M
     return SketchOffer(projected=M, t=t, noised=True, epsilon=epsilon, c2=c2, p_b=p_b)

@@ -94,25 +94,18 @@ def fit_offset(X, y, offset, fam, ridge=0.0, init=None):
     def evaluate(beta):
         # the objective at beta, and the loss derivatives its Newton step needs
         m, m1, m2 = fam.derivatives(y, _predictor(X, beta, offset))
-        val = float(np.mean(m))
-        if ridge > 0:
-            val += ridge * float(beta @ beta)
-        return val, m1, m2
+        return float(np.mean(m)) + ridge * float(beta @ beta), m1, m2
 
     beta = np.zeros(p) if init is None else np.array(init, dtype=float)
     obj, m1, w = evaluate(beta)
     it = 0
     while True:
-        g = X.T @ m1 / n
-        if ridge > 0:
-            g = g + 2.0 * ridge * beta
+        g = X.T @ m1 / n + 2.0 * ridge * beta
         grad_inf = float(np.max(np.abs(g))) if p else 0.0
         if grad_inf <= _TOL or it == _MAX_ITER:
             break
         it += 1
-        H = weighted_gram(X, w) / n
-        if ridge > 0:
-            H = H + 2.0 * ridge * np.eye(p)
+        H = weighted_gram(X, w) / n + 2.0 * ridge * np.eye(p)
         step = spd_inverse(H, SingularHessian, "Newton system", 1e-14) @ g
         slope = float(g @ step)  # descent amount predicted by the model
         # near the minimum the predicted decrease falls below the rounding of

@@ -197,6 +197,11 @@ class TestTuning:
         result, _ = tune_step(va, sim.y, vb, GAUSS, "fedsgd", [0.0, 0.05], 10)
         assert result.best_step0 == 0.05
 
+    def test_empty_grid_rejected(self):
+        sim, va, vb = fixture(n=60)
+        with pytest.raises(ValueError, match="empty tuning grid"):
+            tune_step(va, sim.y, vb, GAUSS, "fedsgd", [], 3)
+
     def test_default_grid_shape(self):
         grid = default_step_grid()
         assert len(grid) == 20

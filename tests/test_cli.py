@@ -15,14 +15,16 @@ import numpy as np
 import pytest
 from conftest import HANDSHAKE, write_agent_csv
 
-from aeal import cli, errors, protocol
+from aeal import baselines, cli, errors, protocol
 from aeal.cli import main
 from aeal.data import AgentView, Owner, load_agent_csv
 from aeal.losses import parse_family
 from aeal.messages import Offset, SketchOffer, encode, format_float
 from aeal.screening import lrt_screen, screen_context, wald_screen
-from aeal.simulate import SimDesign, simulate, spawn_rngs
+from aeal.simulate import (SimData, SimDesign, gen_covariates, gen_response, oracle_fit,
+                           simulate, spawn_rngs)
 from aeal.sketch import make_sketch
+from aeal.stats import auc
 from aeal.transport import SocketChannel
 
 
@@ -216,6 +218,40 @@ class TestTrainCompare:
         bodies = [(tmp_path / name).read_text().split("\n", 1)[1]
                   for name in ("stop.csv", "full.csv")]
         assert bodies[0] == bodies[1]
+
+    def test_pooled_scores_give_the_two_view_auc_every_round(self, monkeypatch):
+        # the reference scores each round from the two views, X_a beta_a + X_b beta_b,
+        # on the evaluation rows _metric_curves draws; s2 shares x5..x8
+        fam = parse_family("logistic")
+        sim = simulate(SimDesign(setting="s2", n=400, rho=0.1, family=fam),
+                       np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        X_eval = gen_covariates(1000, 12, 0.1, rng)
+        ev = SimData(X=X_eval, y=gen_response(fam, X_eval, sim.beta_true, rng),
+                     beta_true=sim.beta_true, ownership=sim.ownership)
+        histories = {}
+        train, tune_step = protocol.train, baselines.tune_step
+
+        def kept_train(*args, **kw):
+            sess = train(*args, **kw)
+            histories["aeal"] = sess.history
+            return sess
+
+        def kept_tune(*args, **kw):
+            result, best = tune_step(*args, **kw)
+            histories[args[4]] = best.history
+            return result, best
+
+        monkeypatch.setattr(protocol, "train", kept_train)
+        monkeypatch.setattr(baselines, "tune_step", kept_tune)
+        curves = cli._metric_curves(sim, fam, 12, 1000, np.random.default_rng(6),
+                                    [0.05, 0.5, 2.0], rho=0.1)
+        assert set(histories) == {"aeal", "fedsgd", "fedbcd"}
+        for method, history in histories.items():
+            assert curves[method] == [auc(ev.X_a @ ba + ev.X_b @ bb, ev.y)
+                                      for ba, bb in history], method
+        oracle = oracle_fit(sim.X, sim.y, fam)
+        assert curves["oracle"] == [auc(ev.X @ oracle.beta, ev.y)] * 13
 
 
 class TestRobustU:

@@ -69,6 +69,12 @@ def test_header_without_rows_is_an_input_error(tmp_path):
         load_agent_csv(p, "id", Owner.A, response_column="y")
 
 
+def test_empty_file_is_a_missing_id(tmp_path):
+    p = write(tmp_path / "own.csv", "")
+    with pytest.raises(MissingId, match="empty file"):
+        load_agent_csv(p, "id", Owner.A)
+
+
 @pytest.mark.parametrize("row, what", [
     ("2,np.float64(0.3),1.0", ", column 'y': 'np.float64(0.3)' is not a finite number"),
     ("2,0.3,nan", ", column 'u1': 'nan' is not a finite number"),

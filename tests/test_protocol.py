@@ -413,6 +413,11 @@ class TestPredict:
         assert gap <= 1e-6
 
 
+def test_contribution_refuses_a_negative_variance():
+    with pytest.raises(SingularVariance, match="negative variance estimate"):
+        protocol.contribution(np.array([1.0, 0.5]), np.zeros(2), -np.eye(2))
+
+
 class TestProtocolValidation:
     def test_version_mismatch(self):
         va, vb, y = orthogonal_fixture()

@@ -132,6 +132,10 @@ class TestEtaBound:
         eta = eta_bound(X, y, GAUSS, np.zeros(4))
         assert eta == pytest.approx(0.75, abs=1e-10)
 
+    def test_zero_design_rejected(self):
+        with pytest.raises(ValueError, match="not positive definite"):
+            eta_bound(np.zeros((10, 3)), np.zeros(10), GAUSS, np.zeros(3))
+
     def test_limit_towards_one(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(200, 3))

@@ -170,6 +170,26 @@ class TestLaplace:
         assert (pkg.noised, pkg.epsilon, pkg.c2) == (bool(kw), epsilon, c2)
         assert pkg.n == 60 and np.sum(np.linalg.norm(X, axis=1) > (c2 or np.inf)) == clipped
 
+    def test_a_uniform_of_zero_releases_a_finite_draw(self):
+        # Generator.uniform can return 0.0, where the inverse CDF meets log1p(-1)
+        class FirstUniformZero:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                return self.rng.standard_normal(size)
+
+            def uniform(self, size):
+                u = self.rng.uniform(size=size)
+                u.flat[0] = 0.0
+                return u
+
+        X = np.ones((1, 3))
+        pkg = make_sketch(X, 2, FirstUniformZero(np.random.default_rng(0)), noise_scale=1.0)
+        assert np.isfinite(pkg.projected).all()
+        clean = make_sketch(X, 2, np.random.default_rng(0)).projected
+        assert pkg.projected[0, 0] == clean[0, 0] + np.log1p(2.0 ** -53 - 1.0)
+
     def test_raw_scale_honours_clip_bound(self):
         # a raw scale with a given bound clips at it and records the epsilon it
         # implies: the release is the calibrated one at that epsilon
@@ -288,6 +308,16 @@ class TestMasking:
         y = (rng.uniform(size=100_000) < 0.7).astype(float)
         est = unmask_probability(float(mask_response(y, 0.25, rng).mean()), 0.25)
         assert abs(est - 0.7) <= 0.02
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: mask_response(np.array([0.0, 2.0]), 0.2, np.random.default_rng(0)),
+         BadFlipProb),
+        (lambda: unmask_probability(np.array([0.3, 1.2]), 0.2), ValueError),
+        (lambda: unmask_probability(-0.1, 0.2), ValueError),
+    ], ids=["mask-non-binary", "unmask-above-1", "unmask-below-0"])
+    def test_refuses_values_off_its_domain(self, call, error):
+        with pytest.raises(error, match=r"0/1 responses|must lie in \[0, 1\]"):
+            call()
 
     def test_bad_flip_prob(self):
         rng = np.random.default_rng(14)

@@ -122,6 +122,14 @@ class TestFitOffset:
                 for _ in range(2)]
         assert np.max(np.abs(fits[0].beta - fits[1].beta)) <= 1e-8
 
+    @pytest.mark.parametrize("ridge, n_y, message", [
+        (-1e-3, 4, "ridge must be nonnegative"),
+        (0.0, 5, "inconsistent lengths"),
+    ], ids=["negative-ridge", "y-of-another-length"])
+    def test_bad_arguments_rejected(self, ridge, n_y, message):
+        with pytest.raises(ValueError, match=message):
+            fit_offset(np.ones((4, 1)), np.zeros(n_y), None, GAUSS, ridge)
+
     def test_singular_hessian_without_ridge(self):
         x = np.arange(1.0, 7.0)
         X = np.column_stack([x, 2 * x])

@@ -340,6 +340,27 @@ class TestSocketTransport:
             chan.recv()
 
 
+def closed_port():
+    """A loopback port with no listener: bound, then released."""
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        return srv.getsockname()[1]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: connect("127.0.0.1", closed_port(), timeout=0.3), TransportFailure,
+     "could not reach peer"),
+    (lambda: serve_one("127.0.0.1", 0, timeout=0.2), TransportFailure, "no peer connected"),
+    (lambda: encode(object()), ProtocolError, "unencodable message type 'object'"),
+    (lambda: decode('{"type":"SketchOffer","projected":{"shape":2,"data":"AAAAAAAA8D8="},'
+                    '"t":1,"noised":false,"epsilon":null,"c2":null}'), ProtocolError,
+     "field 'projected': expected array"),
+], ids=["connect-closed-port", "serve-without-peer", "encode-unknown-type",
+        "shape-not-a-list"])
+def test_failure_branch_names_its_cause(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 # the JSON lines that once escaped decode as TypeError, ValueError or
 # OverflowError, or decoded to inf
 TOTAL_DECODER_CASES = {
