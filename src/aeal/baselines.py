@@ -105,29 +105,18 @@ def default_step_grid(count=20):
     return list(np.logspace(np.log10(0.01), np.log10(5.0), count))
 
 
-@dataclass
-class TuneResult:
-    best_step0: float
-    total_vector_sends: int
-
-
 def tune_step(view_a, y, view_b, fam, algorithm, grid, budget_rounds, score_fn=None):
-    """Run the baseline once per candidate step and keep the lowest score.
+    """Run the baseline once per candidate step and return the session with
+    the lowest score.
 
     The default score is the best full-data loss reached within the budget;
     pass score_fn(session) for other selection rules (scores are minimized).
-    Tuning multiplies the transmission bill by the grid size, which the
-    returned total makes explicit.
     """
     if not grid:
         raise ValueError("empty tuning grid")
-    steps = [float(step0) for step0 in grid]
-    sessions = [train_baseline(view_a, y, view_b, fam, algorithm, step0, budget_rounds)
-                for step0 in steps]
+    sessions = [train_baseline(view_a, y, view_b, fam, algorithm, float(step0), budget_rounds)
+                for step0 in grid]
     scores = [float(score_fn(sess) if score_fn is not None
                     else min(v for v in sess.loss_log if np.isfinite(v)))
               for sess in sessions]
-    best = int(np.argmin(scores))  # the first NaN if any, else the first minimum
-    result = TuneResult(best_step0=steps[best],
-                        total_vector_sends=sum(s.rounds_transmitted for s in sessions))
-    return result, sessions[best]
+    return sessions[int(np.argmin(scores))]  # the first NaN if any, else the first minimum

@@ -167,8 +167,8 @@ def _metric_curves(sim, fam, rounds, eval_size, rng, tune_grid, rho=0.0):
     curves = {"oracle": [oracle_metric] * (rounds + 1), "aeal": aeal_curve}
     sign = -1.0 if use_auc else 1.0  # tuning minimizes; a higher AUC is better
     for algo in (baselines.FEDSGD, baselines.FEDBCD):
-        _, best = baselines.tune_step(view_a, sim.y, view_b, fam, algo, tune_grid, rounds,
-                                      score_fn=lambda s: sign * metric(s.beta_a, s.beta_b))
+        best = baselines.tune_step(view_a, sim.y, view_b, fam, algo, tune_grid, rounds,
+                                   score_fn=lambda s: sign * metric(s.beta_a, s.beta_b))
         curves[algo] = [metric(ba, bb) for ba, bb in best.history]
     return curves
 

@@ -40,17 +40,17 @@ STOP_MAX = "MaxRounds"
 @dataclass(frozen=True)
 class StopCriterion:
     """Round-to-round stopping rules; delta rules compare consecutive full
-    rounds and therefore first apply at k = 2."""
+    rounds and therefore first apply at k = 2. max_rounds, an integer >= 0,
+    bounds every session; a tolerance of None turns its rule off."""
 
     offset_tol: float = None     # on ||nu_A^k + nu_B^k - nu_A^{k-1} - nu_B^{k-1}||_2
     coef_tol: float = 1e-8       # on ||beta_A^k - beta_A^{k-1}||_2
     max_rounds: int = 200
 
     def __post_init__(self):
-        if self.offset_tol is None and self.coef_tol is None and self.max_rounds is None:
-            raise ValueError("at least one stop criterion must be active")
-        if self.max_rounds is not None and self.max_rounds < 0:
-            raise ValueError("max_rounds must be at least 0")
+        if not isinstance(self.max_rounds, (int, np.integer)) or self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be at least 0 and an integer, "
+                             f"got {self.max_rounds!r}")
 
     @classmethod
     def default(cls, n):
@@ -211,7 +211,7 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
     stop_reason = None
     prev_total = nu_a + nu_b
     while True:
-        if stop.max_rounds is not None and k >= stop.max_rounds:
+        if k >= stop.max_rounds:
             stop_reason = STOP_MAX
             break
         chan.send(Offset(round=k, vector=nu_a))
@@ -276,7 +276,7 @@ def run_bob(view_b, fam, chan):
     stop_reason = msg.reason
     nu_a = _offset_vector(expect(chan, Offset, "Offset"), len(fits), n)  # A's final one
 
-    cov_b = _predictor_covariance(X_b, y_train, nu_a, fam, beta_b) if X_b.shape[1] else None
+    cov_b = _predictor_covariance(X_b, y_train, nu_a, fam, beta_b)
     return {"beta_b": beta_b, "nu_b": nu_b, "nu_a": nu_a, "rounds": len(fits),
             "fits": fits, "cov_b": cov_b, "stop_reason": stop_reason,
             "y_train": y_train}
@@ -343,22 +343,19 @@ def train(view_a, y, view_b, fam, stop=None, ridge=0.0,
 
 
 def joint_loss(session, view_a, view_b, y, fam):
-    """(1/n) sum m(y_i, nu_A_i + nu_B_i), plus both ridge penalties if any."""
+    """(1/n) sum m(y_i, nu_A_i + nu_B_i) plus both ridge penalties."""
     nu = view_a.design @ session.beta_a + view_b.design @ session.beta_b
     val = float(np.mean(fam.value(np.asarray(y, dtype=float), nu)))
-    if session.ridge > 0:
-        val += session.ridge * (float(session.beta_a @ session.beta_a)
-                                + float(session.beta_b @ session.beta_b))
-    return val
+    return val + session.ridge * (float(session.beta_a @ session.beta_a)
+                                  + float(session.beta_b @ session.beta_b))
 
 
 def contribution(x, beta, cov):
     """One side's share of a prediction for one row or a matrix of rows:
-    (x' beta, sqrt(x' cov x)), with sigma zero for a side without columns
-    (cov None). A negative variance estimate raises SingularVariance."""
+    (x' beta, sqrt(x' cov x)). A negative variance estimate raises SingularVariance."""
     x = np.asarray(x, dtype=float)
     nu = x @ beta
-    var = np.sum((x @ cov) * x, axis=-1) if cov is not None else np.zeros_like(nu)
+    var = np.sum((x @ cov) * x, axis=-1)
     if np.any(var < 0):
         raise SingularVariance("negative variance estimate")
     return nu, np.sqrt(var)

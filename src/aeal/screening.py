@@ -6,8 +6,7 @@ residual S_perp is factored by a thin SVD U Sigma V'. Its r singular values
 at or above RANK_TOL times S's largest column norm give an orthonormal basis
 U_r of what the sketch adds beyond X_A. The model is then fit once on
 (X_A | sqrt(n) U_r), so the tested block has unit mean-square columns
-whatever the sketch's scale; when r = t, sqrt(n) V Sigma^-1 maps its
-coefficients back to sketch coordinates.
+whatever the sketch's scale.
 
 The Wald test compares n * gamma' V_r^{-1} gamma against the chi-squared(df)
 upper tail, where gamma holds the last r coefficients and V_r is their block
@@ -38,7 +37,6 @@ n x t matrix it carries only t, the noised flag and B's epsilon and clip
 bound (sketch.py). Both tests treat noised and clean sketches alike.
 """
 
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -54,8 +52,6 @@ from .stats import make_decision
 @dataclass
 class ScreenReport:
     decision: object          # ScreenResult; decision.df = max(1, r)
-    beta_u_t: np.ndarray      # t sketch coefficients if r = t, else r residual-basis ones
-    v_hat_t: np.ndarray       # robust covariance block of beta_u_t, same coordinates
     fit: object               # FitResult of the model on (X_A | sqrt(n) U_r)
     n_used: int
     identified_rank: int      # p_A + r
@@ -76,24 +72,22 @@ def screen_context(view_a, y, fam):
 
 
 def _residual_design(X_a, S, gram_inv):
-    """(X_A | sqrt(n) U_r), column-major for the fit's products and X_A itself
-    if r = 0, and the map sqrt(n) V Sigma^-1 to sketch coordinates if r = t
-    (else None). The n-row temporaries die on return, before the fit."""
+    """(X_A | sqrt(n) U_r), column-major for the fit's products, or X_A itself
+    if r = 0. The n-row temporaries die on return, before the fit."""
     # one pass through the normal equations leaves an error of order
     # cond(X_A)^2 eps in span(X_A); the second pass removes it
     S_perp = S - X_a @ (gram_inv @ (X_a.T @ S))
     S_perp -= X_a @ (gram_inv @ (X_a.T @ S_perp))
-    U, sigma, Vt = np.linalg.svd(S_perp, full_matrices=False)
+    U, sigma, _ = np.linalg.svd(S_perp, full_matrices=False)
     del S_perp  # dead before the augmented design is allocated
     r = numerical_rank(sigma, np.max(np.linalg.norm(S, axis=0), initial=0.0))
-    n, p_a = X_a.shape
-    to_sketch = np.sqrt(n) * Vt.T / sigma if r == S.shape[1] else None
     if r == 0:
-        return X_a, to_sketch
+        return X_a
+    n, p_a = X_a.shape
     X = np.empty((n, p_a + r), order="F")
     X[:, :p_a] = X_a
     np.multiply(U[:, :r], np.sqrt(n), out=X[:, p_a:])
-    return X, to_sketch
+    return X
 
 
 def _aligned(view_a, y, sketch, fam, context):
@@ -109,13 +103,12 @@ def _aligned(view_a, y, sketch, fam, context):
 
 
 def _screen_fit(S, fam, ridge, context):
-    """The fit both tests share, from (beta_A, 0): (fit, lam, to_sketch), with
-    lam the robust covariance block of the last r coefficients and to_sketch
-    their map to sketch coordinates if r = t (None otherwise)."""
+    """The fit both tests share, from (beta_A, 0): (fit, lam), with lam the
+    robust covariance block of the last r coefficients."""
     X_a, y = context.X_a, context.y
     n, p_a = X_a.shape
     t = S.shape[1]
-    X, to_sketch = _residual_design(X_a, S, context.gram_inv)
+    X = _residual_design(X_a, S, context.gram_inv)
     r = X.shape[1] - p_a
     if r < t and numerical_rank(np.linalg.svd(S, compute_uv=False)) < t:
         raise SingularCovarianceBlock("sketch block is numerically rank deficient")
@@ -128,19 +121,14 @@ def _screen_fit(S, fam, ridge, context):
     V1, V2 = sandwich_pieces(X, y, None, fam, fit.beta)
     V1_inv = spd_inverse(V1, SingularCovarianceBlock, "Hessian piece V1", 1e-12)
     lam = (V1_inv @ V2 @ V1_inv)[p_a:, p_a:]
-    return fit, lam, to_sketch
+    return fit, lam
 
 
-def _report(context, fit, lam, to_sketch, stat, alpha):
-    """The report of r = len(lam) tested restrictions, in sketch coordinates if r = t."""
+def _report(context, fit, r, t, stat, alpha):
+    """The report of r tested restrictions on a sketch of t columns."""
     n, p_a = context.X_a.shape
-    r = len(lam)
-    coef = fit.beta[p_a:]
-    if to_sketch is not None:
-        coef, lam = to_sketch @ coef, to_sketch @ lam @ to_sketch.T
-    return ScreenReport(decision=make_decision(stat, max(1, r), alpha), beta_u_t=coef,
-                        v_hat_t=lam, fit=fit, n_used=n, identified_rank=p_a + r,
-                        degenerate=to_sketch is None)
+    return ScreenReport(decision=make_decision(stat, max(1, r), alpha), fit=fit, n_used=n,
+                        identified_rank=p_a + r, degenerate=r < t)
 
 
 def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, context=None):
@@ -151,11 +139,11 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, context=None):
     screens; a screen given none builds the same one.
     """
     S, context = _aligned(view_a, y, sketch, fam, context)
-    fit, lam, to_sketch = _screen_fit(S, fam, ridge, context)
+    fit, lam = _screen_fit(S, fam, ridge, context)
     gamma = fit.beta[context.X_a.shape[1]:]
     stat = 0.0 if gamma.size == 0 else float(len(context.y) * gamma @ spd_inverse(
         lam, SingularCovarianceBlock, "tested covariance block", 1e-12) @ gamma)
-    return _report(context, fit, lam, to_sketch, stat, alpha)
+    return _report(context, fit, len(lam), S.shape[1], stat, alpha)
 
 
 def lrt_screen(view_a, y, sketch, fam, alpha=0.05, context=None):
@@ -166,12 +154,9 @@ def lrt_screen(view_a, y, sketch, fam, alpha=0.05, context=None):
     """
     if not fam.is_glm:
         raise NotAGlm("likelihood-ratio screening needs a GLM family")
-    if sketch.p_b is not None and sketch.t >= sketch.p_b:
-        warnings.warn("likelihood-ratio screening is designed for t < p_B",
-                      stacklevel=2)
     S, context = _aligned(view_a, y, sketch, fam, context)
     if not context.fit_a.converged:
         raise SolverFailure("A-only screening fit did not converge")
-    fit_u, lam, to_sketch = _screen_fit(S, fam, 0.0, context)
+    fit_u, lam = _screen_fit(S, fam, 0.0, context)
     stat = max(0.0, 2.0 * len(context.y) * (context.fit_a.final_loss - fit_u.final_loss))
-    return _report(context, fit_u, lam, to_sketch, stat, alpha)
+    return _report(context, fit_u, len(lam), S.shape[1], stat, alpha)

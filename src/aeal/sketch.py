@@ -10,7 +10,7 @@ Roth 2014, Thm 3.6). Besides the n x t matrix, the offer carries only t, the
 noised flag, and epsilon and c2 as the caller gave them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .errors import BadDimensions, BadEpsilon, BadFlipProb
 
 @dataclass(frozen=True)
 class SketchOffer:
-    """B's release and its wire message. p_b is never serialized; rows_excluded
-    is not sent either, and must stay empty: no release drops a row."""
+    """B's release and its wire message. rows_excluded is not sent, and must
+    stay empty: no release drops a row."""
 
     projected: np.ndarray
     t: int
@@ -28,7 +28,6 @@ class SketchOffer:
     epsilon: float = None
     c2: float = None
     rows_excluded: tuple = ()
-    p_b: int = field(default=None, repr=False)
 
     def __post_init__(self):
         # column-major: the screen reads the sketch by columns
@@ -37,8 +36,6 @@ class SketchOffer:
         object.__setattr__(self, "projected", arr)
         if arr.ndim != 2 or arr.shape[1] != self.t or self.t < 1:
             raise BadDimensions("projected matrix must be n x t with t >= 1")
-        if self.p_b is not None and self.t > self.p_b:
-            raise BadDimensions("t cannot exceed the number of B's columns")
         if (self.epsilon is not None) != (self.noised and self.c2 is not None):
             raise ValueError("an offer records epsilon exactly when it is noised and has c2")
         check_release(epsilon=self.epsilon, c2=self.c2)  # a peer's budget too
@@ -50,7 +47,7 @@ class SketchOffer:
         return self.projected.shape[0]
 
 
-SketchPackage = SketchOffer
+SketchPackage = SketchOffer  # the benchmark's name for it; delete once perfbench stops using it
 
 
 def check_release(noise_scale=0.0, epsilon=None, c2=None):
@@ -90,7 +87,7 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
         X_b = X_b * (c2 / np.maximum(np.linalg.norm(X_b, axis=1), c2))[:, None]
     M = X_b @ U
     if epsilon is None and noise_scale == 0.0:
-        return SketchOffer(projected=M, t=t, c2=c2, p_b=p_b)
+        return SketchOffer(projected=M, t=t, c2=c2)
     # scale * epsilon = 2 t c2, so one gives the other once c2 is known
     scale = noise_scale if epsilon is None else 2.0 * t * c2 / epsilon
     if epsilon is None and c2 is not None:
@@ -104,7 +101,7 @@ def make_sketch(X_b, t, rng, noise_scale=0.0, epsilon=None, c2=None):
     noise *= np.log1p(h, out=h)  # finite: a uniform of 0 would give log1p(-1) = -inf
     M += noise
     del h, noise  # dead before the offer copies M
-    return SketchOffer(projected=M, t=t, noised=True, epsilon=epsilon, c2=c2, p_b=p_b)
+    return SketchOffer(projected=M, t=t, noised=True, epsilon=epsilon, c2=c2)
 
 
 def check_flip_prob(flip_prob):

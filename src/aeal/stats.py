@@ -39,14 +39,16 @@ def chi2_sf(x, df):
     With h = x/2, Q(df/2, h) is a finite sum of exp(j log h - h - lgamma(j+1))
     over j = 0, 1, ..., df/2 - 1 for even df; for odd df the sum runs over
     j = 1/2, 3/2, ..., df/2 - 1 and adds erfc(sqrt(h)). Every term is
-    positive, so nothing cancels.
+    positive, so nothing cancels. NaN raises DomainError; x = inf gives 0.
     """
-    if x < 0:
-        raise DomainError("chi-squared statistic must be nonnegative")
+    if not x >= 0:  # NaN fails too
+        raise DomainError(f"chi-squared statistic must be nonnegative, got {x}")
     if df < 1 or df != int(df):
         raise DomainError("degrees of freedom must be a positive integer")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     df = int(df)
     h = 0.5 * x
     log_h = math.log(h)

@@ -177,8 +177,8 @@ def _auc_curves_one_seed(rng):
     SESSIONS.append(sess)
     aeal_curve = [metric(a, b) for a, b in sess.history]
 
-    _, best = tune_step(va, sim.y, vb, LOGIT, "fedbcd", default_step_grid(), 50,
-                        score_fn=lambda s: -metric(s.beta_a, s.beta_b))
+    best = tune_step(va, sim.y, vb, LOGIT, "fedbcd", default_step_grid(), 50,
+                     score_fn=lambda s: -metric(s.beta_a, s.beta_b))
     bcd_curve = [metric(a, b) for a, b in best.history]
     return auc_oracle, aeal_curve, bcd_curve
 

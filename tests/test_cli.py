@@ -238,9 +238,9 @@ class TestTrainCompare:
             return sess
 
         def kept_tune(*args, **kw):
-            result, best = tune_step(*args, **kw)
+            best = tune_step(*args, **kw)
             histories[args[4]] = best.history
-            return result, best
+            return best
 
         monkeypatch.setattr(protocol, "train", kept_train)
         monkeypatch.setattr(baselines, "tune_step", kept_tune)

@@ -139,9 +139,9 @@ class TestTrainLoop:
         assert sess.stop_reason == "OffsetDelta"
         assert 2 <= sess.rounds < 100
 
-    def test_stop_criterion_needs_one_active_rule(self):
-        with pytest.raises(ValueError):
-            StopCriterion(offset_tol=None, coef_tol=None, max_rounds=None)
+    def test_stop_criterion_refuses_unbounded_session(self):
+        with pytest.raises(ValueError, match="max_rounds must be at least 0"):
+            StopCriterion(max_rounds=None)
 
     def test_stop_criterion_refuses_negative_max_rounds(self):
         with pytest.raises(ValueError, match="max_rounds must be at least 0"):
@@ -411,6 +411,29 @@ class TestPredict:
         oracle = oracle_fit(sim.X, sim.y, fam)
         gap = np.max(np.abs(sess.nu_a + sess.nu_b - sim.X @ oracle.beta))
         assert gap <= 1e-6
+
+    @pytest.mark.parametrize("bare", ["alice", "bob"])
+    def test_side_without_columns_predicts_with_sigma_zero(self, bare):
+        # Alice holding only the labels, or a Bob holding no column
+        design = SimDesign(setting="s1", n=500, rho=0.0, family=LOGIT)
+        sim = simulate(design, np.random.default_rng(20), hypothesis="h1")
+        va, vb = views_from(sim)
+        if bare == "alice":
+            va = AgentView(design=np.empty((500, 0)), column_names=(), owner=Owner.A)
+        else:
+            vb = AgentView(design=np.empty((500, 0)), column_names=(), owner=Owner.B)
+        sess = train(va, sim.y, vb, LOGIT, stop=StopCriterion(max_rounds=20))
+        cov, beta = (sess.cov_a, sess.beta_a) if bare == "alice" else (sess.cov_b, sess.beta_b)
+        assert cov.shape == (0, 0)
+        rows = np.random.default_rng(21)
+        x_a, x_b = (rows.normal(size=(4, v.design.shape[1])) for v in (va, vb))
+        nu, sigma = protocol.contribution(x_a if bare == "alice" else x_b, beta, cov)
+        assert np.all(nu == 0.0) and np.all(sigma == 0.0)
+        pred = predict(x_a, x_b, sess, LOGIT)
+        assert np.all(pred.lo < pred.point) and np.all(pred.point < pred.hi)
+        beta_a, beta_b = replay(sess, va, vb, LOGIT)
+        assert beta_a.tobytes() == sess.beta_a.tobytes()
+        assert beta_b.tobytes() == sess.beta_b.tobytes()
 
 
 def test_contribution_refuses_a_negative_variance():

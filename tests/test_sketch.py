@@ -232,10 +232,6 @@ class TestPackage:
             with pytest.raises(ValueError, match="rows_excluded must be empty"):
                 SketchPackage(projected=np.zeros((3, 1)), t=1, rows_excluded=rows)
 
-    def test_t_within_p_b(self):
-        with pytest.raises(BadDimensions):
-            SketchPackage(projected=np.zeros((3, 4)), t=4, p_b=3)
-
     def test_make_sketch_noise_scale_records_implied_epsilon(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(size=(20, 4))

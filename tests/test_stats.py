@@ -58,6 +58,15 @@ class TestChi2:
     def test_domain(self):
         with pytest.raises(DomainError):
             chi2_sf(-1.0, 2)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 6])
+    def test_non_finite_statistic(self, df):
+        # an infinite statistic rejects at any level; NaN has no tail at all
+        assert chi2_sf(math.inf, df) == 0.0
+        decision = make_decision(math.inf, df, 0.05)
+        assert decision.p_value == 0.0 and decision.reject
+        with pytest.raises(DomainError, match="nonnegative"):
+            chi2_sf(math.nan, df)
         for df in (0, 2.5):
             with pytest.raises(DomainError):
                 chi2_sf(1.0, df)
