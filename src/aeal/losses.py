@@ -105,10 +105,20 @@ class LossFamily:
             r = nu - y  # (y - nu)**2 has the same bits
             return 0.5 * r ** 2, r, np.ones_like(nu)
         if self.kind == LOGISTIC:
-            e = np.exp(-np.abs(nu))
-            s = np.maximum(e, nu >= 0)
-            s /= e + 1.0
-            return np.maximum(nu, 0.0) + np.log1p(e) - y * nu, s - y, s * (1.0 - s)
+            # value's, grad's and hess's operations in their order, each written
+            # into one of the three outputs; h holds e = exp(-|nu|) until m needs it no more
+            shape = np.broadcast(y, nu).shape
+            m, g, h = np.empty(shape), np.empty(shape), np.empty(shape)
+            np.exp(np.negative(np.abs(nu, out=h), out=h), out=h)
+            np.maximum(h, np.greater_equal(nu, 0, out=g), out=g)
+            np.log1p(h, out=m)
+            h += 1.0
+            g /= h  # the sigmoid s
+            np.add(np.maximum(nu, 0.0, out=h), m, out=m)
+            m -= np.multiply(y, nu, out=h)
+            np.multiply(g, np.subtract(1.0, g, out=h), out=h)  # s (1 - s)
+            g -= y
+            return m[()], g[()], h[()]  # scalars for scalar inputs
         if self.kind == POISSON:
             e = np.exp(nu)
             return e - y * nu, e - y, e

@@ -28,7 +28,7 @@ from .messages import (PROTOCOL_VERSION, Handshake, Offset, PredictContribution,
                        ResponseShare, Stop, decode)
 from .screening import lrt_screen, wald_screen
 from .sketch import SketchOffer, make_sketch, mask_response, unmask_probability
-from .solver import fit_offset, sandwich_pieces, spd_inverse
+from .solver import _predictor, fit_offset, sandwich_pieces, spd_inverse
 from .stats import ScreenResult, normal_quantile
 from .transport import Recorder, local_pair
 
@@ -93,12 +93,13 @@ def _fit_or_fail(X, y, offset, fam, ridge, init, who):
     res = fit_offset(X, y, offset, fam, ridge, init=init)
     if not res.converged:
         raise SolverFailure(f"{who}'s local fit did not converge")
-    return res
+    return res.without_rows()  # the session keeps every fit
 
 
 def _predictor_covariance(X, y, offset, fam, beta):
-    """Sandwich variance of x' beta_hat: V1^-1 V2 V1^-1 / n."""
-    V1, V2 = sandwich_pieces(X, y, offset, fam, beta)
+    """Sandwich variance of x' beta_hat: V1^-1 V2 V1^-1 / n, at the final offset."""
+    _, g, w = fam.derivatives(y, _predictor(X, beta, offset))
+    V1, V2 = sandwich_pieces(X, g, w)
     V1_inv = spd_inverse(V1, SingularVariance, "Hessian piece V1")
     return V1_inv @ V2 @ V1_inv / X.shape[0]
 

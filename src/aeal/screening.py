@@ -68,7 +68,7 @@ def screen_context(view_a, y, fam):
     # the solver's floor: a Gram matrix it could not invert fails here
     gram_inv = spd_inverse(X_a.T @ X_a, RankDeficientAugmented,
                            "the Gram matrix of A's view on these rows", 1e-14)
-    return ScreenContext(X_a, y, gram_inv, fit_offset(X_a, y, None, fam))
+    return ScreenContext(X_a, y, gram_inv, fit_offset(X_a, y, None, fam).without_rows())
 
 
 def _residual_design(X_a, S, gram_inv):
@@ -103,8 +103,8 @@ def _aligned(view_a, y, sketch, fam, context):
 
 
 def _screen_fit(S, fam, ridge, context):
-    """The fit both tests share, from (beta_A, 0): (fit, lam), with lam the
-    robust covariance block of the last r coefficients."""
+    """The fit both tests share, from (beta_A, 0), and its design
+    (X_A | sqrt(n) U_r); the fit still holds its derivative rows."""
     X_a, y = context.X_a, context.y
     n, p_a = X_a.shape
     t = S.shape[1]
@@ -118,17 +118,17 @@ def _screen_fit(S, fam, ridge, context):
     fit = fit_offset(X, y, None, fam, ridge, init=init)
     if not fit.converged:
         raise SolverFailure("augmented fit did not converge")
-    V1, V2 = sandwich_pieces(X, y, None, fam, fit.beta)
-    V1_inv = spd_inverse(V1, SingularCovarianceBlock, "Hessian piece V1", 1e-12)
-    lam = (V1_inv @ V2 @ V1_inv)[p_a:, p_a:]
-    return fit, lam
+    return fit, X
 
 
-def _report(context, fit, r, t, stat, alpha):
-    """The report of r tested restrictions on a sketch of t columns."""
+def _report(context, fit, X, t, stat, alpha):
+    """The report of the r = X.shape[1] - p_A tested restrictions on a sketch
+    of t columns; it keeps the fit without its derivative rows."""
     n, p_a = context.X_a.shape
-    return ScreenReport(decision=make_decision(stat, max(1, r), alpha), fit=fit, n_used=n,
-                        identified_rank=p_a + r, degenerate=r < t)
+    r = X.shape[1] - p_a
+    return ScreenReport(decision=make_decision(stat, max(1, r), alpha),
+                        fit=fit.without_rows(), n_used=n, identified_rank=p_a + r,
+                        degenerate=r < t)
 
 
 def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, context=None):
@@ -139,24 +139,29 @@ def wald_screen(view_a, y, sketch, fam, alpha=0.05, ridge=0.0, context=None):
     screens; a screen given none builds the same one.
     """
     S, context = _aligned(view_a, y, sketch, fam, context)
-    fit, lam = _screen_fit(S, fam, ridge, context)
-    gamma = fit.beta[context.X_a.shape[1]:]
+    fit, X = _screen_fit(S, fam, ridge, context)
+    # the covariance at the fit's own point, from the rows its last step evaluated
+    V1, V2 = sandwich_pieces(X, fit.grad_rows, fit.hess_rows)
+    V1_inv = spd_inverse(V1, SingularCovarianceBlock, "Hessian piece V1", 1e-12)
+    p_a = context.X_a.shape[1]
+    lam = (V1_inv @ V2 @ V1_inv)[p_a:, p_a:]
+    gamma = fit.beta[p_a:]
     stat = 0.0 if gamma.size == 0 else float(len(context.y) * gamma @ spd_inverse(
         lam, SingularCovarianceBlock, "tested covariance block", 1e-12) @ gamma)
-    return _report(context, fit, len(lam), S.shape[1], stat, alpha)
+    return _report(context, fit, X, S.shape[1], stat, alpha)
 
 
 def lrt_screen(view_a, y, sketch, fam, alpha=0.05, context=None):
     """Likelihood-ratio screening: 2n * (A-only loss - augmented loss).
 
     Valid only for likelihood-backed families; both fits are unpenalized, and
-    the A-only fit is the context's.
+    the A-only fit is the context's. It forms no robust covariance.
     """
     if not fam.is_glm:
         raise NotAGlm("likelihood-ratio screening needs a GLM family")
     S, context = _aligned(view_a, y, sketch, fam, context)
     if not context.fit_a.converged:
         raise SolverFailure("A-only screening fit did not converge")
-    fit_u, lam = _screen_fit(S, fam, 0.0, context)
+    fit_u, X = _screen_fit(S, fam, 0.0, context)
     stat = max(0.0, 2.0 * len(context.y) * (context.fit_a.final_loss - fit_u.final_loss))
-    return _report(context, fit_u, len(lam), S.shape[1], stat, alpha)
+    return _report(context, fit_u, X, S.shape[1], stat, alpha)

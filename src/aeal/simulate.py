@@ -143,8 +143,9 @@ def simulate(design, rng, hypothesis="h1"):
 
 
 def oracle_fit(X_pooled, y, fam, ridge=0.0):
-    """M-estimator on the (infeasible) pooled deduplicated design."""
-    return fit_offset(X_pooled, y, None, fam, ridge)
+    """M-estimator on the (infeasible) pooled deduplicated design; a study
+    keeps it, so it holds no derivative rows."""
+    return fit_offset(X_pooled, y, None, fam, ridge).without_rows()
 
 
 def map_T(beta_a, beta_b, ownership):

@@ -11,7 +11,7 @@ spd_inverse, the package's one inverse of a positive definite matrix, raises
 the caller's error type where Cholesky fails or a pivot falls under its floor.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +34,13 @@ class FitResult:
     grad_norm_inf: float
     converged: bool
     final_loss: float        # penalized objective value
+    # m' and m'' per row at beta, for the caller's sandwich_pieces; without_rows drops them
+    grad_rows: np.ndarray = field(default=None, repr=False, compare=False)
+    hess_rows: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def without_rows(self):
+        """This fit without its n-row derivatives, for a caller that keeps it."""
+        return replace(self, grad_rows=None, hess_rows=None)
 
 
 def spd_inverse(M, error, what, floor=None):
@@ -124,19 +131,17 @@ def fit_offset(X, y, offset, fam, ridge=0.0, init=None):
             break  # stalled at numerical precision; grad_inf is still beta's
 
     return FitResult(beta=beta, iterations=it, grad_norm_inf=grad_inf,
-                     converged=grad_inf <= _TOL, final_loss=obj)
+                     converged=grad_inf <= _TOL, final_loss=obj, grad_rows=m1, hess_rows=w)
 
 
-def sandwich_pieces(X, y, offset, fam, beta):
-    """Hessian and outer-product pieces of the robust covariance at beta.
+def sandwich_pieces(X, g, w):
+    """Hessian and outer-product pieces of the robust covariance from the loss
+    derivatives g = m'(y_i, nu_i) and w = m''(y_i, nu_i) at the point:
 
-    V1 = (1/n) sum m''(y_i, nu_i) x_i x_i', V2 = (1/n) sum m'(y_i, nu_i)^2 x_i x_i'
-    with nu_i = x_i' beta + o_i. Ridge penalties never enter these.
+    V1 = (1/n) sum w_i x_i x_i', V2 = (1/n) sum g_i^2 x_i x_i'.
+    A fit's grad_rows and hess_rows are these rows at its beta. Ridge
+    penalties never enter these.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    _, g, w1 = fam.derivatives(y, _predictor(X, np.asarray(beta, dtype=float), offset))
-    V1 = weighted_gram(X, w1) / n
-    V2 = weighted_gram(X, g * g) / n
-    return V1, V2
+    return weighted_gram(X, w) / n, weighted_gram(X, g * g) / n

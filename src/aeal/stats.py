@@ -70,7 +70,8 @@ def auc(scores, labels):
     """Area under the ROC curve as the Mann-Whitney statistic, ties counted 1/2.
 
     A tie group shares its midrank, so any sort order gives the same ranks.
-    Non-finite scores have no rank and raise DomainError."""
+    Non-finite scores have no rank and labels other than 0 and 1 no class:
+    both raise DomainError."""
     scores = np.asarray(scores, dtype=float)
     if not np.isfinite(scores).all():
         raise DomainError("AUC scores must be finite")
@@ -79,6 +80,8 @@ def auc(scores, labels):
     neg = labels == 0
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
+    if n_pos + n_neg != labels.size:
+        raise DomainError("AUC labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise OneClassOnly("both classes required for AUC")
     order = np.argsort(scores)

@@ -104,7 +104,7 @@ def test_criterion_03_wald_equivalence_at_full_t():
 
     X_full = np.hstack([X_a, X_b])
     fit = fit_offset(X_full, y, None, GAUSS)
-    V1, V2 = sandwich_pieces(X_full, y, None, GAUSS, fit.beta)
+    V1, V2 = sandwich_pieces(X_full, *GAUSS.derivatives(y, X_full @ fit.beta)[1:])
     V1_inv = np.linalg.inv(V1)
     V_b = (V1_inv @ V2 @ V1_inv)[-p_b:, -p_b:]
     b = fit.beta[-p_b:]

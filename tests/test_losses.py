@@ -137,6 +137,18 @@ def test_derivatives_bitwise_equal_to_value_grad_hess(fam):
             assert g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+def test_derivatives_of_scalars_are_scalars_with_the_array_bits(fam):
+    # the logistic branch writes into preallocated outputs; a scalar or 0-d
+    # input still gets scalars back, with the bits of a one-row array
+    for y, nu in ((1.0, 0.3), (0.0, -2.5), (np.float64(1.0), np.array(0.0))):
+        got = fam.derivatives(y, nu)
+        want = fam.derivatives(np.array([y]), np.array([nu]))
+        for g, w in zip(got, want):
+            assert np.ndim(g) == 0
+            assert np.float64(g).tobytes() == w.tobytes()
+
+
 class TestInverseLink:
     def test_values(self):
         assert LossFamily("logistic").inverse_link(0.0) == pytest.approx(0.5)

@@ -240,6 +240,23 @@ class TestTrainLoop:
         assert np.max(np.abs(sess.nu_a + sess.nu_b - sim.X @ oracle.beta)) <= 1e-6
 
 
+def test_sessions_and_the_oracle_keep_no_derivative_rows(monkeypatch):
+    # every fit a session or a study keeps drops the n-row derivatives its solver held
+    kept = []
+    for name in ("run_alice", "run_bob"):
+        def spy(*args, real=getattr(protocol, name), **kwargs):
+            out = real(*args, **kwargs)
+            kept.extend(out["fits"])
+            return out
+        monkeypatch.setattr(protocol, name, spy)
+    sim = setting1_fixture(seed=3, n=300)
+    va, vb = views_from(sim)
+    sess = train(va, sim.y, vb, GAUSS)
+    assert len(kept) == 2 * sess.rounds + 1
+    kept.append(oracle_fit(sim.X, sim.y, GAUSS))
+    assert all(f.grad_rows is None and f.hess_rows is None for f in kept)
+
+
 class TestFailFast:
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_failure_reaches_caller_at_once(self, monkeypatch, side):

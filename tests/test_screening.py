@@ -38,7 +38,7 @@ def direct_wald(X_full, y, fam, block):
     """Reference Wald statistic for the last `block` columns of X_full."""
     n = X_full.shape[0]
     fit = fit_offset(X_full, y, None, fam)
-    V1, V2 = sandwich_pieces(X_full, y, None, fam, fit.beta)
+    V1, V2 = sandwich_pieces(X_full, *fam.derivatives(y, X_full @ fit.beta)[1:])
     V1_inv = np.linalg.inv(V1)
     V = (V1_inv @ V2 @ V1_inv)[-block:, -block:]
     b = fit.beta[-block:]
@@ -210,6 +210,20 @@ class TestLrt:
         with pytest.raises(NotAGlm):
             lrt_screen(make_view(X_a), y, sketch, LossFamily("logcosh"))
 
+    def test_forms_no_robust_covariance(self, monkeypatch):
+        # the LRT reads only the losses, so a V1 it never forms cannot stop it
+        X_a, X_b, y, rng = gaussian_fixture(seed=12, signal_b=0.2)
+        y = (y > 0).astype(float)
+        sketch = make_sketch(X_b, 2, rng)
+        want = lrt_screen(make_view(X_a), y, sketch, LOGIT).decision
+
+        def no_sandwich(*args):
+            raise AssertionError("the LRT formed the sandwich pieces")
+        monkeypatch.setattr(screening, "sandwich_pieces", no_sandwich)
+        assert lrt_screen(make_view(X_a), y, sketch, LOGIT).decision == want
+        with pytest.raises(AssertionError, match="sandwich"):
+            wald_screen(make_view(X_a), y, sketch, LOGIT)
+
 
 class TestSubset:
     def test_full_subset_identical(self):
@@ -330,6 +344,18 @@ class TestContext:
                                   (warm.decision.p_value, cold.decision.p_value),
                                   (warm.fit.beta, cold.fit.beta)):
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_kept_fits_hold_no_derivative_rows(self):
+        # the rows serve the screen's own sandwich; a context or a report keeps none
+        X_a, X_b, y, rng = gaussian_fixture(seed=31)
+        y = (y > 0).astype(float)
+        sketch = make_sketch(X_b, 2, rng)
+        context = screen_context(make_view(X_a), y, LOGIT)
+        fits = [context.fit_a]
+        for ctx in (None, context):
+            fits += [wald_screen(make_view(X_a), y, sketch, LOGIT, context=ctx).fit,
+                     lrt_screen(make_view(X_a), y, sketch, LOGIT, context=ctx).fit]
+        assert all(f.grad_rows is None and f.hess_rows is None for f in fits)
 
     def test_mismatched_context_raises(self):
         X_a, X_b, y, rng = gaussian_fixture(seed=30)

@@ -236,13 +236,13 @@ class TestSandwich:
         X = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
         beta = fit_offset(X, y, None, GAUSS).beta
-        V1, _ = sandwich_pieces(X, y, None, GAUSS, beta)
+        V1, _ = sandwich_pieces(X, *GAUSS.derivatives(y, X @ beta)[1:])
         assert np.array_equal(V1, X.T @ X / 25) or np.allclose(V1, X.T @ X / 25, atol=1e-15)
 
     def test_single_row_rank_one(self):
         X = np.array([[2.0, -1.0]])
         y = np.array([0.5])
-        V1, V2 = sandwich_pieces(X, y, None, GAUSS, np.zeros(2))
+        V1, V2 = sandwich_pieces(X, *GAUSS.derivatives(y, X @ np.zeros(2))[1:])
         assert np.linalg.matrix_rank(V1) == 1
         assert np.allclose(V1, np.outer(X[0], X[0]))
 
@@ -251,7 +251,7 @@ class TestSandwich:
         X = rng.normal(size=(7, 2))
         y = (rng.uniform(size=7) < 0.5).astype(float)
         beta = np.array([0.3, -0.8])
-        V1, V2 = sandwich_pieces(X, y, None, LOGIT, beta)
+        V1, V2 = sandwich_pieces(X, *LOGIT.derivatives(y, X @ beta)[1:])
         n = 7
         v1 = np.zeros((2, 2))
         v2 = np.zeros((2, 2))
@@ -271,7 +271,7 @@ class TestSandwich:
         offset = rng.normal(size=60)
         beta = np.array([0.3, -0.8, 0.1])
         nu = X @ beta + offset
-        V1, V2 = sandwich_pieces(X, y, offset, fam, beta)
+        V1, V2 = sandwich_pieces(X, *fam.derivatives(y, nu)[1:])
         g = fam.grad(y, nu)
         assert V1.tobytes() == ((X * fam.hess(y, nu)[:, None]).T @ X / 60).tobytes()
         assert V2.tobytes() == ((X * (g * g)[:, None]).T @ X / 60).tobytes()
@@ -324,7 +324,7 @@ class TestWeightedGram:
             fit = fit_offset(X, y, None, LOGIT)
             fit_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            sandwich_pieces(X, y, None, LOGIT, fit.beta)
+            sandwich_pieces(X, fit.grad_rows, fit.hess_rows)
             sandwich_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,3 +350,46 @@ def test_fit_above_one_block_matches_the_unblocked_product(monkeypatch, fam, wit
     ref = fit_offset(X, y, offset, fam, ridge)
     assert fit.converged and fit.iterations == ref.iterations > 0
     assert np.max(np.abs(fit.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
+
+
+def pieces_from_the_point(X, y, offset, fam, beta):
+    """V1 and V2 as formed from the point itself, the derivatives taken afresh
+    at X beta (+ offset): the reference for a fit's handed-on rows."""
+    nu = X @ beta
+    if offset is not None:
+        nu += offset
+    _, g, w = fam.derivatives(y, nu)
+    n = X.shape[0]
+    return weighted_gram(X, w) / n, weighted_gram(X, g * g) / n
+
+
+@pytest.mark.parametrize("blocks", [1, 5])
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("with_offset", [False, True])
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+def test_fit_hands_on_the_derivative_rows_at_its_beta(monkeypatch, fam, with_offset, ridge,
+                                                      blocks):
+    # the rows of the fit's last evaluation are the loss derivatives at its
+    # beta, so a sandwich from them is the one from the point, bit for bit
+    rng = np.random.default_rng(47)
+    n, p = 600, 4
+    monkeypatch.setattr(solver, "_GRAM_BLOCK_BYTES", 8 * p * (n // blocks))
+    X = np.asfortranarray(rng.normal(size=(n, p)) * 0.5)
+    nu = X @ np.array([0.4, -0.3, 0.2, 0.1])
+    y = {"gaussian": nu + rng.normal(size=n),
+         "logistic": (rng.uniform(size=n) < 1 / (1 + np.exp(-nu))).astype(float),
+         "poisson": rng.poisson(np.exp(nu)).astype(float),
+         "logcosh": nu + rng.standard_t(3, size=n)}[fam.kind]
+    offset = 0.3 * rng.normal(size=n) if with_offset else None
+    fit = fit_offset(X, y, offset, fam, ridge)
+    assert fit.converged and fit.iterations > 0
+    nu = X @ fit.beta if offset is None else X @ fit.beta + offset
+    _, g, w = fam.derivatives(y, nu)
+    assert fit.grad_rows.tobytes() == g.tobytes()
+    assert fit.hess_rows.tobytes() == w.tobytes()
+    got = sandwich_pieces(X, fit.grad_rows, fit.hess_rows)
+    want = pieces_from_the_point(X, y, offset, fam, fit.beta)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    kept = fit.without_rows()
+    assert kept.grad_rows is None and kept.hess_rows is None
+    assert kept == fit and kept.beta is fit.beta

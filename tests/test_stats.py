@@ -121,6 +121,13 @@ class TestAuc:
         with pytest.raises(OneClassOnly):
             auc([1.0, 2.0], [1, 1])
 
+    def test_labels_other_than_zero_and_one_rejected(self):
+        # a 2 counted in neither class would put the statistic above 1
+        for labels in ([0, 1, 2, 1], [0, 1, 0.5, 1], [-1, 1, 0, 1], [0, 1, np.nan, 1]):
+            with pytest.raises(DomainError, match="0 or 1"):
+                auc([0.1, 0.2, 0.3, 0.4], labels)
+        assert auc([0.1, 0.2, 0.3, 0.4], [False, True, False, True]) == 0.75
+
     def test_non_finite_scores_rejected(self):
         # a NaN has no rank; sorting it last would read as a score
         for bad in (np.nan, np.inf, -np.inf):
