@@ -24,7 +24,7 @@ from .protocol import StopCriterion
 from .screening import lrt_screen, screen_context, wald_screen
 from .simulate import (SETTINGS, SimDesign, gen_covariates, gen_response, map_T,
                        oracle_fit, simulate, spawn_rngs)
-from .sketch import check_flip_prob, check_release, make_sketch
+from .sketch import check_flip_prob, check_release, make_sketch, mask_response
 from .stats import auc
 from .transport import Tally, connect, serve_one
 
@@ -221,7 +221,7 @@ def cmd_agent(args):
     if not 0.0 <= args.ridge < np.inf:  # NaN fails too
         raise AealError(f"--ridge must be finite and nonnegative, got {args.ridge}")
     fam = parse_family(args.family)
-    if args.mask_flip is not None:  # run_alice refuses both too, once connected
+    if args.mask_flip is not None:  # refused before connecting
         check_flip_prob(args.mask_flip)
         if fam.kind != "logistic":
             raise AealError("--mask-flip predictions unmask logistic probabilities only, "
@@ -263,9 +263,9 @@ def _agent_screen(args, fam, view, y, chan):
 def _agent_train(args, fam, view, y, chan, tally):
     if args.role == "alice":
         stop = replace(StopCriterion.default(view.n), max_rounds=args.max_rounds)
-        rng = np.random.default_rng(args.seed)
-        res = protocol.run_alice(view, y, fam, chan, stop=stop, ridge=args.ridge,
-                                 mask_flip_prob=args.mask_flip, rng=rng)
+        if args.mask_flip is not None:  # Alice's release: she shares flipped labels
+            y = mask_response(y, args.mask_flip, np.random.default_rng(args.seed))
+        res = protocol.run_alice(view, y, fam, chan, stop=stop, ridge=args.ridge)
         beta, cov = res["beta_a"], res["cov_a"]
     else:
         res = protocol.run_bob(view, fam, chan)

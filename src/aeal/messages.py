@@ -17,7 +17,7 @@ from .errors import AealError, DomainError, ProtocolError
 from .sketch import SketchOffer
 from .stats import ScreenResult
 
-PROTOCOL_VERSION = "aeal/5"
+PROTOCOL_VERSION = "aeal/6"
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,13 @@ class Handshake:
     id_digest: str = None   # SHA-256 of the sorted row ids; None for views from arrays
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise ValueError(f"ridge must be nonnegative and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
 class ResponseShare:
     y: np.ndarray
-    masked: bool
-    flip_prob: float    # None when not masked
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ _SCHEMAS = {
                     "epsilon": "float?", "c2": "float?"},
     "ScreenResult": {"statistic": "float", "df": "int", "p_value": "float",
                      "reject": "bool", "alpha": "float"},
-    "ResponseShare": {"y": "vector", "masked": "bool", "flip_prob": "float?"},
+    "ResponseShare": {"y": "vector"},
     "Offset": {"round": "int", "vector": "vector"},
     "PredictContribution": {"nu": "vector", "sigma": "vector"},
     "Stop": {"reason": "str"},

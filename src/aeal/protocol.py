@@ -27,7 +27,7 @@ from .errors import (BadFlipProb, DimensionMismatch, ProtocolError, SingularVari
 from .messages import (PROTOCOL_VERSION, Handshake, Offset, PredictContribution,
                        ResponseShare, Stop, decode)
 from .screening import lrt_screen, wald_screen
-from .sketch import SketchOffer, make_sketch, mask_response, unmask_probability
+from .sketch import SketchOffer, make_sketch, unmask_probability
 from .solver import _predictor, fit_offset, sandwich_pieces, spd_inverse
 from .stats import ScreenResult, normal_quantile
 from .transport import Recorder, local_pair
@@ -69,12 +69,11 @@ class TrainSession:
     bytes_transmitted: int
     stop_reason: str
     ridge: float
-    y_train: np.ndarray          # the response the session was trained on (masked if masking)
+    y_train: np.ndarray          # the response the session was trained on
     transcript: list             # ordered (sender, wire line)
     max_block_grad_inf: float
     cov_a: np.ndarray            # x' cov x = variance of x' beta_A (already /n)
     cov_b: np.ndarray
-    mask_flip_prob: float = None
     history: list = None         # [(beta_a, beta_b)] per round, round 0 first
 
 
@@ -180,8 +179,7 @@ def _offset_vector(msg, k, n):
     return np.asarray(msg.vector, dtype=float)
 
 
-def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
-              mask_flip_prob=None, rng=None):
+def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0):
     """A's side of the training session over an arbitrary channel.
 
     Returns a dict with A's final state and ``fits``, her local fit per
@@ -192,13 +190,10 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0,
     n = X_a.shape[0]
     stop = stop or StopCriterion.default(n)
 
-    masked = mask_flip_prob is not None
-    if masked and fam.kind != "logistic":  # only a probability's flip bias can be undone
-        raise BadFlipProb(f"label masking needs the logistic family, not {fam.name}")
-    y_train = mask_response(y, mask_flip_prob, rng) if masked else np.asarray(y, dtype=float)
+    y_train = np.asarray(y, dtype=float)
 
     open_session(chan, view_a, fam.name, ridge)
-    chan.send(ResponseShare(y=y_train, masked=masked, flip_prob=mask_flip_prob))
+    chan.send(ResponseShare(y=y_train))
 
     fits = [_fit_or_fail(X_a, y_train, None, fam, ridge, None, "A")]
     beta_a = fits[0].beta
@@ -283,8 +278,7 @@ def run_bob(view_b, fam, chan):
             "y_train": y_train}
 
 
-def train(view_a, y, view_b, fam, stop=None, ridge=0.0,
-          mask_flip_prob=None, rng=None):
+def train(view_a, y, view_b, fam, stop=None, ridge=0.0):
     """Run a full in-process session (two threads, serialized channel) and
     merge both agents' states into one TrainSession. Each side closes its
     channel when it stops, so a failure on either side reaches the caller
@@ -308,8 +302,7 @@ def train(view_a, y, view_b, fam, stop=None, ridge=0.0,
     worker = threading.Thread(target=bob_main, daemon=True)
     worker.start()
     try:
-        alice = run_alice(view_a, y, fam, chan_a, stop=stop, ridge=ridge,
-                          mask_flip_prob=mask_flip_prob, rng=rng)
+        alice = run_alice(view_a, y, fam, chan_a, stop=stop, ridge=ridge)
     finally:
         chan_a.close()
         worker.join(timeout=120.0)
@@ -339,7 +332,6 @@ def train(view_a, y, view_b, fam, stop=None, ridge=0.0,
         y_train=alice["y_train"], transcript=list(recorder.lines),
         max_block_grad_inf=max(f.grad_norm_inf for f in fits_a + fits_b),
         cov_a=alice["cov_a"], cov_b=bob["cov_b"],
-        mask_flip_prob=mask_flip_prob,
         history=list(zip([f.beta for f in fits_a], betas_b)))
 
 
@@ -362,20 +354,13 @@ def contribution(x, beta, cov):
     return nu, np.sqrt(var)
 
 
-def predict(x_a, x_b, session, fam, alpha=0.05, unmask=False):
+def predict(x_a, x_b, session, fam, alpha=0.05, flip_prob=None):
     """Joint point prediction with a conservative two-sided interval, for one
-    row (scalar fields) or a matrix of rows (one vector per field).
-
-    The interval is joint_interval's Bonferroni split across the two
-    agents. For masked logistic sessions, unmask=True inverts the
-    label-flip bias on the probability scale.
-    """
-    if unmask and session.mask_flip_prob is None:
-        raise BadFlipProb("session was not trained on a masked response")
+    row (scalar fields) or a matrix of rows (one vector per field): the
+    in-process twin of joint_prediction, through the same joint_interval."""
     nu_a, sigma_a = contribution(x_a, session.beta_a, session.cov_a)
     nu_b, sigma_b = contribution(x_b, session.beta_b, session.cov_b)
-    return joint_interval(nu_a + nu_b, sigma_a, sigma_b, fam, alpha,
-                          session.mask_flip_prob if unmask else None)
+    return joint_interval(nu_a + nu_b, sigma_a, sigma_b, fam, alpha, flip_prob)
 
 
 def send_contribution(view_b, fam, chan, beta, cov):
@@ -399,8 +384,10 @@ def joint_interval(nu, sigma_a, sigma_b, fam, alpha, flip_prob=None):
     """Bonferroni interval nu +/- z_{1-alpha/4} (sigma_A + sigma_B) on the
     linear predictor, elementwise; for GLM families the point and both
     endpoints are mapped through the monotone inverse link, and with the
-    flip_prob of a session trained on flipped labels, from the flipped
-    label's probability back to the true label's."""
+    flip_prob of a model trained on mask_response's flipped labels, from the
+    flipped label's probability back to the true label's."""
+    if flip_prob is not None and fam.kind != "logistic":
+        raise BadFlipProb(f"only a logistic probability can be unmasked, not {fam.name}'s")
     half = normal_quantile(1.0 - alpha / 4.0) * (sigma_a + sigma_b)
     nu_lo, nu_hi = nu - half, nu + half
     if fam.is_glm:  # [()] turns the link's 0-d array for one row into a scalar

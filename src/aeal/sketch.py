@@ -1,5 +1,5 @@
-"""B-side release mechanisms: the sketch release and randomized-response
-masking of binary labels.
+"""Each agent's release: Bob's sketch and Alice's randomized-response masking
+of her binary labels, which she applies before she shares them.
 
 make_sketch releases X_b U for a p_b x t projection U of unit-norm columns
 that never leaves B. Given the caller's clip bound c2, each row x is scaled

@@ -90,8 +90,8 @@ def fit_offset(X, y, offset, fam, ridge=0.0, init=None):
     _MAX_ITER steps or a stalled line search returns the last iterate;
     converged reports whether its gradient is within _TOL.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0.0 <= ridge < np.inf:  # NaN fails too
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
     X = np.asarray(X, dtype=float)
     y = fam.validate_response(y)
     n, p = X.shape

@@ -25,7 +25,7 @@ from aeal.protocol import StopCriterion, predict, train
 from aeal.screening import wald_screen
 from aeal.simulate import (SimDesign, eta_bound, gen_covariates, map_T,
                            oracle_fit, simulate, spawn_rngs)
-from aeal.sketch import make_sketch
+from aeal.sketch import make_sketch, mask_response
 from aeal.solver import fit_offset, sandwich_pieces
 from aeal.stats import auc
 
@@ -288,7 +288,7 @@ def test_criterion_12_randomized_response():
     va, vb = views_from(sim)
     stop = StopCriterion(max_rounds=60)
     clean = train(va, sim.y, vb, LOGIT, stop=stop)
-    masked = train(va, sim.y, vb, LOGIT, stop=stop, mask_flip_prob=0.1, rng=rng)
+    masked = train(va, mask_response(sim.y, 0.1, rng), vb, LOGIT, stop=stop)
     SESSIONS.extend([clean, masked])
 
     X_eval = gen_covariates(10_000, 12, 0.1, rng)

@@ -23,7 +23,7 @@ from aeal.messages import Offset, SketchOffer, encode, format_float
 from aeal.screening import lrt_screen, screen_context, wald_screen
 from aeal.simulate import (SimData, SimDesign, gen_covariates, gen_response, oracle_fit,
                            simulate, spawn_rngs)
-from aeal.sketch import make_sketch
+from aeal.sketch import make_sketch, mask_response
 from aeal.stats import auc
 from aeal.transport import SocketChannel
 
@@ -840,16 +840,20 @@ class TestAgent:
         (rec,) = recorders
         return [json.loads(l) for l in out.splitlines()], rec, b_out
 
-    def library_predict(self, owner_csvs, tmp_path, unmask=False, **masking):
-        """The in-process session and prediction the agent pair should print."""
+    def library_predict(self, owner_csvs, tmp_path, flip_prob=None, unmask=False):
+        """The in-process session and prediction the agent pair should print; with
+        flip_prob, Alice trains on labels masked as the agent masks them at --seed 5."""
         path_a, path_b = owner_csvs
         fam = parse_family("logistic")
         _, view_a, y = load_agent_csv(path_a, "id", Owner.A, response_column="y")
         _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
         _, predict_a, _ = load_agent_csv(tmp_path / "new_a.csv", "id", Owner.A)
         stop = dataclasses.replace(protocol.StopCriterion.default(view_a.n), max_rounds=10)
-        sess = protocol.train(view_a, y, view_b, fam, stop=stop, **masking)
-        return protocol.predict(predict_a.design, view_b.design, sess, fam, unmask=unmask)
+        if flip_prob is not None:
+            y = mask_response(y, flip_prob, np.random.default_rng(5))
+        sess = protocol.train(view_a, y, view_b, fam, stop=stop)
+        return protocol.predict(predict_a.design, view_b.design, sess, fam,
+                                flip_prob=flip_prob if unmask else None)
 
     def assert_rows_equal(self, lines, pred):
         rows = [line for line in lines if "row" in line]
@@ -877,11 +881,9 @@ class TestAgent:
         lines, _, _ = self.predict_with_recorded_alice(
             owner_csvs, tmp_path, monkeypatch, capsys,
             alice_flags=["--mask-flip", "0.1", "--seed", "5"])
-        masking = {"mask_flip_prob": 0.1, "rng": np.random.default_rng(5)}
-        pred = self.library_predict(owner_csvs, tmp_path, unmask=True, **masking)
+        pred = self.library_predict(owner_csvs, tmp_path, flip_prob=0.1, unmask=True)
         self.assert_rows_equal(lines, pred)
-        masking["rng"] = np.random.default_rng(5)
-        flipped = self.library_predict(owner_csvs, tmp_path, **masking)
+        flipped = self.library_predict(owner_csvs, tmp_path, flip_prob=0.1)
         assert not np.array_equal(pred.point, flipped.point)
 
     def test_predict_totals_count_the_whole_session(self, owner_csvs, tmp_path,
@@ -1104,7 +1106,7 @@ class TestPeerBreaksMessageRules:
 
         def peer(sock):
             lines = [HANDSHAKE % ("80", "0", digest_of(path_b)),
-                     encode(ResponseShare(y=np.full(80, 2.0), masked=False, flip_prob=None)),
+                     encode(ResponseShare(y=np.full(80, 2.0))),
                      encode(Offset(round=0, vector=np.zeros(80)))]
             sock.sendall("".join(line + "\n" for line in lines).encode())
             drain(sock)

@@ -21,7 +21,7 @@ from aeal.protocol import (StopCriterion, TrainSession, joint_loss, joint_predic
                            offer_sketch, predict, replay, run_alice, run_bob, screen_offer,
                            train)
 from aeal.screening import lrt_screen, wald_screen
-from aeal.sketch import SketchOffer, make_sketch
+from aeal.sketch import SketchOffer, make_sketch, mask_response, unmask_probability
 from aeal.simulate import SimDesign, eta_bound, map_T, oracle_fit, simulate
 from aeal.solver import _GRAM_BLOCK_BYTES
 from aeal.stats import ScreenResult, normal_quantile
@@ -336,7 +336,7 @@ class TestMasking:
         design = SimDesign(setting="s2", n=n, rho=0.1, family=LOGIT)
         sim = simulate(design, rng, hypothesis="h1")
         va, vb = views_from(sim)
-        sess = train(va, sim.y, vb, LOGIT, mask_flip_prob=0.1, rng=rng,
+        sess = train(va, mask_response(sim.y, 0.1, rng), vb, LOGIT,
                      stop=StopCriterion(max_rounds=40))
         # truth on fresh points
         X_eval = sim.X[:5000]
@@ -347,31 +347,48 @@ class TestMasking:
         Xe_a = X_eval[:, [pos[nm] for nm in own.a_names]]
         Xe_b = X_eval[:, [pos[nm] for nm in own.b_names]]
         for i in range(len(X_eval)):
-            preds.append(predict(Xe_a[i], Xe_b[i], sess, LOGIT, unmask=True).point)
+            preds.append(predict(Xe_a[i], Xe_b[i], sess, LOGIT, flip_prob=0.1).point)
         assert float(np.mean(np.abs(np.array(preds) - truth))) <= 0.03
 
-    def test_masking_needs_the_logistic_family(self, monkeypatch):
-        # a gaussian point can leave [0, 1], where no flip bias can be undone:
-        # Alice refuses before her handshake, and train raises it at once
-        monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 5.0)
-        va, vb, y = orthogonal_fixture()
-        labels = (y > 0).astype(float)
-        recorder = Recorder()
-        chan_a, _ = local_pair(recorder)
-        with pytest.raises(BadFlipProb, match="logistic family"):
-            run_alice(va, labels, GAUSS, chan_a, mask_flip_prob=0.1,
-                      rng=np.random.default_rng(0))
-        assert recorder.lines == []
-        start = time.monotonic()
-        with pytest.raises(BadFlipProb, match="logistic family"):
-            train(va, labels, vb, GAUSS, mask_flip_prob=0.1, rng=np.random.default_rng(0))
-        assert time.monotonic() - start < 1.0
-
-    def test_unmasking_needs_a_masked_session(self):
+    def test_masking_needs_the_logistic_family(self):
+        # a gaussian or log-cosh point can leave [0, 1], where no flip bias can
+        # be undone; the step both predict paths share refuses to try
         va, vb, y = orthogonal_fixture()
         sess = train(va, y, vb, GAUSS, stop=StopCriterion(max_rounds=3))
-        with pytest.raises(BadFlipProb, match="not trained on a masked response"):
-            predict(va.design[0], vb.design[0], sess, GAUSS, unmask=True)
+        zero = np.zeros(2)
+        for fam in (GAUSS, LossFamily("logcosh", alpha=0.3)):
+            with pytest.raises(BadFlipProb, match="only a logistic probability"):
+                protocol.joint_interval(np.array([0.3, 0.6]), zero, zero, fam, 0.05,
+                                        flip_prob=0.1)
+            with pytest.raises(BadFlipProb, match="only a logistic probability"):
+                predict(va.design[0], vb.design[0], sess, fam, flip_prob=0.1)
+
+    def test_unmasking_needs_a_masked_session(self):
+        # a session trained on mask_response's labels is unmasked by the flip
+        # rate its caller passes: the same bits in process and over the wire,
+        # and a rate outside (0, 0.5) is refused
+        rng = np.random.default_rng(22)
+        sim = simulate(SimDesign(setting="s1", n=300, rho=0.0, family=LOGIT), rng,
+                       hypothesis="h1")
+        va, vb = views_from(sim)
+        sess = train(va, mask_response(sim.y, 0.1, rng), vb, LOGIT,
+                     stop=StopCriterion(max_rounds=20))
+        pa, pb = (AgentView(design=v.design[:40], column_names=v.column_names,
+                            owner=v.owner) for v in (va, vb))
+        local = predict(pa.design, pb.design, sess, LOGIT, flip_prob=0.1)
+        chan_a, chan_b = local_pair()
+        bob = threading.Thread(target=protocol.send_contribution,
+                               args=(pb, LOGIT, chan_b, sess.beta_b, sess.cov_b))
+        bob.start()
+        wire = joint_prediction(pa, LOGIT, chan_a, sess.beta_a, sess.cov_a, flip_prob=0.1)
+        bob.join(10)
+        plain = predict(pa.design, pb.design, sess, LOGIT)
+        for fld in ("point", "lo", "hi"):
+            assert getattr(wire, fld).tobytes() == getattr(local, fld).tobytes()
+            assert getattr(local, fld).tobytes() == \
+                unmask_probability(getattr(plain, fld), 0.1).tobytes()
+        with pytest.raises(BadFlipProb):
+            predict(pa.design, pb.design, sess, LOGIT, flip_prob=0.5)
 
 
 class TestPredict:
@@ -536,7 +553,7 @@ def handshake(n, family="gaussian"):
 
 
 def response(n):
-    return ResponseShare(y=np.zeros(n), masked=False, flip_prob=None)
+    return ResponseShare(y=np.zeros(n))
 
 
 def offer(rows):

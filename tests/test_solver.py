@@ -124,8 +124,10 @@ class TestFitOffset:
 
     @pytest.mark.parametrize("ridge, n_y, message", [
         (-1e-3, 4, "ridge must be nonnegative"),
+        (np.nan, 4, "ridge must be nonnegative and finite"),
+        (np.inf, 4, "ridge must be nonnegative and finite"),
         (0.0, 5, "inconsistent lengths"),
-    ], ids=["negative-ridge", "y-of-another-length"])
+    ], ids=["negative-ridge", "nan-ridge", "inf-ridge", "y-of-another-length"])
     def test_bad_arguments_rejected(self, ridge, n_y, message):
         with pytest.raises(ValueError, match=message):
             fit_offset(np.ones((4, 1)), np.zeros(n_y), None, GAUSS, ridge)

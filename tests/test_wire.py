@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -25,7 +26,7 @@ ALL_MESSAGES = [
                 epsilon=0.5, c2=1.25),
     SketchOffer(projected=((0.0,),), t=1, noised=False, epsilon=None, c2=None),
     ScreenResult(statistic=5.25, df=2, p_value=0.07243, reject=False, alpha=0.05),
-    ResponseShare(y=(0.0, 1.0, 1.0), masked=True, flip_prob=0.1),
+    ResponseShare(y=(0.0, 1.0, 1.0)),
     Offset(round=3, vector=(0.1, -2.5e-17, 3.0, -0.0, 5e-324)),
     PredictContribution(nu=(-1.5, 0.5, 2.0), sigma=(0.25, -0.0, 1.0)),
     Stop(reason="CoefDelta"),
@@ -67,6 +68,12 @@ class TestRoundTrip:
         wire = readme[readme.index("### Wire format"):readme.index("## Repository layout")]
         assert set(re.findall(r"aeal/\d+", wire)) == {PROTOCOL_VERSION}
 
+    def test_schema_edits_bump_the_protocol_version(self):
+        # a wire-format change must move PROTOCOL_VERSION, and then this pin with it
+        digest = hashlib.sha256(json.dumps(_SCHEMAS, sort_keys=True).encode()).hexdigest()
+        assert (PROTOCOL_VERSION, digest) == (
+            "aeal/6", "2837960830787ffc49f836c64ec6835e5e82ce0ef6587ff000780c425c112b52")
+
     def test_payloads_decode_read_only_float64(self):
         got = decode(encode(ALL_MESSAGES[1]))
         assert got.projected.dtype == np.float64 and got.projected.shape == (2, 2)
@@ -100,7 +107,7 @@ class TestRoundTrip:
                     zero = dataclasses.replace(msg, **{fld: -0.0}, **consistent)
                     back = decode(encode(zero))
                     assert math.copysign(1.0, getattr(back, fld)) == -1.0, fld
-        assert fields >= 4
+        assert fields == 3  # lam, statistic, p_value
         # in a payload, -0.0 differs from +0.0 in its sign bit alone
         assert encode(PredictContribution(nu=(0.0,), sigma=(-0.0,))) == \
             '{"type":"PredictContribution","nu":"AAAAAAAAAAA=","sigma":"AAAAAAAAAIA="}'
@@ -114,6 +121,18 @@ class TestStrictness:
     def test_unknown_field(self):
         with pytest.raises(ProtocolError):
             decode('{"type":"Stop","reason":"x","extra":1}')
+
+    def test_response_share_carries_no_masking_report(self):
+        # Alice masks before she shares, so Bob learns neither whether nor how much
+        line = encode(ResponseShare(y=(1.0, 0.0)))
+        assert line == '{"type":"ResponseShare","y":"AAAAAAAA8D8AAAAAAAAAAA=="}'
+        with pytest.raises(ProtocolError, match="unknown fields"):
+            decode(line[:-1] + ',"masked":true,"flip_prob":0.1}')
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_handshake_refuses_a_ridge_outside_zero_to_infinity(self, lam):
+        with pytest.raises(ValueError, match="ridge must be nonnegative and finite"):
+            Handshake(version=PROTOCOL_VERSION, n=3, family="gaussian", lam=lam)
 
     def test_missing_field(self):
         with pytest.raises(ProtocolError):
