@@ -242,15 +242,15 @@ def cmd_agent(args):
 
 def _agent_screen(args, fam, view, y, chan):
     if args.role == "bob":
-        result = protocol.offer_sketch(
+        result = protocol.run_role(protocol.offer_sketch(
             view, fam, chan, min(args.t, view.design.shape[1]),
             np.random.default_rng(args.seed), rows=args.screen_rows or None,
-            noise_scale=args.laplace_scale, epsilon=args.epsilon, c2=args.clip_bound)
+            noise_scale=args.laplace_scale, epsilon=args.epsilon, c2=args.clip_bound))
         _print_json({"role": "bob", "mode": "screen", "reject": result.reject,
                      "p_value": format_float(result.p_value)})
         return 0
-    report = protocol.screen_offer(view, y, fam, chan, test=args.test, alpha=args.alpha,
-                                   ridge=args.ridge)
+    report = protocol.run_role(protocol.screen_offer(view, y, fam, chan, test=args.test,
+                                                     alpha=args.alpha, ridge=args.ridge))
     d = report.decision
     _print_json({"role": "alice", "mode": "screen", "statistic": format_float(d.statistic),
                  "df": d.df, "p_value": format_float(d.p_value), "reject": d.reject,
@@ -276,10 +276,10 @@ def _agent_train(args, fam, view, y, chan, tally):
         return 0
     view_new = _predict_view(args, view)
     if args.role == "bob":  # one contribution message carries all of Bob's rows
-        protocol.send_contribution(view_new, fam, chan, beta, cov)
-    else:
-        pred = protocol.joint_prediction(view_new, fam, chan, beta, cov, args.alpha,
-                                         args.mask_flip)  # Alice trained on flipped labels
+        protocol.run_role(protocol.send_contribution(view_new, fam, chan, beta, cov))
+    else:  # Alice trained on flipped labels when mask_flip is set
+        pred = protocol.run_role(protocol.joint_prediction(view_new, fam, chan, beta, cov,
+                                                           args.alpha, args.mask_flip))
         for i in range(view_new.n):
             _print_json({"row": i, **{k: format_float(getattr(pred, k)[i])
                                       for k in ("nu", "point", "lo", "hi")}})

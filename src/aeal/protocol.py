@@ -1,6 +1,9 @@
-"""Every session step, one role function per side, each opening its own session:
-stage 1 (offer_sketch, screen_offer), training (run_alice, run_bob) and joint
-prediction (send_contribution, joint_prediction).
+"""Every session step, one role per side, each opening its own session: stage 1
+(offer_sketch, screen_offer), training (alice_role, bob_role) and joint
+prediction (send_contribution, joint_prediction). Each role is a generator
+that yields the channel end it waits on and resumes with that end's next
+message: run_role runs one over a blocking channel (a socket), run_pair two
+over a local_pair on the caller's thread.
 
 In training, A initializes by fitting her own columns, then the agents alternate: each
 re-minimizes its local loss treating the other's transmitted linear
@@ -17,13 +20,12 @@ to round j carries j + 1; any other round or row count is a protocol error.
 """
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (BadFlipProb, DimensionMismatch, ProtocolError, SingularVariance,
-                     SolverFailure, TransportFailure, UnsupportedResponse)
+                     SolverFailure, UnsupportedResponse)
 from .messages import (PROTOCOL_VERSION, Handshake, Offset, PredictContribution,
                        ResponseShare, Stop, decode)
 from .screening import lrt_screen, wald_screen
@@ -92,29 +94,67 @@ def _fit_or_fail(X, y, offset, fam, ridge, init, who):
     res = fit_offset(X, y, offset, fam, ridge, init=init)
     if not res.converged:
         raise SolverFailure(f"{who}'s local fit did not converge")
-    return res.without_rows()  # the session keeps every fit
+    return res
 
 
-def _predictor_covariance(X, y, offset, fam, beta):
-    """Sandwich variance of x' beta_hat: V1^-1 V2 V1^-1 / n, at the final offset."""
-    _, g, w = fam.derivatives(y, _predictor(X, beta, offset))
+def _predictor_covariance(X, g, w):
+    """Sandwich variance of x' beta_hat, V1^-1 V2 V1^-1 / n, from the final point's g and w."""
     V1, V2 = sandwich_pieces(X, g, w)
     V1_inv = spd_inverse(V1, SingularVariance, "Hessian piece V1")
     return V1_inv @ V2 @ V1_inv / X.shape[0]
 
 
 def expect(chan, kind, what):
-    """Receive one message and return it if it is a kind (a class or a tuple of
-    classes); any other message is a protocol error naming what the step expects."""
-    msg = chan.recv()
+    """Every role's wait: yield chan, and return the message the driver sends back if it
+    is a kind (a class or a tuple of classes), else raise ProtocolError naming what."""
+    msg = yield chan
     if not isinstance(msg, kind):
         raise ProtocolError(f"expected {what}, got {type(msg).__name__}")
     return msg
 
 
-def _check_handshake(msg, view, family):
-    """Validate the peer's handshake against this side's version, row count,
-    loss family and row-id digest."""
+def _resume(role, msg):
+    """Resume role with msg: (the end it waits on, None), or (None, its result) at its end."""
+    try:
+        return role.send(msg), None
+    except StopIteration as done:
+        return None, done.value
+
+
+def run_role(role):
+    """Run one role to its end, each wait answered by a blocking receive; return its result."""
+    end, result = _resume(role, None)
+    while end is not None:
+        end, result = _resume(role, end.recv())
+    return result
+
+
+def run_pair(alice, bob):
+    """Run two roles over the ends of a local_pair on this thread, each until it
+    waits on an empty end; return both results. A role's error reaches the caller
+    as it is raised; when every waiting role's end is empty, a recv raises ProtocolError."""
+    roles = (alice, bob)
+    steps = [_resume(role, None) for role in roles]  # (the end it waits on, result) per role
+    while waiting := [i for i, (end, _) in enumerate(steps) if end is not None]:
+        i = next((i for i in waiting if steps[i][0].inbox), waiting[0])
+        steps[i] = _resume(roles[i], steps[i][0].recv())
+    return [result for _, result in steps]
+
+
+def open_session(chan, view, family, lam=None):
+    """The exchange every session opens with. Alice passes her ridge and sends
+    first; Bob (lam None) echoes with her ridge before he checks hers, so that
+    a mismatch stops both sides with a protocol error. Each checks the peer's
+    version, row count, loss family and row-id digest against its own, and
+    returns the peer's handshake."""
+    def own(lam):
+        return Handshake(version=PROTOCOL_VERSION, n=view.n, family=family, lam=lam,
+                         id_digest=view.id_digest)
+    if lam is not None:
+        chan.send(own(lam))
+    msg = yield from expect(chan, Handshake, "handshake")
+    if lam is None:
+        chan.send(own(msg.lam))
     if msg.version != PROTOCOL_VERSION:
         raise ProtocolError(f"protocol version mismatch: {msg.version!r}")
     if msg.n != view.n:
@@ -126,38 +166,22 @@ def _check_handshake(msg, view, family):
     return msg
 
 
-def open_session(chan, view, family, lam=None):
-    """The exchange every session opens with. Alice passes her ridge and sends
-    first; Bob (lam None) echoes with her ridge before he checks hers, so that
-    a mismatch stops both sides with a protocol error. Returns the peer's
-    handshake."""
-    def own(lam):
-        return Handshake(version=PROTOCOL_VERSION, n=view.n, family=family, lam=lam,
-                         id_digest=view.id_digest)
-    if lam is not None:
-        chan.send(own(lam))
-        return _check_handshake(expect(chan, Handshake, "handshake"), view, family)
-    msg = expect(chan, Handshake, "handshake")
-    chan.send(own(msg.lam))
-    return _check_handshake(msg, view, family)
-
-
 def offer_sketch(view_b, fam, chan, t, rng, rows=None, noise_scale=0.0, epsilon=None, c2=None):
     """Bob's stage 1: send make_sketch's release of his leading rows (all when
     rows is None) and return Alice's ScreenResult. The release is drawn before
     the handshake, so a bad t, noise scale, epsilon or c2 sends no line."""
     offer = make_sketch(view_b.design[:rows], t, rng, noise_scale=noise_scale,
                         epsilon=epsilon, c2=c2)
-    open_session(chan, view_b, fam.name)
+    yield from open_session(chan, view_b, fam.name)
     chan.send(offer)
-    return expect(chan, ScreenResult, "a screening result")
+    return (yield from expect(chan, ScreenResult, "a screening result"))
 
 
 def screen_offer(view_a, y, fam, chan, test="wald", alpha=0.05, ridge=0.0):
     """Alice's stage 1: screen Bob's sketch offer on her leading rows with the
     Wald test (ridge applies) or the LRT, send him the decision, return the report."""
-    open_session(chan, view_a, fam.name, ridge)
-    sketch = expect(chan, SketchOffer, "a sketch offer")
+    yield from open_session(chan, view_a, fam.name, ridge)
+    sketch = yield from expect(chan, SketchOffer, "a sketch offer")
     n = sketch.n  # B sketched his leading rows; A pairs as many of hers
     if n > view_a.n:
         raise ProtocolError("sketch carries more rows than this agent holds")
@@ -170,6 +194,11 @@ def screen_offer(view_a, y, fam, chan, test="wald", alpha=0.05, ridge=0.0):
     return report
 
 
+def _within(delta, tol):
+    """Whether a stop rule with this tolerance (None: off) holds for delta."""
+    return tol is not None and float(np.linalg.norm(delta)) <= tol
+
+
 def _offset_vector(msg, k, n):
     """The vector of the peer's Offset msg, which must be for round k with n rows."""
     if msg.round != k:
@@ -179,8 +208,8 @@ def _offset_vector(msg, k, n):
     return np.asarray(msg.vector, dtype=float)
 
 
-def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0):
-    """A's side of the training session over an arbitrary channel.
+def alice_role(view_a, y, fam, chan, stop=None, ridge=0.0):
+    """A's side of the training session.
 
     Returns a dict with A's final state and ``fits``, her local fit per
     round, round 0 first. Each fit's ``final_loss`` is the data loss at the
@@ -189,58 +218,52 @@ def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0):
     X_a = view_a.design
     n = X_a.shape[0]
     stop = stop or StopCriterion.default(n)
-
     y_train = np.asarray(y, dtype=float)
 
-    open_session(chan, view_a, fam.name, ridge)
+    yield from open_session(chan, view_a, fam.name, ridge)
     chan.send(ResponseShare(y=y_train))
 
-    fits = [_fit_or_fail(X_a, y_train, None, fam, ridge, None, "A")]
-    beta_a = fits[0].beta
+    last = _fit_or_fail(X_a, y_train, None, fam, ridge, None, "A")  # rows kept for cov_a
+    fits = [last.without_rows()]
+    beta_a = last.beta
     nu_a = X_a @ beta_a
     nu_b = np.zeros(n)
 
     # A's offset for round k doubles as the continue signal for round k+1,
     # so it is sent only once the next round is certain to happen; on stop,
     # Stop precedes the final offset and B never fits speculatively.
-    k = 0
-    stop_reason = None
-    prev_total = nu_a + nu_b
-    while True:
-        if k >= stop.max_rounds:
-            stop_reason = STOP_MAX
-            break
+    k, prev_total = 0, nu_a + nu_b
+    stop_reason = STOP_MAX if stop.max_rounds == 0 else None
+    while stop_reason is None:
         chan.send(Offset(round=k, vector=nu_a))
-        nu_b = _offset_vector(expect(chan, Offset, "Offset"), k + 1, n)
+        nu_b = _offset_vector((yield from expect(chan, Offset, "Offset")), k + 1, n)
         k += 1
 
-        fits.append(_fit_or_fail(X_a, y_train, nu_b, fam, ridge, beta_a, "A"))
-        prev_beta_a, beta_a = beta_a, fits[-1].beta
+        last = _fit_or_fail(X_a, y_train, nu_b, fam, ridge, beta_a, "A")
+        fits.append(last.without_rows())
+        prev_beta_a, beta_a = beta_a, last.beta
         nu_a = X_a @ beta_a
 
-        fired = None
-        if k >= 2:  # delta rules need two full-round iterates
-            if (stop.coef_tol is not None
-                    and float(np.linalg.norm(beta_a - prev_beta_a)) <= stop.coef_tol):
-                fired = STOP_COEF
-            elif (stop.offset_tol is not None
-                    and float(np.linalg.norm(nu_a + nu_b - prev_total)) <= stop.offset_tol):
-                fired = STOP_OFFSET
+        # the delta rules need two full-round iterates
+        if k >= 2 and _within(beta_a - prev_beta_a, stop.coef_tol):
+            stop_reason = STOP_COEF
+        elif k >= 2 and _within(nu_a + nu_b - prev_total, stop.offset_tol):
+            stop_reason = STOP_OFFSET
+        elif k >= stop.max_rounds:
+            stop_reason = STOP_MAX
         prev_total = nu_a + nu_b
-        if fired is not None:
-            stop_reason = fired
-            break
 
     chan.send(Stop(reason=stop_reason))
     chan.send(Offset(round=k, vector=nu_a))
 
-    cov_a = _predictor_covariance(X_a, y_train, nu_b, fam, beta_a)
+    # her last fit is at beta_a against nu_b, so its rows give her covariance
+    cov_a = _predictor_covariance(X_a, last.grad_rows, last.hess_rows)
     return {"beta_a": beta_a, "nu_a": nu_a, "nu_b": nu_b, "rounds": k,
             "stop_reason": stop_reason, "fits": fits, "cov_a": cov_a,
             "y_train": y_train}
 
 
-def run_bob(view_b, fam, chan):
+def bob_role(view_b, fam, chan):
     """B's side: adopt the handshake's penalty, receive the response, then
     answer each of A's offsets with a local fit.
 
@@ -249,10 +272,9 @@ def run_bob(view_b, fam, chan):
     """
     X_b = view_b.design
     n = X_b.shape[0]
+    hs = yield from open_session(chan, view_b, fam.name)
 
-    hs = open_session(chan, view_b, fam.name)
-
-    share = expect(chan, ResponseShare, "the response share")
+    share = yield from expect(chan, ResponseShare, "the response share")
     if len(share.y) != n:
         raise ProtocolError("response length does not match the session")
     try:
@@ -260,58 +282,46 @@ def run_bob(view_b, fam, chan):
     except UnsupportedResponse as exc:
         raise ProtocolError(f"response share: {exc}") from None
 
-    beta_b = np.zeros(X_b.shape[1])
-    nu_b = np.zeros(n)
-    fits = []
-    while not isinstance(msg := expect(chan, (Offset, Stop), "Offset or Stop"), Stop):
+    beta_b, nu_b, fits = np.zeros(X_b.shape[1]), np.zeros(n), []
+    while not isinstance(msg := (yield from expect(chan, (Offset, Stop), "Offset or Stop")),
+                         Stop):
         nu_a = _offset_vector(msg, len(fits), n)
-        fits.append(_fit_or_fail(X_b, y_train, nu_a, fam, hs.lam, beta_b, "B"))
+        fits.append(_fit_or_fail(X_b, y_train, nu_a, fam, hs.lam, beta_b, "B").without_rows())
         beta_b = fits[-1].beta
         nu_b = X_b @ beta_b
         chan.send(Offset(round=len(fits), vector=nu_b))
     stop_reason = msg.reason
-    nu_a = _offset_vector(expect(chan, Offset, "Offset"), len(fits), n)  # A's final one
+    nu_a = _offset_vector((yield from expect(chan, Offset, "Offset")), len(fits), n)
 
-    cov_b = _predictor_covariance(X_b, y_train, nu_a, fam, beta_b)
+    # B never fits against A's final offset, so his rows there are computed here
+    _, g, w = fam.derivatives(y_train, _predictor(X_b, beta_b, nu_a))
+    cov_b = _predictor_covariance(X_b, g, w)
     return {"beta_b": beta_b, "nu_b": nu_b, "nu_a": nu_a, "rounds": len(fits),
             "fits": fits, "cov_b": cov_b, "stop_reason": stop_reason,
             "y_train": y_train}
 
 
+def run_alice(view_a, y, fam, chan, stop=None, ridge=0.0):
+    """alice_role run to its end over a blocking channel; returns her dict."""
+    return run_role(alice_role(view_a, y, fam, chan, stop, ridge))
+
+
+def run_bob(view_b, fam, chan):
+    """bob_role run to its end over a blocking channel; returns his dict."""
+    return run_role(bob_role(view_b, fam, chan))
+
+
 def train(view_a, y, view_b, fam, stop=None, ridge=0.0):
-    """Run a full in-process session (two threads, serialized channel) and
-    merge both agents' states into one TrainSession. Each side closes its
-    channel when it stops, so a failure on either side reaches the caller
-    at once: Bob's own error first, else Alice's."""
+    """Run both roles of a session in process, on this thread over a local
+    pair, and merge their states into one TrainSession. A failure on either
+    side reaches the caller as that side raises it, with its own type."""
     y = np.asarray(y, dtype=float)
     if view_a.n != view_b.n or len(y) != view_a.n:
         raise DimensionMismatch("agents must hold the same aligned rows")
     recorder = Recorder()
     chan_a, chan_b = local_pair(recorder)
-
-    bob_box = {}
-
-    def bob_main():
-        try:
-            bob_box["result"] = run_bob(view_b, fam, chan_b)
-        except Exception as exc:  # propagated after join
-            bob_box["error"] = exc
-        finally:
-            chan_b.close()
-
-    worker = threading.Thread(target=bob_main, daemon=True)
-    worker.start()
-    try:
-        alice = run_alice(view_a, y, fam, chan_a, stop=stop, ridge=ridge)
-    finally:
-        chan_a.close()
-        worker.join(timeout=120.0)
-        bob_error = bob_box.get("error")
-        if bob_error is not None and not isinstance(bob_error, TransportFailure):
-            raise bob_error  # Bob's own failure; Alice then saw the closed channel
-    if bob_error is not None:
-        raise bob_error
-    bob = bob_box["result"]
+    alice, bob = run_pair(alice_role(view_a, y, fam, chan_a, stop, ridge),
+                          bob_role(view_b, fam, chan_b))
 
     # each fit's objective holds the joint data loss and that side's own
     # penalty at its half-round; the other side's penalty is added here
@@ -323,10 +333,8 @@ def train(view_a, y, view_b, fam, stop=None, ridge=0.0):
     betas_b = [np.zeros(len(bob["beta_b"]))] + [f.beta for f in fits_b]
 
     return TrainSession(
-        beta_a=alice["beta_a"], beta_b=bob["beta_b"],
-        nu_a=alice["nu_a"], nu_b=bob["nu_b"],
-        rounds=alice["rounds"], loss_log=loss_log,
-        rounds_transmitted=recorder.vector_sends,
+        beta_a=alice["beta_a"], beta_b=bob["beta_b"], nu_a=alice["nu_a"], nu_b=bob["nu_b"],
+        rounds=alice["rounds"], loss_log=loss_log, rounds_transmitted=recorder.vector_sends,
         bytes_transmitted=recorder.bytes_transmitted,
         stop_reason=alice["stop_reason"], ridge=ridge,
         y_train=alice["y_train"], transcript=list(recorder.lines),
@@ -365,16 +373,16 @@ def predict(x_a, x_b, session, fam, alpha=0.05, flip_prob=None):
 
 def send_contribution(view_b, fam, chan, beta, cov):
     """Bob's predict step: his contribution for all his predict rows in one message."""
-    open_session(chan, view_b, fam.name)
+    yield from open_session(chan, view_b, fam.name)
     nu, sigma = contribution(view_b.design, beta, cov)
     chan.send(PredictContribution(nu=nu, sigma=sigma))
 
 
 def joint_prediction(view_a, fam, chan, beta, cov, alpha=0.05, flip_prob=None):
     """Alice's predict step: joint_interval of her contribution and Bob's."""
-    open_session(chan, view_a, fam.name, 0.0)
+    yield from open_session(chan, view_a, fam.name, 0.0)
     nu, sigma = contribution(view_a.design, beta, cov)
-    peer = expect(chan, PredictContribution, "a prediction contribution")
+    peer = yield from expect(chan, PredictContribution, "a prediction contribution")
     if len(peer.nu) != view_a.n:
         raise ProtocolError("contribution row count differs from the predict file")
     return joint_interval(nu + peer.nu, sigma, peer.sigma, fam, alpha, flip_prob)

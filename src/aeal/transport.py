@@ -3,20 +3,18 @@
 Every sent line is encoded and counted by Tally.count, whichever channel
 carries it, and each end of either kind records in its own Tally (a Recorder
 also keeps the lines) what it sends and receives, so the state either agent
-observes is identical across transports. The in-process pair runs the agents
-on two threads in lockstep; the protocol alternates, so scheduling cannot
-affect results.
+observes is identical across transports. The in-process pair holds each
+direction's messages in a deque; protocol.run_pair steps both agents over it
+on one thread, and the protocol alternates, so scheduling cannot affect results.
 """
 
-import queue
 import socket
-from collections import Counter
+from collections import Counter, deque
 
 from .errors import ProtocolError, TransportFailure
 from .messages import decode, encode
 
-RECV_TIMEOUT = 120.0
-_CLOSED = object()  # queued by LocalChannel.close: the peer reads it as EOF
+RECV_TIMEOUT = 120.0  # of a socket receive
 
 
 class Tally:
@@ -60,38 +58,32 @@ class LocalChannel:
     so a message the wire refuses fails here as on a socket, and queued with
     its line; the peer records that line and receives the original object:
     decoding a line gives back the very bytes of each payload, so this is
-    bit-identical to the socket transport, which parses the line back.
+    bit-identical to the socket transport, which parses the line back. With
+    its inbox empty, a receive raises ProtocolError: no other thread will send.
     """
 
     def __init__(self, name, peer, outbox, inbox, tally):
         self.name = name
         self.peer = peer
         self._outbox = outbox
-        self._inbox = inbox
+        self.inbox = inbox           # (message, line) pairs sent here and not yet received
         self._tally = tally
 
     def send(self, msg):
-        self._outbox.put((msg, self._tally.count(self.name, msg)))
+        self._outbox.append((msg, self._tally.count(self.name, msg)))
 
     def recv(self):
-        try:
-            item = self._inbox.get(timeout=RECV_TIMEOUT)
-        except queue.Empty:
-            raise TransportFailure("peer did not respond")
-        if item is _CLOSED:
-            raise TransportFailure("connection closed by peer")
-        msg, line = item
+        if not self.inbox:
+            raise ProtocolError(f"{self.name} waits for a message {self.peer} has not sent")
+        msg, line = self.inbox.popleft()
         self._tally.record(self.peer, msg, line)
         return msg
-
-    def close(self):
-        self._outbox.put(_CLOSED)
 
 
 def local_pair(recorder=None):
     """Connected (alice_channel, bob_channel) endpoints; Alice's end records in
     recorder (a new Tally if None), Bob's in a Tally of its own."""
-    a_to_b, b_to_a = queue.Queue(), queue.Queue()
+    a_to_b, b_to_a = deque(), deque()
     return (LocalChannel("A", "B", a_to_b, b_to_a, Tally() if recorder is None else recorder),
             LocalChannel("B", "A", b_to_a, a_to_b, Tally()))
 

@@ -4,6 +4,7 @@ it. The hook check runs in a subprocess because importing the benchmark's
 workloads sets transport.RECV_TIMEOUT for the whole process."""
 
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ from aeal.data import AgentView, Owner
 from aeal.losses import LossFamily
 from aeal.simulate import SimDesign, simulate
 from aeal.messages import Offset, decode
-from aeal.transport import Recorder, local_pair
+from aeal.transport import Recorder, SocketChannel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -111,21 +112,27 @@ def test_benchmark_hooks_install_and_uninstall():
 
 def test_agent_results_carry_what_the_benchmark_and_agent_read():
     # the agent-socket workload and `aeal agent` run each side on its own
-    # channel end and read these keys; here the ends are an in-process pair
+    # channel end and read these keys; here the ends are a socket pair
     fam = LossFamily("logistic")
     sim = simulate(SimDesign(setting="s2", n=500, rho=0.1, family=fam),
                    np.random.default_rng(0), hypothesis="h1")
     view_a = AgentView(design=sim.X_a, column_names=sim.ownership.a_names, owner=Owner.A)
     view_b = AgentView(design=sim.X_b, column_names=sim.ownership.b_names, owner=Owner.B)
     recorder = Recorder()
-    chan_a, chan_b = local_pair(recorder)
+    left, right = socket.socketpair()
+    chan_a = SocketChannel(left, name="A", peer="B", recorder=recorder)
+    chan_b = SocketChannel(right, name="B", peer="A")
     bob = {}
     worker = threading.Thread(target=lambda: bob.update(protocol.run_bob(view_b, fam, chan_b)),
                               daemon=True)
     worker.start()
-    alice = protocol.run_alice(view_a, sim.y, fam, chan_a,
-                               stop=protocol.StopCriterion.default(500))
-    worker.join(timeout=60.0)
+    try:
+        alice = protocol.run_alice(view_a, sim.y, fam, chan_a,
+                                   stop=protocol.StopCriterion.default(500))
+    finally:
+        worker.join(timeout=60.0)
+        chan_a.close()
+        chan_b.close()
 
     assert {"beta_a", "nu_a", "nu_b", "rounds", "stop_reason", "cov_a",
             "y_train"} <= alice.keys()

@@ -1130,7 +1130,7 @@ class TestPeerBreaksMessageRules:
             # contribution that breaks the rules, or none at all
             chan = SocketChannel(sock)
             protocol.run_bob(view_b, parse_family("logistic"), chan)
-            protocol.open_session(chan, view_b, "logistic")
+            protocol.run_role(protocol.open_session(chan, view_b, "logistic"))
             if line is None:
                 sock.shutdown(socket.SHUT_WR)
             else:
@@ -1157,10 +1157,10 @@ def screen_step_peer(role, path_a, path_b, line):
         chan = SocketChannel(sock)
         if role == "alice":
             _, view_b, _ = load_agent_csv(path_b, "id", Owner.B)
-            protocol.open_session(chan, view_b, "logistic")
+            protocol.run_role(protocol.open_session(chan, view_b, "logistic"))
         else:
             _, view_a, _ = load_agent_csv(path_a, "id", Owner.A, response_column="y")
-            protocol.open_session(chan, view_a, "logistic", 0.0)
+            protocol.run_role(protocol.open_session(chan, view_a, "logistic", 0.0))
             chan.recv()  # the agent's sketch offer
         if line is None:
             sock.shutdown(socket.SHUT_WR)

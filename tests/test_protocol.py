@@ -13,17 +13,18 @@ import aeal
 from aeal import protocol
 from aeal.data import AgentView, Owner
 from aeal.errors import (BadDimensions, BadEpsilon, BadFlipProb, DimensionMismatch,
-                         ProtocolError, SingularVariance, SolverFailure)
+                         ProtocolError, SingularHessian, SingularVariance, SolverFailure,
+                         UnsupportedResponse)
 from aeal.losses import LossFamily
 from aeal.messages import (_SCHEMAS, PROTOCOL_VERSION, Handshake, Offset,
                            PredictContribution, ResponseShare, Stop, decode, encode)
-from aeal.protocol import (StopCriterion, TrainSession, joint_loss, joint_prediction,
-                           offer_sketch, predict, replay, run_alice, run_bob, screen_offer,
-                           train)
+from aeal.protocol import (StopCriterion, TrainSession, alice_role, bob_role, joint_loss,
+                           joint_prediction, offer_sketch, predict, replay, run_alice, run_bob,
+                           run_pair, run_role, screen_offer, train)
 from aeal.screening import lrt_screen, wald_screen
 from aeal.sketch import SketchOffer, make_sketch, mask_response, unmask_probability
 from aeal.simulate import SimDesign, eta_bound, map_T, oracle_fit, simulate
-from aeal.solver import _GRAM_BLOCK_BYTES
+from aeal.solver import _GRAM_BLOCK_BYTES, _predictor, sandwich_pieces, spd_inverse
 from aeal.stats import ScreenResult, normal_quantile
 from aeal.transport import Recorder, SocketChannel, Tally, local_pair
 
@@ -226,11 +227,10 @@ class TestTrainLoop:
         else:
             assert sess.loss_log == pytest.approx(want, rel=1e-15, abs=0.0)
 
-    def test_warm_start_just_above_tolerance_converges(self, monkeypatch):
+    def test_warm_start_just_above_tolerance_converges(self):
         # a warm-started fit here starts with its gradient just above the
         # solver tolerance, where the predicted decrease is below the
         # objective's rounding; it must take its step, not fail the session
-        monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 10.0)
         design = SimDesign(setting="s1", n=2000, rho=0.1, family=LOGIT)
         sim = simulate(design, np.random.default_rng([10, 1]), hypothesis="h1")
         va, vb = views_from(sim)
@@ -243,9 +243,9 @@ class TestTrainLoop:
 def test_sessions_and_the_oracle_keep_no_derivative_rows(monkeypatch):
     # every fit a session or a study keeps drops the n-row derivatives its solver held
     kept = []
-    for name in ("run_alice", "run_bob"):
+    for name in ("alice_role", "bob_role"):
         def spy(*args, real=getattr(protocol, name), **kwargs):
-            out = real(*args, **kwargs)
+            out = yield from real(*args, **kwargs)
             kept.extend(out["fits"])
             return out
         monkeypatch.setattr(protocol, name, spy)
@@ -257,12 +257,94 @@ def test_sessions_and_the_oracle_keep_no_derivative_rows(monkeypatch):
     assert all(f.grad_rows is None and f.hess_rows is None for f in kept)
 
 
+@pytest.mark.parametrize("max_rounds", [0, 200])
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+@pytest.mark.parametrize("setting", ["s1", "s2", "s3"])
+def test_alice_covariance_comes_from_her_last_fit(setting, family, max_rounds):
+    # cov_a is built from the derivative rows of Alice's final fit, which is at
+    # beta_a against Bob's last offset: the bits of recomputing them there
+    fam = LossFamily(family)
+    sim = simulate(SimDesign(setting=setting, n=300, rho=0.1, family=fam),
+                   np.random.default_rng([36, max_rounds]))
+    va, vb = views_from(sim)
+    sess = train(va, sim.y, vb, fam, stop=StopCriterion(max_rounds=max_rounds))
+    assert sess.rounds == max_rounds or sess.stop_reason != "MaxRounds"
+    offset = sess.nu_b if max_rounds else np.zeros(va.n)  # what Alice held at the end
+    _, g, w = fam.derivatives(sim.y, _predictor(va.design, sess.beta_a, offset))
+    V1, V2 = sandwich_pieces(va.design, g, w)
+    V1_inv = spd_inverse(V1, SingularVariance, "Hessian piece V1")
+    assert sess.cov_a.tobytes() == (V1_inv @ V2 @ V1_inv / va.n).tobytes()
+
+
+class TestOneThread:
+    """train runs both roles on the caller's thread: a failure on either side
+    reaches the caller with its own type as it is raised, and no thread starts."""
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_a_singular_side_raises_its_own_error_at_once(self, side):
+        # columns 1e-8 apart pass the view's rank check but not the Newton
+        # system's pivot floor, so that side's first fit raises SingularHessian
+        va, vb, y = orthogonal_fixture()
+        view = va if side == "A" else vb
+        X = view.design.copy()
+        X[:, 1] = X[:, 0] + 1e-8 * X[:, 1]
+        view = AgentView(design=X, column_names=view.column_names, owner=view.owner)
+        va, vb = (view, vb) if side == "A" else (va, view)
+        start = time.perf_counter()
+        with pytest.raises(SingularHessian):  # not the peer's TransportFailure
+            train(va, y, vb, GAUSS)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_response_outside_the_family_stops_alice_first(self):
+        # Alice's own first fit refuses it before Bob reads her share
+        va, vb, _ = orthogonal_fixture()
+        with pytest.raises(UnsupportedResponse, match="must be 0/1"):
+            train(va, np.full(va.n, 2.0), vb, LOGIT)
+
+    def test_two_waiting_roles_raise_at_once(self):
+        # two Bob roles each wait for a handshake that neither sends
+        va, vb, y = orthogonal_fixture()
+        first, _ = local_pair()
+        _, second = local_pair()
+        start = time.perf_counter()
+        with pytest.raises(ProtocolError, match="waits for a message"):
+            run_pair(bob_role(vb, GAUSS, first), bob_role(vb, GAUSS, second))
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_role_waiting_on_a_finished_peer_raises(self):
+        # Alice's screen ends after her decision; a second screen result never comes
+        va, vb, y = orthogonal_fixture()
+        chan_a, chan_b = local_pair()
+
+        def bob_wants_two_results():
+            yield from offer_sketch(vb, GAUSS, chan_b, 2, np.random.default_rng(0))
+            return (yield from protocol.expect(chan_b, ScreenResult, "a screening result"))
+
+        with pytest.raises(ProtocolError, match="B waits for a message A has not sent"):
+            run_pair(screen_offer(va, y, GAUSS, chan_a), bob_wants_two_results())
+
+    def test_train_starts_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        during = []
+        fit = protocol.fit_offset
+
+        def counting(*args, **kwargs):
+            during.append(threading.active_count())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "fit_offset", counting)
+        va, vb, y = orthogonal_fixture()
+        sess = train(va, y, vb, GAUSS)
+        assert len(during) == 2 * sess.rounds + 1
+        assert set(during) == {before}
+        assert threading.active_count() == before
+
+
 class TestFailFast:
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_failure_reaches_caller_at_once(self, monkeypatch, side):
         # one side's warm-started fit fails mid-session; the caller must get
         # that error, not the other side's receive timeout
-        monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 10.0)
         fit_or_fail = protocol._fit_or_fail
 
         def failing(X, y, offset, fam, ridge, init, who):
@@ -280,8 +362,9 @@ class TestFailFast:
     def test_singular_predictor_covariance(self):
         # a zero column makes V1 exactly singular
         X = np.column_stack([np.ones(10), np.zeros(10)])
+        _, g, w = GAUSS.derivatives(np.arange(10.0), X @ np.zeros(2))
         with pytest.raises(SingularVariance):
-            protocol._predictor_covariance(X, np.arange(10.0), None, GAUSS, np.zeros(2))
+            protocol._predictor_covariance(X, g, w)
 
 
 class TestRidge:
@@ -377,11 +460,9 @@ class TestMasking:
                             owner=v.owner) for v in (va, vb))
         local = predict(pa.design, pb.design, sess, LOGIT, flip_prob=0.1)
         chan_a, chan_b = local_pair()
-        bob = threading.Thread(target=protocol.send_contribution,
-                               args=(pb, LOGIT, chan_b, sess.beta_b, sess.cov_b))
-        bob.start()
-        wire = joint_prediction(pa, LOGIT, chan_a, sess.beta_a, sess.cov_a, flip_prob=0.1)
-        bob.join(10)
+        wire, _ = run_pair(
+            joint_prediction(pa, LOGIT, chan_a, sess.beta_a, sess.cov_a, flip_prob=0.1),
+            protocol.send_contribution(pb, LOGIT, chan_b, sess.beta_b, sess.cov_b))
         plain = predict(pa.design, pb.design, sess, LOGIT)
         for fld in ("point", "lo", "hi"):
             assert getattr(wire, fld).tobytes() == getattr(local, fld).tobytes()
@@ -492,18 +573,14 @@ class TestProtocolValidation:
         vb = AgentView(vb.design, vb.column_names, Owner.B, id_digest=digests[1])
         chan_a, chan_b = local_pair()
         bob_errors = []
-
-        def bob():
-            try:
-                run_bob(vb, GAUSS, chan_b)
-            except ProtocolError as exc:
-                bob_errors.append(str(exc))
-
-        th = threading.Thread(target=bob)
-        th.start()
+        alice = alice_role(va, y, GAUSS, chan_a)
+        assert next(alice) is chan_a  # Alice has sent her handshake and waits
+        try:
+            run_bob(vb, GAUSS, chan_b)
+        except ProtocolError as exc:
+            bob_errors.append(str(exc))
         with pytest.raises(ProtocolError, match="row ids differ"):
-            run_alice(va, y, GAUSS, chan_a)
-        th.join(10)
+            alice.send(chan_a.recv())  # Bob's echo
         assert len(bob_errors) == 1 and "row ids differ" in bob_errors[0]
 
 
@@ -512,11 +589,11 @@ class TestProtocolValidation:
 ROLES = {
     "alice": ("A", lambda chan, va, vb, y: run_alice(va, y, GAUSS, chan)),
     "bob": ("B", lambda chan, va, vb, y: run_bob(vb, GAUSS, chan)),
-    "alice-screen": ("A", lambda chan, va, vb, y: screen_offer(va, y, GAUSS, chan)),
-    "bob-screen": ("B", lambda chan, va, vb, y: offer_sketch(vb, GAUSS, chan, 2,
-                                                             np.random.default_rng(0))),
-    "alice-predict": ("A", lambda chan, va, vb, y: joint_prediction(va, GAUSS, chan,
-                                                                    np.zeros(2), np.eye(2))),
+    "alice-screen": ("A", lambda chan, va, vb, y: run_role(screen_offer(va, y, GAUSS, chan))),
+    "bob-screen": ("B", lambda chan, va, vb, y: run_role(offer_sketch(
+        vb, GAUSS, chan, 2, np.random.default_rng(0)))),
+    "alice-predict": ("A", lambda chan, va, vb, y: run_role(joint_prediction(
+        va, GAUSS, chan, np.zeros(2), np.eye(2)))),
 }
 
 
@@ -647,8 +724,9 @@ def package_sites(matches, kind=ast.Call, skip=("transport.py",)):
 
 
 def test_only_expect_receives_a_message():
-    # every session step receives through protocol.expect, the one place that
-    # checks a message's type, so no step can forget that check
+    # every session step waits for a message in protocol.expect, the one place
+    # that checks a message's type, so no step can forget that check; only the
+    # two drivers receive, each answering a role's wait
     def receives(call):
         return isinstance(call.func, ast.Attribute) and call.func.attr == "recv"
 
@@ -659,7 +737,9 @@ def test_only_expect_receives_a_message():
         return (isinstance(call.func, ast.Name) and call.func.id == "ProtocolError"
                 and isinstance(text, ast.Constant) and str(text.value).startswith("expected"))
 
-    assert package_sites(receives) == {("protocol.py", "expect")}
+    assert package_sites(receives) == {("protocol.py", "run_role"), ("protocol.py", "run_pair")}
+    waits = package_sites(lambda node: True, ast.Yield)
+    assert {where for module, where in waits if module == "protocol.py"} == {"expect"}
     assert package_sites(raises_expected) == {("protocol.py", "expect")}
 
 
@@ -738,19 +818,24 @@ def test_socket_session_equals_in_process_above_one_gram_block():
 
 
 def stage1(chan_a, chan_b, view_a, y, view_b, fam, test, release):
-    """Alice's screen_offer against Bob's offer_sketch on the two channel ends;
-    returns Alice's report and Bob's result."""
-    bob = {}
-    worker = threading.Thread(target=lambda: bob.update(result=offer_sketch(
-        view_b, fam, chan_b, 2, np.random.default_rng(3), **release)), daemon=True)
+    """Alice's screen_offer and Bob's offer_sketch on the two channel ends."""
+    return (screen_offer(view_a, y, fam, chan_a, test=test),
+            offer_sketch(view_b, fam, chan_b, 2, np.random.default_rng(3), **release))
+
+
+def stage1_over_sockets(chan_a, chan_b, *args):
+    """stage1 with each role on its own thread; returns Alice's report and Bob's result."""
+    alice, bob = stage1(chan_a, chan_b, *args)
+    out = {}
+    worker = threading.Thread(target=lambda: out.update(result=run_role(bob)), daemon=True)
     worker.start()
     try:
-        report = screen_offer(view_a, y, fam, chan_a, test=test)
+        report = run_role(alice)
     finally:
         worker.join(timeout=60.0)
         chan_a.close()
         chan_b.close()
-    return report, bob["result"]
+    return report, out["result"]
 
 
 # stage-1 releases that offer_sketch refuses, with the error, before its handshake
@@ -764,14 +849,13 @@ BAD_RELEASES = {
 
 
 @pytest.mark.parametrize("t, release, error", BAD_RELEASES.values(), ids=list(BAD_RELEASES))
-def test_offer_sketch_refuses_a_bad_release_before_any_line(monkeypatch, t, release, error):
-    monkeypatch.setattr("aeal.transport.RECV_TIMEOUT", 5.0)
+def test_offer_sketch_refuses_a_bad_release_before_any_line(t, release, error):
     _, vb, _ = orthogonal_fixture()
     recorder = Recorder()
     ours, alice = local_pair(recorder)  # the recording end serves Bob
     alice.send(handshake(vb.n))  # Alice has opened: only the release check stops Bob
     with pytest.raises(error):
-        offer_sketch(vb, GAUSS, ours, t, np.random.default_rng(0), **release)
+        run_role(offer_sketch(vb, GAUSS, ours, t, np.random.default_rng(0), **release))
     assert recorder.lines == []  # Bob neither took her handshake nor sent a line
 
 
@@ -791,10 +875,10 @@ def test_stage1_is_the_same_over_both_transports(test, release):
     want = screen(lead, sim.y[:150], sketch, LOGIT).decision
 
     rec_local = Recorder()
-    local = stage1(*local_pair(rec_local), va, sim.y, vb, LOGIT, test, release)
+    local = run_pair(*stage1(*local_pair(rec_local), va, sim.y, vb, LOGIT, test, release))
     left, right = socket.socketpair()
     rec_socket, tally_b = Recorder(), Tally()
-    over_socket = stage1(SocketChannel(left, name="A", peer="B", recorder=rec_socket),
+    over_socket = stage1_over_sockets(SocketChannel(left, name="A", peer="B", recorder=rec_socket),
                          SocketChannel(right, name="B", peer="A", recorder=tally_b),
                          va, sim.y, vb, LOGIT, test, release)
     for report, result in (local, over_socket):

@@ -263,16 +263,17 @@ class TestLocalTransport:
         assert rec.counts == {"Offset": 1, "Stop": 1}
         assert rec.vector_sends == 1
 
-    def test_timeout(self):
-        import aeal.transport as tr
-        old = tr.RECV_TIMEOUT
-        tr.RECV_TIMEOUT = 0.05
-        try:
-            a, _ = local_pair()
-            with pytest.raises(TransportFailure):
-                a.recv()
-        finally:
-            tr.RECV_TIMEOUT = old
+    def test_recv_of_nothing_sent_refuses_at_once(self):
+        # no thread shares the pair, so an empty end will stay empty: its
+        # receive refuses at once instead of waiting for a timeout
+        a, b = local_pair()
+        b.send(Stop(reason="MaxRounds"))
+        assert len(a.inbox) == 1 and not b.inbox
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="B waits for a message A has not sent"):
+            b.recv()
+        assert time.monotonic() - start < 0.1
+        assert a.recv() == Stop(reason="MaxRounds") and not a.inbox
 
 
 def exchange(a, b):
